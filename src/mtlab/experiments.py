@@ -150,11 +150,26 @@ def _parse_sweep(spec: str, key: str) -> list:
     return [float(v) for v in grid]
 
 
+def _parse_state(kv: dict) -> StateModel:
+    try:
+        return state_from_kv(kv)
+    except ValueError as exc:
+        raise ConfigError(f"bad [state]: {exc}") from None
+
+
 def _state_with(base_kv: dict, **updates) -> StateModel:
     kv = dict(base_kv)
     for k, v in updates.items():
         kv[k] = repr(v) if isinstance(v, float) else str(v)
-    return state_from_kv(kv)
+    return _parse_state(kv)
+
+
+def _choice(section: dict, name: str, key: str, choices: dict):
+    """choices[section[key]] (default 'both'), or a ConfigError naming the options."""
+    value = section.get(key, "both")
+    if value not in choices:
+        raise ConfigError(f"bad [{name}] {key}={value!r}; choose from {sorted(choices)}")
+    return choices[value]
 
 
 def _pool_map(fn, items, workers):
@@ -189,7 +204,7 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     if cfg.kind == "gamma-sweep" and not sweeps:
         raise ConfigError("gamma-sweep requires a [sweep] section")
     if not sweeps:
-        return [_crb_row(state_from_kv(state_kv))]
+        return [_crb_row(_parse_state(state_kv))]
     if len(sweeps) != 1:
         raise ConfigError("crb sweeps cover exactly one parameter")
     (key, spec), = sweeps.items()
@@ -203,14 +218,36 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     return _pool_map(one, values, cfg.workers)
 
 
-def _run_crossover(cfg: ExperimentConfig) -> list:
+def _parse_search(cfg: ExperimentConfig, m_sweep: bool):
+    """(family, m values, bracket_hi) of a [search] section; m may be swept."""
     search = cfg.section("search")
     family = search.get("family")
     if family is None:
-        raise ConfigError("crossover needs [search] family=...")
-    m = int(search["m"]) if "m" in search else None
-    hi = float(search.get("bracket_hi", 20.0))
-    res = crb.find_crossover(family, m=m, bracket=(0.0, hi))
+        raise ConfigError(f"{cfg.kind} needs [search] family=...")
+    spec = search.get("m")
+    try:
+        hi = float(search["bracket_hi"]) if "bracket_hi" in search else None
+        if spec is not None and m_sweep and ":" in spec:
+            ms = _parse_sweep(spec, "m")
+        else:
+            ms = [None if spec is None else int(spec)]
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad [search] value: {exc}") from None
+    if any(m is not None and m < 0 for m in ms):
+        raise ConfigError("[search] m must be non-negative")
+    try:
+        for m in ms:
+            crb._gamma2_of_alpha(family, m)  # checks the family and m, evaluates nothing
+    except ValueError as exc:
+        raise ConfigError(f"bad [search]: {exc}") from None
+    return family, ms, hi
+
+
+def _run_crossover(cfg: ExperimentConfig) -> list:
+    family, (m,), hi = _parse_search(cfg, m_sweep=False)
+    res = crb.find_crossover(family, m=m, bracket=(0.0, 20.0 if hi is None else hi))
     return [{
         "family": family,
         "m": "" if m is None else m,
@@ -221,17 +258,7 @@ def _run_crossover(cfg: ExperimentConfig) -> list:
 
 
 def _run_gamma2_min(cfg: ExperimentConfig) -> list:
-    search = cfg.section("search")
-    family = search.get("family")
-    if family is None:
-        raise ConfigError("gamma2-min needs [search] family=...")
-    if "m" in search and ":" in search["m"]:
-        ms = _parse_sweep(search["m"], "m")
-    elif "m" in search:
-        ms = [int(search["m"])]
-    else:
-        ms = [None]
-    hi = float(search["bracket_hi"]) if "bracket_hi" in search else None
+    family, ms, hi = _parse_search(cfg, m_sweep=True)
 
     def one(m):
         a0, g2 = crb.minimize_gamma2(family, m=m, bracket_hi=hi)
@@ -245,7 +272,7 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
     state_kv = cfg.section("state")
     if not state_kv:
         raise ConfigError("mc-verify needs a [state] section")
-    state = state_from_kv(state_kv)
+    state = _parse_state(state_kv)
     mc = cfg.section("mc")
     try:
         n_samples = int(mc.get("N", 100000))
@@ -253,10 +280,10 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
         n_theta = int(mc.get("n_theta", 24))
     except ValueError as exc:
         raise ConfigError(f"bad [mc] value: {exc}") from None
-    schemes = {"both": ("hom", "het"), "hom": ("hom",), "het": ("het",)}[
-        mc.get("scheme", "both")]
-    orders = {"both": ("first", "second"), "first": ("first",),
-              "second": ("second",)}[mc.get("order", "both")]
+    schemes = _choice(mc, "mc", "scheme",
+                      {"both": ("hom", "het"), "hom": ("hom",), "het": ("het",)})
+    orders = _choice(mc, "mc", "order", {"both": ("first", "second"),
+                                         "first": ("first",), "second": ("second",)})
     rows = []
     for scheme in schemes:
         for order in orders:

@@ -10,13 +10,18 @@ Non-Gaussian quadrature samples are drawn by rejection against a Gaussian
 envelope whose variance is three times the state's <X_theta^2>, with the
 envelope constant found by a grid scan; a tabulated inverse-CDF on 4096
 nodes takes over if the predicted acceptance drops below 10 percent.
-Husimi samples are exact for Gaussian states (covariance transform of
-G + I/2), Fock and displaced Fock states (Gamma-distributed radius), and
-use mixture-envelope rejection for the remaining families.
+The photon-added quadrature density is a sum of m+1 displaced
+oscillator eigenfunctions, so its rejection loop costs a few recurrence
+steps per point.  Husimi samples are exact for Gaussian states (covariance
+transform of G + I/2), Fock and displaced Fock states (Gamma-distributed
+radius) and photon-added coherent states (a Poisson-like mixture of Gamma
+radii with a von Mises phase); even/odd coherent states use
+mixture-envelope rejection.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import math
 from dataclasses import dataclass
@@ -25,6 +30,7 @@ import numpy as np
 
 from . import states as st
 from .phasespace import het_shift
+from .special import hyp1f1_log, log_factorial
 from .states import StateModel, state_to_kv
 
 __all__ = [
@@ -252,12 +258,47 @@ def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
 # ---------------------------------------------------------------------------
 
 _SCAN_NODES_2D = 257
+_MIXTURE_DEFECT = 1e-12
 
 
 def _sample_fock_husimi(n_photon: int, n: int, gen: np.random.Generator) -> np.ndarray:
     s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
     r = np.sqrt(2.0 * s)
     ang = gen.uniform(0.0, 2.0 * math.pi, size=n)
+    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+
+
+def _sample_photon_added_husimi(alpha0: complex, m: int, n: int,
+                                gen: np.random.Generator,
+                                cutoff: int | None = None) -> np.ndarray:
+    """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2).
+
+    In polar form s = |alpha|^2 is a mixture over k of Gamma(m + k + 1)
+    with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2, which sum to
+    m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
+    with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
+    Fock-space cutoff and the lost weight is checked against the 1F1 sum.
+    """
+    z0 = abs(alpha0) ** 2
+    if z0 == 0.0:
+        return _sample_fock_husimi(m, n, gen)
+    if cutoff is None:
+        cutoff = st.default_cutoff(st.PhotonAddedCoherent(alpha0, m))
+    k = np.arange(cutoff + 1)
+    logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
+    top = float(np.max(logw))
+    cdf = np.cumsum(np.exp(logw - top))
+    log_ref = log_factorial(m) + hyp1f1_log(m + 1, 1, z0)
+    defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
+    if defect > _MIXTURE_DEFECT:
+        raise SamplingError(
+            f"photon-added Husimi mixture cutoff {cutoff} leaves weight "
+            f"{defect:.3e} > {_MIXTURE_DEFECT:.1e}"
+        )
+    ks = np.searchsorted(cdf / cdf[-1], gen.random(n), side="right")
+    s = gen.gamma(shape=m + 1.0 + ks, scale=1.0)
+    ang = gen.vonmises(cmath.phase(alpha0), 2.0 * np.sqrt(s * z0))
+    r = np.sqrt(2.0 * s)
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
@@ -286,7 +327,7 @@ def _rejection_2d(qpdf, centers, var_env, n, gen, scan_center, scan_half):
     filled = 0
     while filled < n:
         k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
-        idx = gen.integers(0, m, size=k) if m > 1 else np.zeros(k, dtype=int)
+        idx = gen.integers(0, m, size=k)
         pts = centers[idx] + gen.normal(0.0, sd, size=(k, 2))
         keep = gen.uniform(0.0, 1.0, size=k) * c * env(pts) < qpdf(pts[:, 0], pts[:, 1])
         take = pts[keep][: n - filled]
@@ -311,16 +352,15 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
         a0 = complex(state.alpha0)
         shift = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
         pts = _sample_fock_husimi(state.m, n, gen) + shift
-    else:
+    elif isinstance(state, st.PhotonAddedCoherent):
+        pts = _sample_photon_added_husimi(complex(state.alpha0), state.m, n, gen)
+    else:  # even/odd coherent
         h = st.husimi_moments(state)
         ghet = het_shift(st.covariance(state)).as_array()
         var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
         a0 = complex(state.alpha0)
         r0 = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
-        if isinstance(state, st.EvenOddCoherent):
-            centers = [r0, -r0]
-        else:
-            centers = [r0]
+        centers = [r0, -r0]
         scan_half = 6.0 * math.sqrt(var_env) + float(np.hypot(h.mx, h.mp)) + float(np.hypot(*r0))
         pts = _rejection_2d(lambda x, p: st.husimi_pdf(state, x, p), centers,
                             var_env, n, gen, (0.0, 0.0), scan_half)

@@ -30,9 +30,10 @@ _RESCALE = 1e250
 
 def log_factorial(n) -> float:
     """log(n!) via lgamma; accepts scalars or arrays."""
+    if np.ndim(n) == 0:
+        return math.lgamma(float(n) + 1.0)
     n = np.asarray(n, dtype=float)
-    out = np.vectorize(math.lgamma)(n + 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.vectorize(math.lgamma)(n + 1.0)
 
 
 def hyp1f1(a: float, b: float, z) -> complex | float:

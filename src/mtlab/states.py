@@ -537,11 +537,32 @@ def quadrature_pdf(state: StateModel, theta: float, x) -> np.ndarray:
         )
         return body / (den * math.sqrt(math.pi))
     if isinstance(state, PhotonAddedCoherent):
-        exp = fock_expansion(state)
-        w = exp.coeffs * np.exp(-1j * np.arange(exp.cutoff + 1) * theta)
-        amp = oscillator_eigenfunction_sum(w, x)
-        return np.abs(amp) ** 2
+        # (A^dag)^m |beta> = D(beta) (B^dag + conj(beta))^m |0> in the frame
+        # rotated by theta, so the density is that of m+1 number states
+        # shifted by sqrt2 Re(beta) (Agarwal & Tara, PRA 43, 492, 1991)
+        beta = _amp(state) * cmath.exp(-1j * theta)
+        c = _photon_added_displaced_coeffs(beta, state.m)
+        y = x - _SQ2 * beta.real
+        re = oscillator_eigenfunction_sum(c.real, y)
+        im = oscillator_eigenfunction_sum(c.imag, y)
+        return re * re + im * im
     raise TypeError(f"unknown state model {type(state).__name__}")
+
+
+def _photon_added_displaced_coeffs(beta: complex, m: int) -> np.ndarray:
+    """Normalized amplitudes of (B^dag + conj(beta))^m |0> on |0>..|m>.
+
+    c_j = C(m, j) sqrt(j!) conj(beta)^(m-j) / sqrt(m! e^{-|beta|^2}
+    1F1(m+1; 1; |beta|^2)); at beta = 0 only c_m = 1 survives, exactly.
+    """
+    z = abs(beta) ** 2
+    inv_norm = math.exp(-0.5 * (hyp1f1_log(m + 1, 1, z) - z))
+    bbar = beta.conjugate()
+    c = np.empty(m + 1, dtype=complex)
+    for j in range(m + 1):
+        c[j] = (math.comb(m, j) * math.exp(0.5 * (log_factorial(j) - log_factorial(m)))
+                * bbar ** (m - j) * inv_norm)
+    return c
 
 
 def husimi_pdf(state: StateModel, x, p) -> np.ndarray:

@@ -203,6 +203,22 @@ class TestCliEndToEnd:
         assert self.run_cli(["crb", "--config", "/does/not/exist.cfg"]) == 2
         assert self.run_cli(["crossover"]) == 2  # missing search section
 
+    def test_bad_mc_scheme_exit_code(self, capsys):
+        code = self.run_cli(["mc-verify", "--set", "state.family=fock",
+                             "--set", "state.n=1", "--set", "mc.scheme=bogus"])
+        assert code == 2
+        assert "scheme" in capsys.readouterr().err
+
+    def test_crossover_missing_m_exit_code(self, capsys):
+        code = self.run_cli(["crossover", "--set", "search.family=photon_added"])
+        assert code == 2
+        assert "requires" in capsys.readouterr().err
+
+    def test_crb_bad_state_value_exit_code(self, capsys):
+        code = self.run_cli(["crb", "--set", "state.family=fock", "--set", "state.n=x"])
+        assert code == 2
+        assert "[state]" in capsys.readouterr().err
+
     def test_numerical_error_exit_code(self):
         code = self.run_cli(["crossover", "--set", "search.family=coherent",
                              "--set", "search.bracket_hi=0.1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import mtlab.states
 from mtlab import (
     CovarianceMatrix,
     DisplacedFock,
@@ -12,13 +13,21 @@ from mtlab import (
     Fock,
     Gaussian,
     PhotonAddedCoherent,
+    fock_expansion,
     husimi_moments,
     quadrature_moments,
     quadrature_pdf,
     sample_heterodyne,
     sample_homodyne,
 )
-from mtlab.sampling import SamplingError, dataset_from_csv, derive_key, substream
+from mtlab.sampling import (
+    SamplingError,
+    _sample_photon_added_husimi,
+    dataset_from_csv,
+    derive_key,
+    substream,
+)
+from mtlab.special import oscillator_eigenfunction_sum
 
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 
@@ -102,6 +111,23 @@ class TestHomodyne:
         dcrit = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * k))
         assert dstat < dcrit, f"KS {dstat:.5f} >= {dcrit:.5f}"
 
+    def test_photon_added_draws_match_fock_sum_density(self, monkeypatch):
+        # the closed-form density must not move a single accept decision
+        state = PhotonAddedCoherent(0.8, 2)
+        new = sample_homodyne(state, 24, 24_000, seed=4041)
+        pdf = mtlab.states.quadrature_pdf
+
+        def fock_sum_pdf(s, theta, x):
+            if not isinstance(s, PhotonAddedCoherent):
+                return pdf(s, theta, x)
+            e = fock_expansion(s)
+            w = e.coeffs * np.exp(-1j * np.arange(e.cutoff + 1) * theta)
+            return np.abs(oscillator_eigenfunction_sum(w, np.asarray(x, dtype=float))) ** 2
+
+        monkeypatch.setattr(mtlab.states, "quadrature_pdf", fock_sum_pdf)
+        old = sample_homodyne(state, 24, 24_000, seed=4041)
+        assert all(np.array_equal(a, b) for a, b in zip(new.samples, old.samples))
+
 
 class TestHeterodyne:
     def test_size_validation(self):
@@ -130,9 +156,31 @@ class TestHeterodyne:
         ks = scipy.stats.kstest(s, "gamma", args=(n + 1.0,))
         assert ks.pvalue > 1e-3
 
+    def test_photon_added_vacuum_radial_law(self):
+        m = 3
+        pts = sample_heterodyne(PhotonAddedCoherent(0.0, m), 400_000, seed=5).points
+        s = 0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+        ks = scipy.stats.kstest(s, "gamma", args=(m + 1.0,))
+        assert ks.pvalue > 1e-3
+
+    def test_photon_added_mixture_defect_raises(self):
+        gen = substream(1, 2)
+        with pytest.raises(SamplingError):
+            _sample_photon_added_husimi(1.5 + 0.5j, 2, 100, gen, cutoff=3)
+
     @pytest.mark.parametrize("state", FAMILIES,
                              ids=lambda s: type(s).__name__)
     def test_moments_match_husimi_within_4se(self, state):
+        self.check_husimi_moments(state)
+
+    @pytest.mark.parametrize("state", [PhotonAddedCoherent(1.3 + 0.7j, 3),
+                                       PhotonAddedCoherent(2.5j, 6)],
+                             ids=lambda s: f"m{s.m}")
+    def test_photon_added_moments_within_4se(self, state):
+        self.check_husimi_moments(state)
+
+    @staticmethod
+    def check_husimi_moments(state):
         n = 1_000_000
         pts = sample_heterodyne(state, n, seed=31).points
         x, p = pts[:, 0], pts[:, 1]

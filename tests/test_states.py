@@ -22,7 +22,7 @@ from mtlab import (
     state_from_kv,
     state_to_kv,
 )
-from mtlab.special import hyp1f1
+from mtlab.special import hyp1f1, oscillator_eigenfunction_sum
 from mtlab.states import CutoffError
 from conftest import random_state
 
@@ -275,6 +275,46 @@ class TestDensities:
             q = husimi_pdf(s, X, P)
             total = np.trapezoid(np.trapezoid(q, ps, axis=1), xs)
             assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestPhotonAddedDensity:
+    """The m+1 displaced-number-state density against the Fock-sum route."""
+
+    @staticmethod
+    def fock_sum_pdf(state, theta, x):
+        e = fock_expansion(state)
+        w = e.coeffs * np.exp(-1j * np.arange(e.cutoff + 1) * theta)
+        return np.abs(oscillator_eigenfunction_sum(w, x)) ** 2
+
+    def test_matches_fock_sum(self):
+        rng = np.random.default_rng(1991)
+        x = np.linspace(-12.0, 12.0, 801)
+        for _ in range(300):
+            m = int(rng.integers(0, 13))
+            a0 = 10.0 ** rng.uniform(-4.0, math.log10(3.0)) \
+                * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            s = PhotonAddedCoherent(complex(a0), m)
+            theta = float(rng.uniform(0.0, math.pi))
+            ref = self.fock_sum_pdf(s, theta, x)
+            got = quadrature_pdf(s, theta, x)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), (s, theta)
+
+    def test_zero_amplitude_is_fock_exactly(self):
+        x = np.linspace(-8.0, 8.0, 1601)
+        for m in range(13):
+            for theta in (0.0, 0.9):
+                got = quadrature_pdf(PhotonAddedCoherent(0.0, m), theta, x)
+                assert np.array_equal(got, quadrature_pdf(Fock(m), theta, x))
+
+    def test_normalized(self):
+        for s in (PhotonAddedCoherent(0.8, 2), PhotonAddedCoherent(1.3 + 0.7j, 7),
+                  PhotonAddedCoherent(-2.5j, 12)):
+            for theta in (0.0, 0.7, 2.3):
+                t = quadrature_moments(s, theta)
+                half = 12.0 * math.sqrt(t.m2) + abs(t.m1)
+                xs = np.linspace(-half, half, 20001)
+                total = np.trapezoid(quadrature_pdf(s, theta, xs), xs)
+                assert abs(total - 1.0) <= 1e-10
 
 
 class TestSerialization:
