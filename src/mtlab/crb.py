@@ -5,32 +5,27 @@ mean squared error behaves like H/N: H1 for the two first-moment parameters
 and H2 for the three second-moment parameters (vectorized as a1 = <X^2>,
 a2 = <{dX,dP}>/2 with a sqrt(2) weight, a3 = <P^2>).
 
-Closed-form second-moment Fisher matrices are produced by a contour-residue
-engine: every supported family has a fourth-moment variance that is a
-trigonometric polynomial of degree two in 2*theta, so the phase average
-reduces to residues of a rational matrix function inside the unit circle.
-Repeated poles (central Gaussian states, rotation-symmetric limits) are
-handled by series expansion around clustered roots.
+The homodyne Fisher matrices are phase averages of M_theta / Var.  For the
+first moments Var = u^T G u and the average is (G + sqrt(det G) I)^-1.  For
+the second moments Var(X_theta^2) is, for every state, a trigonometric
+polynomial with the harmonics {0, 2 theta, 4 theta}: eight phase samples fix
+it, and the trapezoid rule on the rebuilt variance gives the average.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .states import (
     DisplacedFock,
     EvenOddCoherent,
-    Fock,
-    Gaussian,
     PhotonAddedCoherent,
     StateModel,
     covariance,
-    first_moments,
     husimi_moments,
-    quadrature_variance,
     quadrature_x2_variance,
 )
 
@@ -38,7 +33,6 @@ __all__ = [
     "ScaledFisher",
     "CrbReport",
     "NumericalFailure",
-    "UnsupportedClosedForm",
     "fisher_hom_first",
     "scrb_hom_first",
     "scrb_het_first",
@@ -57,11 +51,8 @@ _SQ2 = math.sqrt(2.0)
 
 
 class NumericalFailure(ArithmeticError):
-    """Quadrature failed to converge or an integrand denominator vanished."""
-
-
-class UnsupportedClosedForm(ValueError):
-    """No closed-form Fisher matrix is available for the requested family."""
+    """A phase average failed: the variance vanished, had harmonics beyond
+    4 theta, or the quadrature did not converge."""
 
 
 @dataclass(frozen=True)
@@ -89,226 +80,15 @@ class ScaledFisher:
 
 
 # ---------------------------------------------------------------------------
-# phase quadrature (trapezoid on the periodic integrand, doubling check)
-# ---------------------------------------------------------------------------
-
-
-def _phase_average(integrand, nodes: int) -> np.ndarray:
-    th = np.arange(nodes) * (math.pi / nodes)
-    vals = integrand(th)
-    return vals.mean(axis=-1)
-
-
-def _fisher_quadrature(state: StateModel, order: str, nodes: int = 256,
-                       tol: float = 1e-12, max_nodes: int = 8192) -> np.ndarray:
-    """(1/pi) integral of m_theta/var over [0, pi) by the trapezoid rule.
-
-    The integrand is smooth and pi-periodic, so node doubling converges
-    spectrally; disagreement between successive levels is the error gauge.
-    """
-
-    def integrand(th):
-        c, s = np.cos(th), np.sin(th)
-        if order == "first":
-            var = quadrature_variance(state, th)
-            basis = np.stack([c * c, s * c, s * c, s * s])
-            shape = (2, 2)
-        else:
-            var = quadrature_x2_variance(state, th)
-            v = np.stack([c * c, _SQ2 * s * c, s * s])
-            basis = np.einsum("it,jt->ijt", v, v).reshape(9, -1)
-            shape = (3, 3)
-        if np.any(var <= 0) or not np.all(np.isfinite(var)):
-            raise NumericalFailure("vanishing moment variance in the Fisher integrand")
-        return (basis / var).reshape(shape + th.shape)
-
-    prev = _phase_average(integrand, nodes)
-    n = nodes
-    while n < max_nodes:
-        n *= 2
-        curr = _phase_average(integrand, n)
-        if np.max(np.abs(curr - prev)) <= tol * max(1.0, np.max(np.abs(curr))):
-            return curr
-        prev = curr
-    raise NumericalFailure("phase quadrature did not converge")
-
-
-# ---------------------------------------------------------------------------
-# contour-residue engine
-# ---------------------------------------------------------------------------
-
-
-def _poly_mz() -> np.ndarray:
-    """Entries of M_z (ascending coefficient arrays) with M_theta = M_z/z^2."""
-    one = np.array([1.0 + 0.0j])
-    zp = np.array([1.0, 1.0], dtype=complex)   # z + 1
-    zm = np.array([-1.0, 1.0], dtype=complex)  # z - 1
-
-    def mul(*ps):
-        r = one
-        for q in ps:
-            r = np.convolve(r, q)
-        return r
-
-    m = np.empty((3, 3), dtype=object)
-    m[0, 0] = mul(zp, zp, zp, zp) / 16
-    m[0, 1] = m[1, 0] = -1j * _SQ2 * mul(zm, zp, zp, zp) / 16
-    m[0, 2] = m[2, 0] = -mul(zm, zm, zp, zp) / 16
-    m[1, 1] = -2.0 * mul(zm, zm, zp, zp) / 16
-    m[1, 2] = m[2, 1] = 1j * _SQ2 * mul(zp, zm, zm, zm) / 16
-    m[2, 2] = mul(zm, zm, zm, zm) / 16
-    return m
-
-
-_MZ = _poly_mz()
-
-# roots of the variance polynomial closer than this are merged into one
-# higher-multiplicity pole; the merge error is O(separation^2) while the
-# unmerged cancellation error grows like eps_machine/separation^2
-_CLUSTER_TOL = 1e-4
-
-
-def _taylor_shift(coeffs: np.ndarray, z0: complex) -> np.ndarray:
-    """Coefficients of p(z0 + h) in powers of h (repeated synthetic division)."""
-    c = np.array(coeffs, dtype=complex)
-    out = np.zeros(len(c), dtype=complex)
-    for k in range(len(out)):
-        r = c[-1]
-        q = np.empty(len(c) - 1, dtype=complex)
-        for i in range(len(c) - 2, -1, -1):
-            q[i] = r
-            r = c[i] + r * z0
-        out[k] = r
-        c = q
-        if len(c) == 0:
-            break
-    return out
-
-
-def _fisher_from_harmonics(nu0: float, nu1c: float, nu1s: float,
-                           nu2c: float, nu2s: float) -> np.ndarray:
-    """Closed-form (1/pi) int M_theta / V dtheta for
-    V = nu0 + nu1c cos 2t + nu1s sin 2t + nu2c cos 4t + nu2s sin 4t > 0.
-    """
-    w = np.array(
-        [
-            (nu2c + 1j * nu2s) / 2,
-            (nu1c + 1j * nu1s) / 2,
-            nu0,
-            (nu1c - 1j * nu1s) / 2,
-            (nu2c - 1j * nu2s) / 2,
-        ],
-        dtype=complex,
-    )
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        raise ValueError("variance harmonics are all zero")
-    deg = 4
-    while deg > 0 and abs(w[deg]) < 1e-14 * scale:
-        deg -= 1
-    w = w[:deg + 1]
-    d = np.concatenate([[0.0], w])  # z * W(z), ascending
-    roots = [0.0 + 0.0j]
-    if deg >= 1:
-        roots.extend(np.roots(w[::-1]))
-    roots = np.array(roots, dtype=complex)
-    inside = roots[np.abs(roots) < 1.0 - 1e-9]
-    if inside.size == 0:
-        raise NumericalFailure("no poles inside the unit circle; variance not positive?")
-
-    fisher = np.zeros((3, 3), dtype=complex)
-    used = np.zeros(len(inside), dtype=bool)
-    for i in range(len(inside)):
-        if used[i]:
-            continue
-        group = [j for j in range(len(inside))
-                 if not used[j] and abs(inside[j] - inside[i]) < _CLUSTER_TOL]
-        for j in group:
-            used[j] = True
-        z0 = inside[group].mean()
-        mult = len(group)
-        dser = _taylor_shift(d, z0)
-        eser = dser[mult:]
-        if abs(eser[0]) == 0.0:
-            raise NumericalFailure("degenerate pole cluster in residue evaluation")
-        # series inverse of E to order mult-1
-        ginv = np.zeros(mult, dtype=complex)
-        ginv[0] = 1.0 / eser[0]
-        for k in range(1, mult):
-            acc = 0.0 + 0.0j
-            for j in range(1, k + 1):
-                if j < len(eser):
-                    acc += eser[j] * ginv[k - j]
-            ginv[k] = -acc / eser[0]
-        for r in range(3):
-            for c in range(r, 3):
-                mser = _taylor_shift(_MZ[r, c], z0)
-                res = sum(mser[t] * ginv[mult - 1 - t] for t in range(mult))
-                fisher[r, c] += res
-                if c != r:
-                    fisher[c, r] += res
-    out = np.real(fisher)
-    return 0.5 * (out + out.T)
-
-
-def _variance_harmonics(state: StateModel) -> tuple[float, float, float, float, float]:
-    """Harmonic decomposition of <X_theta^4> - <X_theta^2>^2 for the
-    closed-form families; raises UnsupportedClosedForm otherwise."""
-    if isinstance(state, Fock):
-        n = state.n
-        return 0.5 * (n * n + n + 1), 0.0, 0.0, 0.0, 0.0
-    if isinstance(state, Gaussian):
-        g = state.g.as_array()
-        r0 = state.r0.as_array()
-        a = 0.5 * np.trace(g)
-        b = 0.5 * (g[0, 0] - g[1, 1])
-        c = g[0, 1]
-        w1 = a + r0 @ r0
-        w2 = b + r0[0] ** 2 - r0[1] ** 2
-        w3 = c + 2.0 * r0[0] * r0[1]
-        # 2 (a + b c2 + c s2)(w1 + w2 c2 + w3 s2)
-        return (
-            2 * (a * w1 + 0.5 * (b * w2 + c * w3)),
-            2 * (a * w2 + w1 * b),
-            2 * (a * w3 + w1 * c),
-            b * w2 - c * w3,
-            b * w3 + c * w2,
-        )
-    if isinstance(state, (EvenOddCoherent, DisplacedFock)):
-        alpha0 = complex(state.alpha0)
-        a0 = abs(alpha0)
-        delta = np.angle(alpha0) if a0 > 0 else 0.0
-        if isinstance(state, DisplacedFock):
-            m = state.m
-            m0 = 0.5 * (m * m + m + 1 + a0 ** 2 * (8 * m + 4))
-            amp = 2.0 * a0 ** 2 * (2 * m + 1)
-        else:
-            a2 = a0 * a0
-            if a2 == 0.0:
-                return _variance_harmonics(Fock(0 if state.parity == "even" else 1))
-            sgn = 1.0 if state.parity == "even" else -1.0
-            tpm = math.tanh(a2) ** sgn
-            # 4 a^4/(e^{a^2} +- e^{-a^2})^2 = 4 a^4 q/(1 +- q)^2, q = e^{-2a^2}
-            q = math.exp(-2.0 * a2)
-            den = (1.0 + q) if sgn > 0 else -math.expm1(-2.0 * a2)
-            m0 = 0.5 + 2.0 * a2 * tpm + sgn * 4.0 * a2 * a2 * q / den ** 2
-            amp = 2.0 * a2
-        # var = m0 + amp cos(2(theta - delta))
-        return m0, amp * math.cos(2 * delta), amp * math.sin(2 * delta), 0.0, 0.0
-    raise UnsupportedClosedForm(
-        f"no closed-form Fisher matrix for {type(state).__name__}; use quadrature"
-    )
-
-
-# ---------------------------------------------------------------------------
 # first moments
 # ---------------------------------------------------------------------------
 
 
 def fisher_hom_first(state: StateModel) -> ScaledFisher:
-    """Scaled homodyne Fisher matrix for the first moments (phase average of
-    the projector onto the measured direction weighted by 1/variance)."""
-    return ScaledFisher("first", _fisher_quadrature(state, "first"))
+    """Scaled homodyne Fisher matrix for the first moments: the phase average
+    of u u^T / (u^T G u), which is (G + sqrt(det G) I)^-1."""
+    g = covariance(state)
+    return ScaledFisher("first", np.linalg.inv(g.as_array() + math.sqrt(g.det) * np.eye(2)))
 
 
 def scrb_hom_first(state: StateModel) -> float:
@@ -333,28 +113,46 @@ def gamma1(state: StateModel) -> float:
 # second moments
 # ---------------------------------------------------------------------------
 
+_HARMONIC_TOL = 1e-10
+_TRAPEZOID_TOL = 1e-13
+_MAX_NODES = 2 ** 20
 
-def fisher_hom_second(state: StateModel, method: str = "auto") -> ScaledFisher:
-    """Scaled 3x3 homodyne Fisher matrix for (a1, a2, a3).
 
-    method 'closed_form' uses the residue engine (Gaussian, Fock, even/odd
-    coherent, displaced Fock), 'quadrature' the trapezoid phase average, and
-    'auto' prefers the closed form where one exists.
+def fisher_hom_second(state: StateModel) -> ScaledFisher:
+    """Scaled 3x3 homodyne Fisher matrix for (a1, a2, a3): the phase average
+    (1/pi) int_0^pi v v^T / Var(X_theta^2) dtheta, v = (c^2, sqrt2 s c, s^2).
+
+    For every state Var(X_theta^2) = c0 + 2 Re(c1 e^{2i theta} + c2 e^{4i theta}),
+    so a DFT over the eight phases k pi/8 gives it exactly; the three unused
+    bins check that claim.  The integrand is pi-periodic and analytic, so the
+    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
+    56, 2014); node doubling stops when two successive levels agree.
     """
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "closed_form"):
-        try:
-            return ScaledFisher("second", _fisher_from_harmonics(*_variance_harmonics(state)))
-        except UnsupportedClosedForm:
-            if method == "closed_form":
-                raise
-    return ScaledFisher("second", _fisher_quadrature(state, "second"))
+    c = np.fft.fft(quadrature_x2_variance(state, np.arange(8) * (math.pi / 8))) / 8
+    if np.max(np.abs(c[3:6])) > _HARMONIC_TOL * abs(c[0]):
+        raise NumericalFailure("Var(X_theta^2) has harmonics beyond 4 theta")
+    prev = None
+    n = 32
+    while n <= _MAX_NODES:
+        th = np.arange(n) * (math.pi / n)
+        z = np.exp(2j * th)
+        var = c[0].real + 2.0 * np.real(c[1] * z + c[2] * z * z)
+        if not np.all(var > 0):
+            raise NumericalFailure("vanishing moment variance in the Fisher integrand")
+        cs, sn = np.cos(th), np.sin(th)
+        v = np.stack([cs * cs, _SQ2 * sn * cs, sn * sn])
+        curr = (v / var) @ v.T / n
+        if (prev is not None
+                and np.max(np.abs(curr - prev)) <= _TRAPEZOID_TOL * np.max(np.abs(curr))):
+            return ScaledFisher("second", curr)
+        prev = curr
+        n *= 2
+    raise NumericalFailure("phase quadrature did not converge")
 
 
-def scrb_hom_second(state: StateModel, method: str = "auto") -> float:
+def scrb_hom_second(state: StateModel) -> float:
     """Second-moment homodyne bound Tr of the inverse scaled Fisher matrix."""
-    return fisher_hom_second(state, method=method).crb()
+    return fisher_hom_second(state).crb()
 
 
 def scrb_het_second(state: StateModel) -> float:
@@ -363,13 +161,9 @@ def scrb_het_second(state: StateModel) -> float:
     return (h.mx4 - h.mxx ** 2) + (h.mp4 - h.mpp ** 2) + 2.0 * (h.mx2p2 - h.mxp ** 2)
 
 
-def gamma2(state: StateModel, method: str = "auto") -> float:
+def gamma2(state: StateModel) -> float:
     """Heterodyne/homodyne second-moment performance ratio."""
-    return scrb_het_second(state) / scrb_hom_second(state, method=method)
-
-
-def _hom_method_tag(state: StateModel) -> str:
-    return "quadrature" if isinstance(state, PhotonAddedCoherent) else "closed_form"
+    return scrb_het_second(state) / scrb_hom_second(state)
 
 
 @dataclass(frozen=True)
@@ -382,7 +176,6 @@ class CrbReport:
     h2_het: float
     gamma1: float
     gamma2: float
-    methods: dict = field(default_factory=dict)
 
 
 def crb_report(state: StateModel) -> CrbReport:
@@ -393,12 +186,6 @@ def crb_report(state: StateModel) -> CrbReport:
     return CrbReport(
         h1_hom=h1hom, h1_het=h1het, h2_hom=h2hom, h2_het=h2het,
         gamma1=h1het / h1hom, gamma2=h2het / h2hom,
-        methods={
-            "h1_hom": "closed_form",
-            "h1_het": "closed_form",
-            "h2_hom": _hom_method_tag(state),
-            "h2_het": "closed_form",
-        },
     )
 
 

@@ -41,7 +41,7 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TOOL_VERSION = "0.1.0"
 
 EXPERIMENTS = (
@@ -191,7 +191,6 @@ def _crb_row(state: StateModel, extra: dict | None = None) -> dict:
         h1_hom=rep.h1_hom, h1_het=rep.h1_het,
         h2_hom=rep.h2_hom, h2_het=rep.h2_het,
         gamma1=rep.gamma1, gamma2=rep.gamma2,
-        h2_hom_method=rep.methods["h2_hom"],
     )
     return row
 

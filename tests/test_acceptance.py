@@ -37,6 +37,7 @@ from mtlab.estimators import monte_carlo_mse
 from mtlab.oracle import (
     cf_husimi_moment,
     cf_quadrature_moment,
+    numeric_fisher,
     numeric_husimi_moment_set,
     numeric_quadrature_moment_table,
 )
@@ -145,10 +146,10 @@ def test_criterion_4_gaussian_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         s = random_gaussian(rng)
-        fc = fisher_hom_second(s, "closed_form").matrix
-        fq = fisher_hom_second(s, "quadrature").matrix
+        fc = fisher_hom_second(s).matrix
+        fq = numeric_fisher(s, "second")
         worst = max(worst, float(np.max(np.abs(fc - fq)) / np.max(np.abs(fq))))
-    _report(4, "noncentral-Gaussian Fisher closed form vs quadrature",
+    _report(4, "noncentral-Gaussian Fisher vs the Simpson oracle",
             worst < 1e-8, f"worst entrywise rel err {worst:.2e} over 100 draws")
 
 

@@ -160,7 +160,7 @@ class TestCliEndToEnd:
         code = self.run_cli(["fig4", "--set", "sweep.n=0:5:6", "--out", str(out)])
         assert code == 0
         meta, header, rows = parse_csv(out.read_text())
-        assert meta["schema_version"] == "1"
+        assert meta["schema_version"] == "2"
         assert header[0] == "n"
         assert len(rows) == 6
         assert float(rows[0]["gamma2"]) == pytest.approx(1.2)

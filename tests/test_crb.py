@@ -25,7 +25,9 @@ from mtlab import (
     scrb_hom_first,
     scrb_hom_second,
 )
-from mtlab.crb import NumericalFailure, UnsupportedClosedForm
+import mtlab.crb
+from mtlab.crb import NumericalFailure
+from mtlab.oracle import numeric_fisher
 from mtlab.special import hyp1f1
 from conftest import random_gaussian, random_state
 
@@ -104,7 +106,7 @@ class TestFirstMoment:
 class TestSecondMomentFisher:
     def test_fock_matrix(self):
         for n in (0, 1, 3):
-            f = fisher_hom_second(Fock(n), "closed_form").matrix
+            f = fisher_hom_second(Fock(n)).matrix
             expect = np.array([[3, 0, 1], [0, 2, 0], [1, 0, 3]]) / (4.0 * (n * n + n + 1))
             assert np.allclose(f, expect, atol=1e-13)
 
@@ -120,8 +122,8 @@ class TestSecondMomentFisher:
         worst = 0.0
         for _ in range(100):
             s = random_gaussian(rng)
-            fc = fisher_hom_second(s, "closed_form").matrix
-            fq = fisher_hom_second(s, "quadrature").matrix
+            fc = fisher_hom_second(s).matrix
+            fq = numeric_fisher(s, "second")
             worst = max(worst, float(np.max(np.abs(fc - fq)) / np.max(np.abs(fq))))
         assert worst < 1e-8
 
@@ -129,23 +131,16 @@ class TestSecondMomentFisher:
         for fam in (1, 2, 3):
             for _ in range(10):
                 s = random_state(rng, family=fam)
-                fc = fisher_hom_second(s, "closed_form").matrix
-                fq = fisher_hom_second(s, "quadrature").matrix
+                fc = fisher_hom_second(s).matrix
+                fq = numeric_fisher(s, "second")
                 assert np.max(np.abs(fc - fq)) < 1e-8 * np.max(np.abs(fq))
 
-    def test_photon_added_has_no_closed_form(self):
-        with pytest.raises(UnsupportedClosedForm):
-            fisher_hom_second(PhotonAddedCoherent(0.5, 1), "closed_form")
-        # auto falls back to quadrature
-        f = fisher_hom_second(PhotonAddedCoherent(0.5, 1), "auto")
-        assert f.matrix.shape == (3, 3)
-
     def test_central_reduction(self, rng):
-        # closed form at r0 = 0 must equal the central-Gaussian formula
+        # r0 = 0 puts the variance roots in coincident pairs
         for _ in range(20):
             s = random_gaussian(rng, central=True)
-            fc = fisher_hom_second(s, "closed_form").matrix
-            fq = fisher_hom_second(s, "quadrature").matrix
+            fc = fisher_hom_second(s).matrix
+            fq = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fq)) < 1e-8 * np.max(np.abs(fq))
 
 
@@ -306,9 +301,55 @@ class TestSearches:
 
 
 class TestReport:
-    def test_method_tags(self):
-        rep = crb_report(PhotonAddedCoherent(0.7, 1))
-        assert rep.methods["h2_hom"] == "quadrature"
-        rep = crb_report(Fock(2))
-        assert rep.methods["h2_hom"] == "closed_form"
+    def test_report_fields(self):
+        s = PhotonAddedCoherent(0.7, 1)
+        assert fisher_hom_second(s).matrix.shape == (3, 3)
+        rep = crb_report(s)
         assert rep.gamma2 == pytest.approx(rep.h2_het / rep.h2_hom)
+
+    @pytest.mark.parametrize("r0, lam", [((1e-3, 3e-4), 1.001), ((1e-2, 3e-3), 1.01)])
+    def test_near_isotropic_displaced_gaussian(self, r0, lam):
+        # small r0 and lam -> 1 bring the roots of Var(X_theta^2) together
+        s = gaussian_from_shape(1.7, lam, 0.4, *r0)
+        expect = np.trace(np.linalg.inv(numeric_fisher(s, "second")))
+        assert crb_report(s).h2_hom == pytest.approx(expect, rel=1e-10)
+
+
+def _near_degenerate_states():
+    out = []
+    for a0 in (1e-6, 1e-4, 1e-2, 0.05):
+        for m in (0, 1, 4, 8):
+            out += [DisplacedFock(a0, m), PhotonAddedCoherent(a0, m)]
+        out += [EvenOddCoherent(a0, "even"), EvenOddCoherent(a0, "odd"),
+                gaussian_from_shape(1.7, 1.0 + a0, 0.4, a0, 0.3 * a0)]
+    for a0 in (3.0, 6.0):
+        out += [EvenOddCoherent(a0, "even"), EvenOddCoherent(a0, "odd"),
+                DisplacedFock(a0, 3), PhotonAddedCoherent(a0, 4)]
+    out += [gaussian_from_shape(1.3, lam, 0.7) for lam in (3.0, 10.0)]
+    return out
+
+
+class TestHomodyneFisherRoute:
+    def test_near_degenerate_limits_match_oracle(self):
+        # small amplitude, rotation symmetry, large m and large |alpha0|
+        for s in _near_degenerate_states():
+            fo = numeric_fisher(s, "second")
+            f = fisher_hom_second(s).matrix
+            assert np.max(np.abs(f - fo)) <= 1e-12 * np.max(np.abs(fo)), s
+
+    def test_harmonics_beyond_4theta_raise(self, monkeypatch):
+        base = mtlab.crb.quadrature_x2_variance
+        monkeypatch.setattr(mtlab.crb, "quadrature_x2_variance",
+                            lambda s, th: base(s, th) + 0.1 * np.cos(6 * th))
+        with pytest.raises(NumericalFailure):
+            fisher_hom_second(Fock(1))
+
+    @pytest.mark.parametrize("var", [
+        lambda th: 0.5 + np.cos(2 * th),        # changes sign
+        lambda th: 1.0 + np.cos(2 * th - 0.2),  # touches zero off the nodes
+    ])
+    def test_variance_with_zero_raises(self, monkeypatch, var):
+        monkeypatch.setattr(mtlab.crb, "quadrature_x2_variance",
+                            lambda s, th: var(np.asarray(th)))
+        with pytest.raises(NumericalFailure):
+            fisher_hom_second(Fock(1))

@@ -107,7 +107,7 @@ class TestNumericFisher:
         for _ in range(5):
             s = random_state(rng)
             f2 = numeric_fisher(s, "second")
-            assert np.allclose(f2, fisher_hom_second(s, "quadrature").matrix,
+            assert np.allclose(f2, fisher_hom_second(s).matrix,
                                rtol=1e-8, atol=1e-10)
             f1 = numeric_fisher(s, "first")
             assert np.allclose(f1, fisher_hom_first(s).matrix, rtol=1e-8, atol=1e-10)
@@ -117,6 +117,6 @@ class TestNumericFisher:
 
         for _ in range(5):
             s = random_gaussian(rng)
-            fc = fisher_hom_second(s, "closed_form").matrix
+            fc = fisher_hom_second(s).matrix
             fn = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fn)) < 1e-8 * np.max(np.abs(fn))
