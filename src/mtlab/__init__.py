@@ -11,12 +11,8 @@ from .phasespace import (
     CovarianceMatrix,
     FirstMoments,
     GaussianShape,
-    SymmetricVec3,
     gaussian_cov_from_shape,
     het_shift,
-    spectral,
-    unvec,
-    vec,
 )
 from .states import (
     DisplacedFock,

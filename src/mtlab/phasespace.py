@@ -2,9 +2,7 @@
 
 Quadrature operators follow the convention [X, P] = i (hbar = 1), so the
 vacuum covariance matrix is I/2 and a covariance matrix G is physical iff
-det G >= 1/4.  Symmetric 2x2 matrices are vectorized as (y1, sqrt(2) y2, y3)
-so that the Euclidean inner product of two vectorized matrices equals the
-trace inner product Tr(AB).
+det G >= 1/4.
 """
 
 from __future__ import annotations
@@ -17,15 +15,10 @@ import numpy as np
 __all__ = [
     "CovarianceMatrix",
     "FirstMoments",
-    "SymmetricVec3",
     "GaussianShape",
-    "vec",
-    "unvec",
     "gaussian_cov_from_shape",
     "het_shift",
-    "spectral",
     "rotation_matrix",
-    "vec_rotation_matrix",
 ]
 
 #: absolute slack used by the det G >= 1/4 physicality predicate
@@ -36,19 +29,6 @@ def rotation_matrix(phi: float) -> np.ndarray:
     """2x2 rotation by angle phi."""
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
-
-
-def vec_rotation_matrix(phi: float) -> np.ndarray:
-    """Action of A -> R(phi) A R(phi)^T on (y1, sqrt2 y2, y3) coordinates."""
-    c, s = math.cos(phi), math.sin(phi)
-    sq2 = math.sqrt(2.0)
-    return np.array(
-        [
-            [c * c, -sq2 * s * c, s * s],
-            [sq2 * s * c, c * c - s * s, -sq2 * s * c],
-            [s * s, sq2 * s * c, c * c],
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -127,44 +107,6 @@ class CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class SymmetricVec3:
-    """Column (y1, sqrt(2) y2, y3) representing a symmetric 2x2 matrix."""
-
-    v1: float
-    v2: float
-    v3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2, self.v3])
-
-
-def vec(m) -> SymmetricVec3:
-    """Vectorize a symmetric 2x2 matrix (or CovarianceMatrix) to 3 components.
-
-    The inner product identity <vec(A), vec(B)> = Tr(AB) holds for any two
-    symmetric inputs.
-    """
-    if isinstance(m, CovarianceMatrix):
-        return SymmetricVec3(m.gxx, math.sqrt(2.0) * m.gxp, m.gpp)
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    off = 0.5 * (m[0, 1] + m[1, 0])
-    if abs(m[0, 1] - m[1, 0]) > 1e-10 * (1.0 + abs(off)):
-        raise ValueError("vec requires a symmetric matrix")
-    return SymmetricVec3(m[0, 0], math.sqrt(2.0) * off, m[1, 1])
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of :func:`vec`; returns a plain symmetric ndarray."""
-    if isinstance(v, SymmetricVec3):
-        v = v.as_array()
-    v = np.asarray(v, dtype=float)
-    off = v[1] / math.sqrt(2.0)
-    return np.array([[v[0], off], [off, v[2]]])
-
-
-@dataclass(frozen=True)
 class GaussianShape:
     """Spectral parametrization of a physical Gaussian covariance matrix.
 
@@ -194,23 +136,3 @@ def gaussian_cov_from_shape(shape: GaussianShape) -> CovarianceMatrix:
 def het_shift(g: CovarianceMatrix) -> CovarianceMatrix:
     """Husimi covariance G + I/2 of a state with covariance G."""
     return CovarianceMatrix(g.gxx + 0.5, g.gxp, g.gpp + 0.5)
-
-
-def spectral(g: CovarianceMatrix) -> tuple[float, float, float]:
-    """Eigen-decomposition (eig_lo, eig_hi, phi) with eig_lo on the phi axis.
-
-    R(phi) diag(eig_lo, eig_hi) R(phi)^T reconstructs the input; phi is
-    reported in [0, pi) and defaults to 0 for degenerate spectra.
-    """
-    a, b, c = g.gxx, g.gpp, g.gxp
-    mean = 0.5 * (a + b)
-    h = math.hypot(0.5 * (a - b), c)
-    lo, hi = mean - h, mean + h
-    if h <= 1e-14 * max(1.0, mean):
-        return lo, hi, 0.0
-    # angle of the eigenvector of the *large* eigenvalue, shifted to the low axis
-    phi_hi = 0.5 * math.atan2(2.0 * c, a - b)
-    phi = math.fmod(phi_hi + 0.5 * math.pi, math.pi)
-    if phi < 0.0:
-        phi += math.pi
-    return lo, hi, phi

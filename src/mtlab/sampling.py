@@ -10,6 +10,8 @@ Non-Gaussian quadrature samples are drawn by rejection against a Gaussian
 envelope whose variance is three times the state's <X_theta^2>, with the
 envelope constant found by a grid scan; a tabulated inverse-CDF on 4096
 nodes takes over if the predicted acceptance drops below 10 percent.
+Both rejection samplers test a batch in cache-sized chunks and stop once
+the output is full, so the batch surplus is drawn but never evaluated.
 The photon-added quadrature density is a sum of m+1 displaced
 oscillator eigenfunctions, so its rejection loop costs a few recurrence
 steps per point.  Husimi samples are exact for Gaussian states (covariance
@@ -170,6 +172,25 @@ _SAFETY = 1.10
 _ICDF_NODES = 4096
 _MIN_ACCEPTANCE = 0.10
 _MAX_BATCH = 4_000_000
+_TEST_CHUNK = 1 << 16
+
+
+def _accept_into(out, filled, props, u, accept):
+    """Copy the proposals that pass accept(chunk, u) into out[filled:], in order.
+
+    A batch is tested in cache-sized chunks and testing stops once out is
+    full: the surplus proposals are still drawn, so the random stream is
+    the same, but their density is never evaluated.
+    """
+    n = len(out)
+    for lo in range(0, len(props), _TEST_CHUNK):
+        if filled == n:
+            break
+        chunk = props[lo:lo + _TEST_CHUNK]
+        take = chunk[accept(chunk, u[lo:lo + _TEST_CHUNK])][: n - filled]
+        out[filled:filled + len(take)] = take
+        filled += len(take)
+    return filled
 
 
 def _envelope_constant(pdf, center, var_env, half_width):
@@ -189,16 +210,17 @@ def _rejection_1d(pdf, center, var_env, half_width, n, gen):
     if 1.0 / c < _MIN_ACCEPTANCE:
         return _inverse_cdf_1d(pdf, center, half_width, n, gen)
     sd = math.sqrt(var_env)
+
+    def accept(xs, u):
+        env = np.exp(-0.5 * (xs - center) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
+        return u * c * env < pdf(xs)
+
     out = np.empty(n)
     filled = 0
     while filled < n:
         k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
         xs = gen.normal(center, sd, size=k)
-        env = np.exp(-0.5 * (xs - center) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
-        keep = gen.uniform(0.0, 1.0, size=k) * c * env < pdf(xs)
-        take = xs[keep][: n - filled]
-        out[filled:filled + take.size] = take
-        filled += take.size
+        filled = _accept_into(out, filled, xs, gen.uniform(0.0, 1.0, size=k), accept)
     return out
 
 
@@ -307,20 +329,23 @@ def _rejection_2d(qpdf, centers, var_env, n, gen, scan_center, scan_half):
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     m = len(centers)
 
-    def env(pts):
-        acc = np.zeros(len(pts))
-        for cxy in centers:
-            d2 = (pts[:, 0] - cxy[0]) ** 2 + (pts[:, 1] - cxy[1]) ** 2
+    def env(x, p):
+        acc = np.zeros(len(x))
+        for cx, cp in centers:
+            d2 = (x - cx) ** 2 + (p - cp) ** 2
             acc += np.exp(-0.5 * d2 / var_env)
         return acc / (m * 2 * math.pi * var_env)
 
     xs = np.linspace(scan_center[0] - scan_half, scan_center[0] + scan_half, _SCAN_NODES_2D)
     ps = np.linspace(scan_center[1] - scan_half, scan_center[1] + scan_half, _SCAN_NODES_2D)
-    gx, gp = np.meshgrid(xs, ps, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gp.ravel()])
-    c = float(np.max(qpdf(grid[:, 0], grid[:, 1]) / env(grid))) * _SAFETY
+    gx, gp = (g.ravel() for g in np.meshgrid(xs, ps, indexing="ij"))
+    c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * _SAFETY
     if not math.isfinite(c) or c <= 0:
         raise SamplingError("Husimi rejection envelope scan failed")
+
+    def accept(pts, u):
+        x, p = pts[:, 0], pts[:, 1]
+        return u * c * env(x, p) < qpdf(x, p)
 
     sd = math.sqrt(var_env)
     out = np.empty((n, 2))
@@ -329,10 +354,7 @@ def _rejection_2d(qpdf, centers, var_env, n, gen, scan_center, scan_half):
         k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
         idx = gen.integers(0, m, size=k)
         pts = centers[idx] + gen.normal(0.0, sd, size=(k, 2))
-        keep = gen.uniform(0.0, 1.0, size=k) * c * env(pts) < qpdf(pts[:, 0], pts[:, 1])
-        take = pts[keep][: n - filled]
-        out[filled:filled + len(take)] = take
-        filled += len(take)
+        filled = _accept_into(out, filled, pts, gen.uniform(0.0, 1.0, size=k), accept)
     return out
 
 

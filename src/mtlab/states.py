@@ -1,15 +1,28 @@
-"""State families and their closed-form quadrature and Husimi moments.
+"""State families and their quadrature and Husimi moments.
 
 Five families are supported: Gaussian states, Fock states, even/odd coherent
 superpositions, displaced Fock states and photon-added coherent states.
 Conventions: alpha = (x + i p)/sqrt(2), [X, P] = i, vacuum variance 1/2.
 
-All moment formulas here are hand-derived from the characteristic functions
-(differentiation at the origin) and are independently validated against the
-brute-force integration routes in :mod:`mtlab.oracle`.  Complex amplitudes
-are handled by reducing to the real-amplitude state rotated by arg(alpha0);
-every reported bound is invariant under that rotation, only densities,
-samplers and moment tables see the phase.
+Every moment up to fourth order comes from one table per state: a core
+state's normally ordered moments T[j, k] = <a^dag^j a^k> (j + k <= 4),
+together with the phase-space shift (x0, p0) that displaces the core into
+the state.  Each family builds its core table once, in ``_core``; the
+moment functions read it through constant coefficient maps that rest on
+three identities:
+
+* e^{t X_theta} = e^{t e^{i theta} a^dag/sqrt2} e^{t e^{-i theta} a/sqrt2}
+  e^{t^2/4}, which gives <X_theta^m> as harmonics e^{i d theta}, |d| <= 4;
+* the Husimi function averages anti-normal products, and
+  <a^k a^dag^j> = sum_l l! C(k, l) C(j, l) T[j-l, k-l] (Cahill & Glauber,
+  Phys. Rev. 177, 1857, 1969);
+* a displacement shifts X_theta by x0 cos(theta) + p0 sin(theta) and the
+  Husimi variables by (x0, p0), so the displaced moments are binomial sums
+  of the core moments.  Variances are formed from the core moments and the
+  shift, with no x^4 terms to cancel at large amplitude.
+
+Everything here is validated against the brute-force routes in
+:mod:`mtlab.oracle`.
 """
 
 from __future__ import annotations
@@ -17,17 +30,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .phasespace import CovarianceMatrix, FirstMoments
-from .special import (
-    hyp1f1_deriv_ratios,
-    hyp1f1_log,
-    log_factorial,
-    oscillator_eigenfunction_sum,
-)
+from .special import hyp1f1_log, log_factorial, oscillator_eigenfunction_sum
 
 __all__ = [
     "Gaussian",
@@ -61,12 +70,144 @@ class CutoffError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the moment table T[j, k] = <a^dag^j a^k>, j + k <= 4
+# ---------------------------------------------------------------------------
+
+
+#: exponents (a, b) of the Husimi monomials x^a p^b, total degree 0..4
+_MONOMIALS = [(a, d - a) for d in range(5) for a in range(d, -1, -1)]
+
+
+def _moment_map() -> np.ndarray:
+    """Complex 69x27 map from (T.ravel(), x0, p0) to the moment data of a state.
+
+    Rows 9 m + 4 + d (m = 0..4, d = -4..4) hold the harmonic e^{i d theta} of
+    the core <Y_theta^m> = sum over j + k + 2l = m of m!/(j! k! l!) 4^-l
+    2^-(j+k)/2 e^{i (j-k) theta} T[j, k], from e^{t Y_theta} =
+    e^{t e^{i theta} a^dag/sqrt2} e^{t e^{-i theta} a/sqrt2} e^{t^2/4}.
+    Rows 45-53 hold the harmonics of the shift x0 cos(theta) + p0 sin(theta).
+    Rows 54-68 hold the core Husimi averages of ``_MONOMIALS``: x^a p^b =
+    2^-(a+b)/2 (-i)^b (alpha + conj alpha)^a (alpha - conj alpha)^b, and the
+    average of alpha^k conj(alpha)^j is the anti-normal <a^k a^dag^j> =
+    sum_l l! C(k, l) C(j, l) T[j-l, k-l] (Cahill & Glauber 1969).
+    """
+    quad = np.zeros((5, 9, 5, 5))
+    anti = np.zeros((5, 5, 5, 5))
+    for j in range(5):
+        for k in range(5 - j):
+            for l in range((4 - j - k) // 2 + 1):
+                m = j + k + 2 * l
+                quad[m, 4 + j - k, j, k] = (
+                    math.factorial(m) / (math.factorial(j) * math.factorial(k) * math.factorial(l))
+                    / 4 ** l / 2 ** ((j + k) / 2))
+            for l in range(min(j, k) + 1):
+                anti[j, k, j - l, k - l] = math.factorial(l) * math.comb(k, l) * math.comb(j, l)
+    husimi = np.zeros((15, 5, 5), dtype=complex)
+    for row, (a, b) in enumerate(_MONOMIALS):
+        for r in range(a + 1):
+            for s in range(b + 1):
+                husimi[row, a + b - r - s, r + s] += (math.comb(a, r) * math.comb(b, s)
+                                                      * (-1) ** (b - s) * (-1j) ** b
+                                                      / 2 ** ((a + b) / 2))
+    out = np.zeros((69, 27), dtype=complex)
+    out[:45, :25] = quad.reshape(45, 25)
+    out[[48, 50], 25] = 0.5
+    out[[48, 50], 26] = 0.5j, -0.5j
+    out[54:, :25] = husimi.reshape(15, 25) @ anti.reshape(25, 25)
+    return out
+
+
+def _shifted_husimi(c: list, x: float, p: float) -> HusimiMomentSet:
+    """Husimi moments <(x' + x)^a (p' + p)^b> of the core shifted by (x, p),
+    from the core averages c of ``_MONOMIALS``, by the binomial theorem."""
+    _, c10, c01, c20, c11, c02, c30, c21, c12, c03, c40, c31, c22, c13, c04 = c
+    p1 = c01 + p                                  # <(p' + p)^b>, b = 1..3
+    p2 = c02 + p * (2.0 * c01 + p)
+    p3 = c03 + p * (3.0 * c02 + p * (3.0 * c01 + p))
+    return HusimiMomentSet(
+        mx=c10 + x,
+        mp=p1,
+        mxx=c20 + x * (2.0 * c10 + x),
+        mxp=c11 + p * c10 + x * p1,
+        mpp=p2,
+        mx4=c40 + x * (4.0 * c30 + x * (6.0 * c20 + x * (4.0 * c10 + x))),
+        mx3p=(c31 + p * c30 + x * (3.0 * (c21 + p * c20)
+                                   + x * (3.0 * (c11 + p * c10) + x * p1))),
+        mx2p2=(c22 + p * (2.0 * c21 + p * c20)
+               + x * (2.0 * (c12 + p * (2.0 * c11 + p * c10)) + x * p2)),
+        mxp3=c13 + p * (3.0 * c12 + p * (3.0 * c11 + p * c10)) + x * p3,
+        mp4=c04 + p * (4.0 * c03 + p * (6.0 * c02 + p * (4.0 * c01 + p))),
+    )
+
+
+_MOMENT_MAP = _moment_map()
+_I_HARMONICS = 1j * np.arange(-4, 5)
+
+
+def _even_table(t11, t02, t22, t13, t04) -> list:
+    """Table, row by row, of a core state with <a^dag^j a^k> = 0 for odd j + k."""
+    return [1.0, 0, t02, 0, t04,
+            0, t11, 0, t13, 0,
+            t02.conjugate(), 0, t22, 0, 0,
+            0, t13.conjugate(), 0, 0, 0,
+            t04.conjugate(), 0, 0, 0, 0]
+
+
+def _number_table(n: int) -> list:
+    """Table, row by row, of |n>: <a^dag^k a^k> = n!/(n-k)!, zero off the diagonal."""
+    t = [0.0] * 25
+    t[0] = 1.0
+    for k in range(1, 5):
+        t[6 * k] = t[6 * k - 6] * (n - k + 1)
+    return t
+
+
+def _fock_table(c: np.ndarray) -> list:
+    """Table, row by row, of the Fock vector c: the Gram matrix of the ladder
+    vectors a^k c."""
+    n = c.size
+    ladder = np.zeros((5, n), dtype=complex)
+    ladder[0] = c
+    root = np.sqrt(np.arange(1.0, n))
+    for k in range(1, min(5, n)):  # (a v)[i] = sqrt(i + 1) v[i + 1]
+        ladder[k, :n - k] = root[:n - k] * ladder[k - 1, 1:n - k + 1]
+    return (np.conj(ladder) @ ladder.T).ravel().tolist()
+
+
+class _MomentData(NamedTuple):
+    harmonics: np.ndarray  # (6, 9): core <Y_theta^m>, m = 0..4, and the shift
+    core_husimi: list  # core Husimi averages of ``_MONOMIALS``
+    husimi: HusimiMomentSet
+
+
+class _StateFamily:
+    """Base of the state families: moment data built once from ``_core``."""
+
+    def _core(self) -> tuple[float, float, list]:
+        """Shift (x0, p0) and the table, row by row, of the core state it displaces."""
+        raise NotImplementedError
+
+    @cached_property
+    def _moments(self) -> _MomentData:
+        x0, p0, table = self._core()
+        r = _MOMENT_MAP @ np.array(table + [x0, p0], dtype=complex)
+        c = r[54:].real.tolist()
+        return _MomentData(r[:54].reshape(6, 9), c, _shifted_husimi(c, x0, p0))
+
+    @cached_property
+    def _covariance(self) -> CovarianceMatrix:
+        # the covariance is shift-free: read it from the core
+        _, cx, cp, cxx, cxp, cpp = self._moments.core_husimi[:6]
+        return CovarianceMatrix(cxx - cx * cx - 0.5, cxp - cx * cp, cpp - cp * cp - 0.5)
+
+
+# ---------------------------------------------------------------------------
 # state families
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_StateFamily):
     """Gaussian state with mean r0 and covariance matrix g (det g >= 1/4)."""
 
     r0: FirstMoments
@@ -76,9 +217,17 @@ class Gaussian:
         if not self.g.is_physical():
             raise ValueError(f"unphysical Gaussian covariance, det={self.g.det}")
 
+    def _core(self):
+        # Wick's theorem on n = <a^dag a> and s = <a^2> of the centred state
+        g = self.g
+        n = 0.5 * (g.gxx + g.gpp - 1.0)
+        s = 0.5 * complex(g.gxx - g.gpp, 2.0 * g.gxp)
+        return self.r0.rx, self.r0.rp, _even_table(
+            n, s, 2.0 * n * n + abs(s) ** 2, 3.0 * n * s, 3.0 * s * s)
+
 
 @dataclass(frozen=True)
-class Fock:
+class Fock(_StateFamily):
     """Photon-number state |n>."""
 
     n: int
@@ -87,9 +236,12 @@ class Fock:
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
             raise ValueError("photon number n must be a non-negative integer")
 
+    def _core(self):
+        return 0.0, 0.0, _number_table(self.n)
+
 
 @dataclass(frozen=True)
-class EvenOddCoherent:
+class EvenOddCoherent(_StateFamily):
     """Normalized superposition (|alpha0> +- |-alpha0>), parity 'even'/'odd'."""
 
     alpha0: complex
@@ -101,9 +253,21 @@ class EvenOddCoherent:
         if not cmath.isfinite(complex(self.alpha0)):
             raise ValueError("amplitude must be finite")
 
+    def _core(self):
+        # <a^dag^j a^k> = conj(a)^j a^k for even j + k, times tanh|a|^2 (even)
+        # or coth|a|^2 (odd) when j is odd; w is |a|^2 times that factor
+        a = complex(self.alpha0)
+        a2 = abs(a) ** 2
+        q1 = -math.expm1(-2.0 * a2)
+        if self.parity == "even":
+            w = a2 * q1 / (2.0 - q1)
+        else:
+            w = a2 * (2.0 - q1) / q1 if a2 else 1.0
+        return 0.0, 0.0, _even_table(w, a * a, a2 * a2, w * a * a, a ** 4)
+
 
 @dataclass(frozen=True)
-class DisplacedFock:
+class DisplacedFock(_StateFamily):
     """Displaced Fock state D(alpha0)|m>."""
 
     alpha0: complex
@@ -115,9 +279,13 @@ class DisplacedFock:
         if not cmath.isfinite(complex(self.alpha0)):
             raise ValueError("amplitude must be finite")
 
+    def _core(self):
+        a = complex(self.alpha0)
+        return _SQ2 * a.real, _SQ2 * a.imag, _number_table(self.m)
+
 
 @dataclass(frozen=True)
-class PhotonAddedCoherent:
+class PhotonAddedCoherent(_StateFamily):
     """Normalized (A^dag)^m |alpha0>."""
 
     alpha0: complex
@@ -129,18 +297,18 @@ class PhotonAddedCoherent:
         if not cmath.isfinite(complex(self.alpha0)):
             raise ValueError("amplitude must be finite")
 
+    def _core(self):
+        # (A^dag)^m |a> = D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43, 492, 1991)
+        a = complex(self.alpha0)
+        return (_SQ2 * a.real, _SQ2 * a.imag,
+                _fock_table(_photon_added_displaced_coeffs(a, self.m)))
+
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]
 
 
 def _amp(state) -> complex:
     return complex(state.alpha0)
-
-
-def _xt_pt(alpha0: complex, theta):
-    """Rotating-frame displacement: alpha0 e^{-i theta} = (x_t + i p_t)/sqrt2."""
-    w = alpha0 * np.exp(-1j * np.asarray(theta, dtype=float))
-    return _SQ2 * np.real(w), _SQ2 * np.imag(w)
 
 
 # ---------------------------------------------------------------------------
@@ -159,77 +327,36 @@ class QuadratureMomentTable:
     m4: float
 
 
-def _quad_moments_arrays(state: StateModel, theta):
-    """Vectorized (m1, m2, m3, m4) over an array of LO phases."""
-    theta = np.asarray(theta, dtype=float)
-    zero = np.zeros_like(theta)
-    if isinstance(state, Gaussian):
-        u = np.stack([np.cos(theta), np.sin(theta)])
-        r = state.r0.as_array()
-        g = state.g.as_array()
-        mu = r @ u
-        s2 = np.einsum("it,ij,jt->t", u, g, u) if theta.ndim else u @ g @ u
-        m2 = s2 + mu * mu
-        m3 = mu ** 3 + 3 * mu * s2
-        m4 = 3 * s2 * s2 + 6 * mu * mu * s2 + mu ** 4
-        return mu, m2, m3, m4
-    if isinstance(state, Fock):
-        n = state.n
-        m2 = (n + 0.5) + zero
-        m4 = 0.75 * (2 * n * n + 2 * n + 1) + zero
-        return zero, m2, zero, m4
-    if isinstance(state, EvenOddCoherent):
-        a2 = abs(_amp(state)) ** 2
-        if a2 == 0.0:
-            return _quad_moments_arrays(Fock(0 if state.parity == "even" else 1), theta)
-        xt, pt = _xt_pt(_amp(state), theta)
-        sgn = 1.0 if state.parity == "even" else -1.0
-        q = math.exp(-2.0 * a2)
-        # 1 - q via expm1 keeps the odd-state alpha0 -> 0 limit stable
-        den = (1.0 + q) if sgn > 0 else -math.expm1(-2.0 * a2)
-        e2 = (xt * xt - sgn * q * pt * pt) / den
-        e4 = (xt ** 4 + sgn * q * pt ** 4) / den
-        m2 = 0.5 + e2
-        m4 = 0.75 + 3.0 * e2 + e4
-        return zero, m2, zero, m4
-    if isinstance(state, DisplacedFock):
-        xt, _ = _xt_pt(_amp(state), theta)
-        m = state.m
-        s0 = m + 0.5
-        m4f = 0.75 * (2 * m * m + 2 * m + 1)
-        return (
-            xt,
-            s0 + xt * xt,
-            xt ** 3 + 3.0 * xt * s0,
-            m4f + 6.0 * xt * xt * s0 + xt ** 4,
-        )
-    if isinstance(state, PhotonAddedCoherent):
-        xt, _ = _xt_pt(_amp(state), theta)
-        _, r1, r2, r3, r4 = hyp1f1_deriv_ratios(state.m, abs(_amp(state)) ** 2)
-        m1 = r1 * xt
-        m2 = r1 - 0.5 + r2 * xt * xt
-        m3 = 3.0 * r2 * xt + r3 * xt ** 3 - 1.5 * r1 * xt
-        m4 = 3.0 * (r2 - r1) + 0.75 + (6.0 * r3 - 3.0 * r2) * xt * xt + r4 * xt ** 4
-        return m1, m2, m3, m4
-    raise TypeError(f"unknown state model {type(state).__name__}")
+def _core_quadrature(state: StateModel, theta) -> np.ndarray:
+    """Rows 1, mu1, mu2, mu3, mu4 (the core <Y_theta^m>) and x0 cos + p0 sin."""
+    return (state._moments.harmonics @ np.exp(np.multiply.outer(_I_HARMONICS, theta))).real
 
 
 def quadrature_moments(state: StateModel, theta: float) -> QuadratureMomentTable:
-    """Closed-form <X_theta^m> for m = 1..4."""
-    m1, m2, m3, m4 = (float(v) for v in _quad_moments_arrays(state, float(theta)))
-    return QuadratureMomentTable(float(theta), m1, m2, m3, m4)
+    """<X_theta^m> for m = 1..4."""
+    _, u1, u2, u3, u4, x = _core_quadrature(state, float(theta)).tolist()
+    return QuadratureMomentTable(
+        float(theta),
+        x + u1,
+        x * x + 2.0 * x * u1 + u2,
+        x ** 3 + 3.0 * x * x * u1 + 3.0 * x * u2 + u3,
+        x ** 4 + 4.0 * x ** 3 * u1 + 6.0 * x * x * u2 + 4.0 * x * u3 + u4,
+    )
 
 
 def quadrature_x2_variance(state: StateModel, theta) -> np.ndarray:
-    """<X_theta^4> - <X_theta^2>^2, vectorized over theta."""
-    _, m2, _, m4 = _quad_moments_arrays(state, theta)
-    return m4 - m2 * m2
+    """<X_theta^4> - <X_theta^2>^2, vectorized over theta.
+
+    Var((Y + x)^2) = Var(Y^2) + 4 x (Cov(Y^2, Y) + x Var(Y)) for the core
+    quadrature Y: no x^4 terms, so nothing cancels at large amplitude."""
+    _, u1, u2, u3, u4, x = _core_quadrature(state, theta)
+    return u4 - u2 * u2 + 4.0 * x * (u3 - u1 * u2 + x * (u2 - u1 * u1))
 
 
 def quadrature_variance(state: StateModel, theta) -> np.ndarray:
     """<X_theta^2> - <X_theta>^2, vectorized over theta."""
-    m1, m2, _, _ = _quad_moments_arrays(state, theta)
-    return m2 - m1 * m1
+    _, u1, u2, _, _, _ = _core_quadrature(state, theta)
+    return u2 - u1 * u1
 
 
 # ---------------------------------------------------------------------------
@@ -252,119 +379,10 @@ class HusimiMomentSet:
     mxp3: float
     mp4: float
 
-    def mean(self) -> np.ndarray:
-        return np.array([self.mx, self.mp])
-
-    def second_matrix(self) -> np.ndarray:
-        """Uncentered degree-2 moment matrix (equals G_2 + I/2)."""
-        return np.array([[self.mxx, self.mxp], [self.mxp, self.mpp]])
-
-    def central_covariance(self) -> np.ndarray:
-        """Husimi covariance; equals the state covariance shifted by I/2."""
-        return self.second_matrix() - np.outer(self.mean(), self.mean())
-
-    def rotated(self, delta: float) -> "HusimiMomentSet":
-        """Moment set of the state rotated by delta in phase space."""
-        c, s = math.cos(delta), math.sin(delta)
-        bx, bp = self.mx, self.mp
-        bxx, bxp, bpp = self.mxx, self.mxp, self.mpp
-        b40, b31, b22, b13, b04 = self.mx4, self.mx3p, self.mx2p2, self.mxp3, self.mp4
-        return HusimiMomentSet(
-            mx=c * bx - s * bp,
-            mp=s * bx + c * bp,
-            mxx=c * c * bxx - 2 * c * s * bxp + s * s * bpp,
-            mxp=c * s * (bxx - bpp) + (c * c - s * s) * bxp,
-            mpp=s * s * bxx + 2 * c * s * bxp + c * c * bpp,
-            mx4=c ** 4 * b40 - 4 * c ** 3 * s * b31 + 6 * c * c * s * s * b22
-            - 4 * c * s ** 3 * b13 + s ** 4 * b04,
-            mx3p=c ** 3 * s * b40 + (c ** 4 - 3 * c * c * s * s) * b31
-            + 3 * (c * s ** 3 - c ** 3 * s) * b22
-            + (3 * c * c * s * s - s ** 4) * b13 - c * s ** 3 * b04,
-            mx2p2=c * c * s * s * b40 + (2 * c ** 3 * s - 2 * c * s ** 3) * b31
-            + (c ** 4 - 4 * c * c * s * s + s ** 4) * b22
-            + (2 * c * s ** 3 - 2 * c ** 3 * s) * b13 + c * c * s * s * b04,
-            mxp3=c * s ** 3 * b40 + (3 * c * c * s * s - s ** 4) * b31
-            + 3 * (c ** 3 * s - c * s ** 3) * b22
-            + (c ** 4 - 3 * c * c * s * s) * b13 - c ** 3 * s * b04,
-            mp4=s ** 4 * b40 + 4 * s ** 3 * c * b31 + 6 * s * s * c * c * b22
-            + 4 * s * c ** 3 * b13 + c ** 4 * b04,
-        )
-
-
-def _husimi_moments_real(state: StateModel) -> HusimiMomentSet:
-    """Husimi moment set for the real-amplitude representative of a family."""
-    if isinstance(state, Fock):
-        n = state.n
-        f4 = 1.5 * (n + 1) * (n + 2)
-        return HusimiMomentSet(0.0, 0.0, n + 1.0, 0.0, n + 1.0,
-                               f4, 0.0, (n + 1) * (n + 2) / 2.0, 0.0, f4)
-    if isinstance(state, EvenOddCoherent):
-        a2 = abs(_amp(state)) ** 2
-        if a2 == 0.0:
-            return _husimi_moments_real(Fock(0 if state.parity == "even" else 1))
-        sgn = 1.0 if state.parity == "even" else -1.0
-        q = math.exp(-2.0 * a2)
-        den = (1.0 + q) if sgn > 0 else -math.expm1(-2.0 * a2)
-        A = a2 / den
-        B = q * A
-        return HusimiMomentSet(
-            mx=0.0, mp=0.0,
-            mxx=1.0 + 2.0 * A, mxp=0.0, mpp=1.0 - sgn * 2.0 * B,
-            mx4=3.0 + 12.0 * A + 4.0 * a2 * A,
-            mx3p=0.0,
-            mx2p2=1.0 + 2.0 * (A - sgn * B),
-            mxp3=0.0,
-            mp4=3.0 - sgn * 12.0 * B + sgn * 4.0 * a2 * B,
-        )
-    if isinstance(state, DisplacedFock):
-        m = state.m
-        x0 = _SQ2 * abs(_amp(state))
-        f4 = 1.5 * (m + 1) * (m + 2)
-        return HusimiMomentSet(
-            mx=x0, mp=0.0,
-            mxx=(m + 1.0) + x0 * x0, mxp=0.0, mpp=m + 1.0,
-            mx4=f4 + 6.0 * x0 * x0 * (m + 1) + x0 ** 4,
-            mx3p=0.0,
-            mx2p2=(m + 1) * (m + 2) / 2.0 + x0 * x0 * (m + 1),
-            mxp3=0.0,
-            mp4=f4,
-        )
-    if isinstance(state, PhotonAddedCoherent):
-        z0 = abs(_amp(state)) ** 2
-        _, r1, r2, r3, r4 = hyp1f1_deriv_ratios(state.m, z0)
-        return HusimiMomentSet(
-            mx=_SQ2 * abs(_amp(state)) * r1, mp=0.0,
-            mxx=r1 + 2.0 * z0 * r2, mxp=0.0, mpp=r1,
-            mx4=3.0 * r2 + 12.0 * z0 * r3 + 4.0 * z0 * z0 * r4,
-            mx3p=0.0,
-            mx2p2=r2 + 2.0 * z0 * r3,
-            mxp3=0.0,
-            mp4=3.0 * r2,
-        )
-    raise TypeError(f"unknown state model {type(state).__name__}")
-
 
 def husimi_moments(state: StateModel) -> HusimiMomentSet:
-    """Closed-form Husimi moments up to total degree 4."""
-    if isinstance(state, Gaussian):
-        x0, p0 = state.r0.rx, state.r0.rp
-        s = state.g.as_array() + 0.5 * np.eye(2)
-        s11, s12, s22 = s[0, 0], s[0, 1], s[1, 1]
-        return HusimiMomentSet(
-            mx=x0, mp=p0,
-            mxx=s11 + x0 * x0, mxp=s12 + x0 * p0, mpp=s22 + p0 * p0,
-            mx4=3 * s11 ** 2 + 6 * x0 * x0 * s11 + x0 ** 4,
-            mx3p=x0 ** 3 * p0 + 3 * x0 * x0 * s12 + 3 * x0 * p0 * s11 + 3 * s11 * s12,
-            mx2p2=x0 * x0 * p0 * p0 + x0 * x0 * s22 + p0 * p0 * s11
-            + 4 * x0 * p0 * s12 + s11 * s22 + 2 * s12 * s12,
-            mxp3=x0 * p0 ** 3 + 3 * p0 * p0 * s12 + 3 * x0 * p0 * s22 + 3 * s22 * s12,
-            mp4=3 * s22 ** 2 + 6 * p0 * p0 * s22 + p0 ** 4,
-        )
-    if isinstance(state, Fock):
-        return _husimi_moments_real(state)
-    base = _husimi_moments_real(state)
-    delta = cmath.phase(_amp(state))
-    return base if delta == 0.0 else base.rotated(delta)
+    """Husimi moments up to total degree 4."""
+    return state._moments.husimi
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +392,19 @@ def husimi_moments(state: StateModel) -> HusimiMomentSet:
 
 def first_moments(state: StateModel) -> FirstMoments:
     """Mean quadrature vector r = (<X>, <P>)."""
-    if isinstance(state, Gaussian):
-        return state.r0
-    h = husimi_moments(state)
+    h = state._moments.husimi
     return FirstMoments(h.mx, h.mp)
-
-
-def second_moment_matrix(state: StateModel) -> CovarianceMatrix:
-    """Uncentered second-moment matrix G2 = Re<R R^T> = G + r r^T."""
-    if isinstance(state, Gaussian):
-        r = state.r0.as_array()
-        return CovarianceMatrix.from_array(state.g.as_array() + np.outer(r, r))
-    g2 = husimi_moments(state).second_matrix() - 0.5 * np.eye(2)
-    return CovarianceMatrix.from_array(g2)
 
 
 def covariance(state: StateModel) -> CovarianceMatrix:
     """State covariance matrix G; always satisfies det G >= 1/4."""
-    if isinstance(state, Gaussian):
-        return state.g
-    h = husimi_moments(state)
-    return CovarianceMatrix.from_array(h.central_covariance() - 0.5 * np.eye(2))
+    return state._covariance
+
+
+def second_moment_matrix(state: StateModel) -> CovarianceMatrix:
+    """Uncentered second-moment matrix G2 = Re<R R^T> = G + r r^T."""
+    g, r = covariance(state), first_moments(state)
+    return CovarianceMatrix(g.gxx + r.rx * r.rx, g.gxp + r.rx * r.rp, g.gpp + r.rp * r.rp)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +527,8 @@ def quadrature_pdf(state: StateModel, theta: float, x) -> np.ndarray:
         amp = oscillator_eigenfunction_sum(c, x)
         return amp * amp
     if isinstance(state, DisplacedFock):
-        xt, _ = _xt_pt(_amp(state), theta)
-        return quadrature_pdf(Fock(state.m), theta, x - float(xt))
+        xt = _SQ2 * (_amp(state) * cmath.exp(-1j * theta)).real
+        return quadrature_pdf(Fock(state.m), theta, x - xt)
     if isinstance(state, EvenOddCoherent):
         a0 = _amp(state)
         # below |alpha0|^2 ~ 1e-8 the odd-state interference cancellation
@@ -558,11 +568,9 @@ def _photon_added_displaced_coeffs(beta: complex, m: int) -> np.ndarray:
     z = abs(beta) ** 2
     inv_norm = math.exp(-0.5 * (hyp1f1_log(m + 1, 1, z) - z))
     bbar = beta.conjugate()
-    c = np.empty(m + 1, dtype=complex)
-    for j in range(m + 1):
-        c[j] = (math.comb(m, j) * math.exp(0.5 * (log_factorial(j) - log_factorial(m)))
-                * bbar ** (m - j) * inv_norm)
-    return c
+    log_m = log_factorial(m)
+    return np.array([math.comb(m, j) * math.exp(0.5 * (math.lgamma(j + 1.0) - log_m))
+                     * bbar ** (m - j) * inv_norm for j in range(m + 1)])
 
 
 def husimi_pdf(state: StateModel, x, p) -> np.ndarray:
@@ -593,12 +601,12 @@ def husimi_pdf(state: StateModel, x, p) -> np.ndarray:
             return husimi_pdf(Fock(0 if state.parity == "even" else 1), x, p)
         sgn = 1.0 if state.parity == "even" else -1.0
         a2 = abs(a0) ** 2
-        alpha_bar = (x - 1j * p) / _SQ2
-        w = alpha_bar * a0
-        aa = 0.5 * (x * x + p * p)
+        # w = conj(alpha) alpha0 with alpha = (x + ip)/sqrt2, in real arithmetic
+        wr2 = _SQ2 * (a0.real * x + a0.imag * p)
+        wi2 = _SQ2 * (a0.imag * x - a0.real * p)
+        g = -0.5 * (x * x + p * p) - a2
         # |e^w + s e^{-w}|^2 = e^{2 Re w} + e^{-2 Re w} + 2 s cos(2 Im w)
-        body = np.exp(2 * w.real - aa - a2) + np.exp(-2 * w.real - aa - a2) \
-            + sgn * 2.0 * np.exp(-aa - a2) * np.cos(2 * w.imag)
+        body = np.exp(g + wr2) + np.exp(g - wr2) + sgn * 2.0 * np.exp(g) * np.cos(wi2)
         den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
         return body / (2 * math.pi * den)
     if isinstance(state, PhotonAddedCoherent):

@@ -10,47 +10,8 @@ from mtlab import (
     GaussianShape,
     gaussian_cov_from_shape,
     het_shift,
-    spectral,
-    unvec,
-    vec,
 )
-from mtlab.phasespace import rotation_matrix, vec_rotation_matrix
-
-finite = hst.floats(-50, 50, allow_nan=False, allow_infinity=False)
-
-
-class TestVec:
-    def test_identity(self):
-        v = vec(np.eye(2))
-        assert v.as_array() == pytest.approx([1.0, 0.0, 1.0])
-
-    def test_sqrt2_off_diagonal(self):
-        v = vec(np.array([[1.0, 2.0], [2.0, 3.0]]))
-        assert v.as_array() == pytest.approx([1.0, 2.0 * math.sqrt(2.0), 3.0])
-
-    def test_trace_inner_product_example(self):
-        a = np.array([[2.0, 1.0], [1.0, 4.0]])
-        b = np.eye(2)
-        assert vec(a).as_array() @ vec(b).as_array() == pytest.approx(6.0)
-        assert np.trace(a @ b) == pytest.approx(6.0)
-
-    def test_trace_inner_product_random_pairs(self, rng):
-        for _ in range(1000):
-            a = rng.normal(size=(2, 2))
-            a = a + a.T
-            b = rng.normal(size=(2, 2))
-            b = b + b.T
-            lhs = vec(a).as_array() @ vec(b).as_array()
-            assert abs(lhs - np.trace(a @ b)) < 1e-12 * max(1.0, abs(lhs))
-
-    @given(finite, finite, finite)
-    def test_roundtrip(self, a, b, c):
-        m = np.array([[a, b], [b, c]])
-        assert np.allclose(unvec(vec(m)), m, atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            vec(np.array([[1.0, 2.0], [0.0, 1.0]]))
+from mtlab.phasespace import rotation_matrix
 
 
 class TestCovarianceMatrix:
@@ -115,43 +76,3 @@ class TestHetShift:
         lhs = het_shift(g.rotated(phi)).as_array()
         rhs = rotation_matrix(phi) @ het_shift(g).as_array() @ rotation_matrix(phi).T
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestSpectral:
-    def test_degenerate_tie_break(self):
-        lo, hi, phi = spectral(CovarianceMatrix(0.5, 0.0, 0.5))
-        assert (lo, hi, phi) == pytest.approx((0.5, 0.5, 0.0))
-
-    def test_diagonal(self):
-        lo, hi, phi = spectral(CovarianceMatrix(1.0, 0.0, 4.0))
-        assert (lo, hi, phi) == pytest.approx((1.0, 4.0, 0.0))
-
-    def test_reconstruction(self, rng):
-        # includes the hand-solvable case [[2,1],[1,2]] -> eigenvalues (1, 3)
-        cases = [CovarianceMatrix(2.0, 1.0, 2.0)]
-        for _ in range(100):
-            m = rng.normal(size=(2, 2))
-            m = m @ m.T + 0.05 * np.eye(2)
-            cases.append(CovarianceMatrix.from_array(m))
-        for g in cases:
-            lo, hi, phi = spectral(g)
-            assert lo <= hi
-            assert 0.0 <= phi < math.pi
-            r = rotation_matrix(phi)
-            assert np.allclose(r @ np.diag([lo, hi]) @ r.T, g.as_array(), atol=1e-12)
-
-    def test_hand_eigenvalues(self):
-        lo, hi, _ = spectral(CovarianceMatrix(2.0, 1.0, 2.0))
-        assert (lo, hi) == pytest.approx((1.0, 3.0))
-
-
-class TestVecRotation:
-    def test_matches_conjugation(self, rng):
-        for _ in range(50):
-            phi = rng.uniform(0, 2 * np.pi)
-            m = rng.normal(size=(2, 2))
-            m = m + m.T
-            r = rotation_matrix(phi)
-            lhs = vec_rotation_matrix(phi) @ vec(m).as_array()
-            rhs = vec(r @ m @ r.T).as_array()
-            assert np.allclose(lhs, rhs, atol=1e-12)

@@ -22,6 +22,10 @@ from mtlab import (
 )
 from mtlab.sampling import (
     SamplingError,
+    _accept_into,
+    _envelope_constant,
+    _rejection_1d,
+    _rejection_2d,
     _sample_photon_added_husimi,
     dataset_from_csv,
     derive_key,
@@ -29,6 +33,7 @@ from mtlab.sampling import (
 )
 from mtlab.special import oscillator_eigenfunction_sum
 
+SQ2 = math.sqrt(2.0)
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 
 FAMILIES = [
@@ -127,6 +132,59 @@ class TestHomodyne:
         monkeypatch.setattr(mtlab.states, "quadrature_pdf", fock_sum_pdf)
         old = sample_homodyne(state, 24, 24_000, seed=4041)
         assert all(np.array_equal(a, b) for a, b in zip(new.samples, old.samples))
+
+
+class TestRejection:
+    """Chunked acceptance must take the same draws as testing a whole batch."""
+
+    def test_accept_into_keeps_order_and_stops_when_full(self):
+        props = np.arange(300_000.0)
+        seen = []
+
+        def accept(chunk, u):
+            seen.append(chunk[0])
+            return chunk % 3 == 0
+
+        out = np.full(5, -1.0)
+        assert _accept_into(out, 2, props, np.zeros(props.size), accept) == 5
+        assert list(out) == [-1.0, -1.0, 0.0, 3.0, 6.0]
+        assert seen == [0.0]  # later chunks are never tested
+
+    def test_rejection_1d_matches_whole_batch(self):
+        pdf = lambda x: quadrature_pdf(Fock(3), 0.0, x)
+        var_env, half = 3.0 * 3.5, 6.0 * math.sqrt(3.5)
+        got = _rejection_1d(pdf, 0.0, var_env, half, 200_000, substream(9, 1))
+        # the reference tests every proposal of each batch at once
+        c = _envelope_constant(pdf, 0.0, var_env, half)
+        gen, ref = substream(9, 1), []
+        while len(ref) < 200_000:
+            k = max(1024, int((200_000 - len(ref)) * c * 1.2))
+            xs = gen.normal(0.0, math.sqrt(var_env), size=k)
+            env = np.exp(-0.5 * xs ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
+            ref.extend(xs[gen.uniform(0.0, 1.0, size=k) * c * env < pdf(xs)])
+        assert np.array_equal(got, np.array(ref[:200_000]))
+
+    def test_rejection_2d_matches_whole_batch(self):
+        state = EvenOddCoherent(1.0, "even")
+        qpdf = lambda x, p: mtlab.states.husimi_pdf(state, x, p)
+        centers, var_env = np.array([[SQ2, 0.0], [-SQ2, 0.0]]), 2.5
+        got = _rejection_2d(qpdf, centers, var_env, 150_000, substream(9, 2), (0.0, 0.0), 9.0)
+        xs = np.linspace(-9.0, 9.0, 257)
+        gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+
+        def env(x, p):
+            return sum(np.exp(-0.5 * ((x - cx) ** 2 + (p - cp) ** 2) / var_env)
+                       for cx, cp in centers) / (4 * math.pi * var_env)
+
+        c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * 1.10
+        gen, ref = substream(9, 2), []
+        while len(ref) < 150_000:
+            k = max(1024, int((150_000 - len(ref)) * c * 1.2))
+            pts = centers[gen.integers(0, 2, size=k)] + gen.normal(0.0, math.sqrt(var_env), (k, 2))
+            keep = gen.uniform(0.0, 1.0, size=k) * c * env(pts[:, 0], pts[:, 1]) \
+                < qpdf(pts[:, 0], pts[:, 1])
+            ref.extend(pts[keep])
+        assert np.array_equal(got, np.array(ref[:150_000]))
 
 
 class TestHeterodyne:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from mtlab import (
     FirstMoments,
     Fock,
     Gaussian,
+    GaussianShape,
     PhotonAddedCoherent,
     covariance,
     first_moments,
     fock_expansion,
+    gaussian_cov_from_shape,
     husimi_moments,
     husimi_pdf,
     quadrature_moments,
@@ -23,7 +26,7 @@ from mtlab import (
     state_to_kv,
 )
 from mtlab.special import hyp1f1, oscillator_eigenfunction_sum
-from mtlab.states import CutoffError
+from mtlab.states import CutoffError, quadrature_x2_variance
 from conftest import random_state
 
 SQ2 = math.sqrt(2.0)
@@ -64,6 +67,90 @@ class TestQuadratureMoments:
                 assert t.m2 >= t.m1 ** 2 - 1e-12
                 assert t.m4 >= t.m2 ** 2 - 1e-12
 
+    def test_x2_variance_exact_at_large_amplitude(self):
+        # m4 - m2^2 evaluated exactly in rationals from the float mean x and core
+        # variance s2; the raw float difference would cancel ~x^4 at |alpha0| = 20
+        from fractions import Fraction
+
+        thetas = np.arange(8) * (math.pi / 8)
+        shape = gaussian_cov_from_shape(GaussianShape(2.0, 3.0, 0.4))
+        for r in (6.0, 10.0, 20.0):
+            for phase in (0.0, 1.1):
+                a0 = r * complex(math.cos(phase), math.sin(phase))
+                cases = [(DisplacedFock(a0, m), None, m) for m in (0, 3)]
+                cases.append((Gaussian(FirstMoments(SQ2 * a0.real, SQ2 * a0.imag), shape),
+                              shape.as_array(), None))
+                for s, g, m in cases:
+                    got = quadrature_x2_variance(s, thetas)
+                    for th, v in zip(thetas, got):
+                        x = Fraction(SQ2 * (a0 * complex(math.cos(th), -math.sin(th))).real)
+                        if g is None:
+                            s2 = Fraction(2 * m + 1, 2)
+                            c4 = Fraction(3, 4) * (2 * m * m + 2 * m + 1)
+                        else:
+                            u = np.array([math.cos(th), math.sin(th)])
+                            s2 = Fraction(float(u @ g @ u))
+                            c4 = 3 * s2 * s2
+                        m2 = s2 + x * x
+                        m4 = c4 + 6 * x * x * s2 + x ** 4
+                        exact = m4 - m2 * m2
+                        assert abs(Fraction(float(v)) - exact) <= Fraction(1, 10 ** 12) * exact, (s, th)
+
+
+def _gram_table(c):
+    """<a^dag^j a^k> (j, k <= 4) of the Fock vector c, as <a^j c | a^k c>."""
+    v = [np.asarray(c, dtype=complex)]
+    root = np.sqrt(np.arange(1.0, len(c)))
+    for _ in range(4):
+        v.append(np.append(root * v[-1][1:], 0.0))
+    return np.array([[np.vdot(v[j], v[k]) for k in range(5)] for j in range(5)])
+
+
+def _table_of(state):
+    """Normally ordered table of the state: its core table displaced by its shift."""
+    x0, p0, flat = state._core()
+    core = np.array(flat, dtype=complex).reshape(5, 5)
+    beta = complex(x0, p0) / SQ2
+    out = np.zeros((5, 5), dtype=complex)
+    for j in range(5):
+        for k in range(5 - j):
+            out[j, k] = sum(math.comb(j, r) * math.comb(k, q) * beta.conjugate() ** (j - r)
+                            * beta ** (k - q) * core[r, q]
+                            for r in range(j + 1) for q in range(k + 1))
+    return out
+
+
+LOW_ORDER = np.add.outer(np.arange(5), np.arange(5)) <= 4
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("state", [
+        Fock(3),
+        EvenOddCoherent(1.3 - 0.4j, "odd"),
+        DisplacedFock(0.9 + 0.6j, 2),
+        PhotonAddedCoherent(-0.7 + 0.5j, 3),
+    ], ids=lambda s: type(s).__name__)
+    def test_displaced_core_matches_fock_expansion(self, state):
+        got = _table_of(state)
+        ref = _gram_table(fock_expansion(state).coeffs)
+        assert got[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(got[LOW_ORDER], ref[LOW_ORDER], rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("r, phi", [(0.4, 0.0), (0.7, 2.3)])
+    def test_gaussian_wick_table_matches_squeezed_vacuum(self, r, phi):
+        # S(r)|0> has c_2n = (-e^{i phi} tanh r)^n sqrt((2n)!) / (2^n n! sqrt(cosh r));
+        # the Wick table built from its n and s must reproduce its fourth moments
+        c = np.zeros(201, dtype=complex)
+        c[0] = 1.0 / math.sqrt(math.cosh(r))
+        for n in range(1, 101):
+            c[2 * n] = (c[2 * n - 2] * -cmath.exp(1j * phi) * math.tanh(r)
+                        * math.sqrt(2 * n * (2 * n - 1)) / (2 * n))
+        ref = _gram_table(c)
+        n, s = ref[1, 1].real, ref[0, 2]
+        g = CovarianceMatrix(n + 0.5 + s.real, s.imag, n + 0.5 - s.real)
+        got = _table_of(Gaussian(FirstMoments(0.0, 0.0), g))
+        assert np.allclose(got[LOW_ORDER], ref[LOW_ORDER], rtol=1e-12, atol=1e-12)
+
 
 class TestHusimiMoments:
     def test_fock(self):
@@ -87,30 +174,48 @@ class TestHusimiMoments:
         for _ in range(40):
             s = random_state(rng)
             h = husimi_moments(s)
-            lhs = h.central_covariance()
+            mean = np.array([h.mx, h.mp])
+            lhs = np.array([[h.mxx, h.mxp], [h.mxp, h.mpp]]) - np.outer(mean, mean)
             rhs = covariance(s).as_array() + 0.5 * np.eye(2)
             assert np.allclose(lhs, rhs, atol=1e-8)
 
-    def test_rotation_consistency_with_gaussian(self, rng):
-        # rotating the moment set must agree with recomputing on rotated G/r0
-        from mtlab.phasespace import rotation_matrix
+    def test_rotation_consistency_all_families(self, rng):
+        # |alpha0| e^{i delta}: mean and G2 are R(delta) applied to those of the
+        # real-amplitude state; the degree-4 Husimi moments, which carry the
+        # phase, agree with the characteristic-function oracle
+        from mtlab.oracle import cf_husimi_moment
 
-        for _ in range(20):
-            g = rng.normal(size=(2, 2))
-            g = 0.5 * (g @ g.T) + 0.6 * np.eye(2)
-            r0 = rng.normal(size=2)
-            delta = rng.uniform(0, 2 * np.pi)
-            base = husimi_moments(Gaussian(FirstMoments(*r0), CovarianceMatrix.from_array(g)))
-            rot = base.rotated(delta)
-            rmat = rotation_matrix(delta)
-            direct = husimi_moments(Gaussian(
-                FirstMoments(*(rmat @ r0)),
-                CovarianceMatrix.from_array(rmat @ g @ rmat.T),
-            ))
-            for name in ("mx", "mp", "mxx", "mxp", "mpp", "mx4", "mx3p",
-                         "mx2p2", "mxp3", "mp4"):
-                assert getattr(rot, name) == pytest.approx(getattr(direct, name),
-                                                           rel=1e-10, abs=1e-10)
+        degree4 = {(4, 0): "mx4", (3, 1): "mx3p", (2, 2): "mx2p2", (1, 3): "mxp3", (0, 4): "mp4"}
+
+        def pairs(a, delta):
+            m = int(rng.integers(0, 5))
+            shape = GaussianShape(float(np.exp(rng.uniform(0.0, 1.4))),
+                                  float(np.exp(rng.uniform(0.0, 1.1))),
+                                  float(rng.uniform(0.0, np.pi)))
+            g = gaussian_cov_from_shape(shape)
+            base = Gaussian(FirstMoments(SQ2 * a, 0.0), g)
+            yield base, Gaussian(base.r0.rotated(delta), g.rotated(delta))
+            yield Fock(m), Fock(m)
+            for parity in ("even", "odd"):
+                yield EvenOddCoherent(a, parity), EvenOddCoherent(a * np.exp(1j * delta), parity)
+            yield DisplacedFock(a, m), DisplacedFock(a * np.exp(1j * delta), m)
+            yield PhotonAddedCoherent(a, m), PhotonAddedCoherent(a * np.exp(1j * delta), m)
+
+        for draw in range(12):
+            a = float(rng.uniform(0.1, 2.0))
+            delta = float(rng.uniform(0, 2 * np.pi))
+            for real, rotated in pairs(a, delta):
+                want = first_moments(real).rotated(delta).as_array()
+                got = first_moments(rotated).as_array()
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), rotated
+                want = second_moment_matrix(real).rotated(delta).as_array()
+                got = second_moment_matrix(rotated).as_array()
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), rotated
+                if draw < 2:
+                    h = husimi_moments(rotated)
+                    for (k, l), name in degree4.items():
+                        v = getattr(h, name)
+                        assert abs(cf_husimi_moment(rotated, k, l) - v) <= 1e-5 * max(1.0, abs(v))
 
 
 class TestSecondMomentMatrix:
@@ -250,6 +355,20 @@ class TestDensities:
             aa = (X ** 2 + P ** 2) / 2
             ref = np.exp(-aa) * aa ** n / (2 * math.pi * math.factorial(n))
             assert np.allclose(q, ref, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha0, parity", [
+        (1.0, "even"), (1.3 - 0.4j, "odd"), (2.5j, "even"),
+    ])
+    def test_husimi_cat_matches_fock_sum(self, alpha0, parity):
+        # Q = |sum_n c_n conj(alpha)^n / sqrt(n!)|^2 e^{-|alpha|^2} / (2 pi)
+        s = EvenOddCoherent(alpha0, parity)
+        c = fock_expansion(s).coeffs
+        xs = np.linspace(-6, 6, 25)
+        X, P = np.meshgrid(xs, xs, indexing="ij")
+        abar = (X - 1j * P) / SQ2
+        amp = sum(cn * abar ** n / math.sqrt(math.factorial(n)) for n, cn in enumerate(c))
+        ref = np.abs(amp) ** 2 * np.exp(-np.abs(abar) ** 2) / (2 * math.pi)
+        assert np.allclose(husimi_pdf(s, X, P), ref, rtol=1e-10, atol=1e-14)
 
     def test_husimi_gaussian_is_normal_ghet(self):
         s = Gaussian(FirstMoments(0.7, -0.2), CovarianceMatrix(0.8, 0.15, 0.45))
