@@ -18,7 +18,6 @@ from .states import (
     DisplacedFock,
     EvenOddCoherent,
     Fock,
-    FockExpansion,
     Gaussian,
     HusimiMomentSet,
     PhotonAddedCoherent,
@@ -26,7 +25,6 @@ from .states import (
     StateModel,
     covariance,
     first_moments,
-    fock_expansion,
     husimi_moments,
     husimi_pdf,
     quadrature_moments,

@@ -69,7 +69,7 @@ class ScaledFisher:
         want = 2 if self.order == "first" else 3
         if m.shape != (want, want):
             raise ValueError(f"expected {want}x{want} matrix")
-        if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+        if not np.all(np.abs(m - m.T) <= 1e-12 + 1e-10 * np.abs(m.T)):
             raise ValueError("Fisher matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(m) <= 0):
             raise ValueError("Fisher matrix must be positive definite")

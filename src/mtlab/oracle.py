@@ -5,7 +5,8 @@ Two routes are provided for each moment: direct density integration
 differentiation of the characteristic functions, which are written down
 here from their defining expressions rather than reusing the hand-derived
 moment formulas.  A Simpson-rule Fisher integral (different rule from the
-engine's trapezoid) closes the loop on the bounds.
+engine's trapezoid) closes the loop on the bounds.  Truncated Fock-basis
+expansions are the reference for the moment tables and densities.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import hyp1f1, hyp1f1_log, laguerre
+from .special import hyp1f1, hyp1f1_log, laguerre, log_factorial
 from . import states as st
 from .states import StateModel
 
@@ -32,6 +33,9 @@ __all__ = [
     "cf_husimi_moment",
     "numeric_fisher",
     "OracleFailure",
+    "FockExpansion",
+    "CutoffError",
+    "fock_expansion",
 ]
 
 _SQ2 = math.sqrt(2.0)
@@ -39,6 +43,10 @@ _SQ2 = math.sqrt(2.0)
 
 class OracleFailure(ArithmeticError):
     """An oracle integration or differentiation failed to converge."""
+
+
+class CutoffError(ValueError):
+    """Fock-space cutoff too small for the requested truncation error."""
 
 
 @dataclass(frozen=True)
@@ -341,3 +349,101 @@ def numeric_fisher(state: StateModel, order: str,
     if np.max(np.abs(fine - coarse)) > 1e-8 * max(1.0, np.max(np.abs(fine))):
         raise OracleFailure("Fisher Simpson integration did not converge")
     return fine
+
+
+# ---------------------------------------------------------------------------
+# truncated Fock-basis expansions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FockExpansion:
+    """Truncated Fock-basis amplitudes of a pure state."""
+
+    coeffs: np.ndarray
+    cutoff: int
+
+    @property
+    def norm_defect(self) -> float:
+        return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
+
+
+def fock_expansion(state: StateModel, cutoff: int | None = None,
+                   eps_trunc: float = 1e-10) -> FockExpansion:
+    """Normalized Fock-basis coefficients of a pure non-Gaussian state."""
+    if isinstance(state, st.Gaussian):
+        raise TypeError("fock_expansion covers the pure non-Gaussian families only")
+    if cutoff is None:
+        cutoff = st.default_cutoff(state)
+    n = np.arange(cutoff + 1)
+    if isinstance(state, st.Fock):
+        if cutoff < state.n:
+            raise CutoffError(f"cutoff {cutoff} below photon number {state.n}")
+        c = np.zeros(cutoff + 1, dtype=complex)
+        c[state.n] = 1.0
+        return FockExpansion(c, cutoff)
+
+    a0 = complex(state.alpha0)
+    if isinstance(state, st.EvenOddCoherent):
+        sgn = 1.0 if state.parity == "even" else -1.0
+        a2 = abs(a0) ** 2
+        c = np.zeros(cutoff + 1, dtype=complex)
+        if a2 == 0.0:
+            idx = 0 if sgn > 0 else 1
+            if cutoff < idx:
+                raise CutoffError("cutoff 0 cannot hold the odd-state limit |1>")
+            c[idx] = 1.0
+        else:
+            mask = (n % 2 == 0) if sgn > 0 else (n % 2 == 1)
+            logmag = n * math.log(abs(a0)) - 0.5 * log_factorial(n)
+            phase = np.exp(1j * n * cmath.phase(a0))
+            den = (1.0 + math.exp(-2 * a2)) if sgn > 0 else -math.expm1(-2 * a2)
+            # |c_n|^2 = e^{-a2} a2^n / n! * 2 / den on the parity-allowed n
+            c[mask] = np.exp(logmag[mask] - 0.5 * a2) * phase[mask] * math.sqrt(2.0 / den)
+    elif isinstance(state, st.DisplacedFock):
+        c = _displacement_column(a0, state.m, cutoff)
+    elif isinstance(state, st.PhotonAddedCoherent):
+        m = state.m
+        c = np.zeros(cutoff + 1, dtype=complex)
+        if abs(a0) == 0.0:
+            if cutoff < m:
+                raise CutoffError(f"cutoff {cutoff} below added-photon number {m}")
+            c[m] = 1.0
+        else:
+            z0 = abs(a0) ** 2
+            log_norm = 0.5 * (log_factorial(m) + hyp1f1_log(m + 1, 1, z0))
+            k = np.arange(cutoff + 1 - m)
+            logmag = (k * math.log(abs(a0)) + 0.5 * log_factorial(k + m)
+                      - log_factorial(k) - log_norm)
+            phase = np.exp(1j * k * cmath.phase(a0))
+            c[m:] = np.exp(logmag) * phase
+    else:
+        raise TypeError(f"unknown state model {type(state).__name__}")
+
+    defect = 1.0 - float(np.sum(np.abs(c) ** 2))
+    if defect > eps_trunc:
+        raise CutoffError(
+            f"cutoff {cutoff} leaves truncation defect {defect:.3e} > {eps_trunc:.1e}"
+        )
+    return FockExpansion(c, cutoff)
+
+
+def _displacement_column(alpha: complex, m: int, cutoff: int) -> np.ndarray:
+    """<n|D(alpha)|m> for n = 0..cutoff."""
+    if alpha == 0:
+        c = np.zeros(cutoff + 1, dtype=complex)
+        if cutoff >= m:
+            c[m] = 1.0
+        return c
+    la = math.log(abs(alpha))
+    out = np.zeros(cutoff + 1, dtype=complex)
+    lf = log_factorial(np.arange(cutoff + m + 1))
+    for n in range(cutoff + 1):
+        acc = 0.0 + 0.0j
+        for k in range(0, min(m, n) + 1):
+            logmag = (0.5 * (lf[n] + lf[m]) - lf[n - k] - lf[m - k] - lf[k]
+                      + (n + m - 2 * k) * la)
+            term = math.exp(logmag) * (-1) ** (m - k)
+            acc += term * cmath.exp(1j * (n - m) * cmath.phase(alpha))
+        out[n] = acc * math.exp(-0.5 * abs(alpha) ** 2)
+    return out

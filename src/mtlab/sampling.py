@@ -6,18 +6,22 @@ are derived by hashing the user seed together with an integer path
 reproducible across platforms and safe to generate in parallel: the output
 never depends on scheduling, only on (state, sizes, seed).
 
-Non-Gaussian quadrature samples are drawn by rejection against a Gaussian
-envelope whose variance is three times the state's <X_theta^2>, with the
-envelope constant found by a grid scan; a tabulated inverse-CDF on 4096
-nodes takes over if the predicted acceptance drops below 10 percent.
-Both rejection samplers test a batch in cache-sized chunks and stop once
-the output is full, so the batch surplus is drawn but never evaluated.
-The photon-added quadrature density is a sum of m+1 displaced
-oscillator eigenfunctions, so its rejection loop costs a few recurrence
-steps per point.  Husimi samples are exact for Gaussian states (covariance
-transform of G + I/2), Fock and displaced Fock states (Gamma-distributed
-radius) and photon-added coherent states (a Poisson-like mixture of Gamma
-radii with a von Mises phase); even/odd coherent states use
+Both samplers draw the core state of :mod:`mtlab.states` and add the
+phase-space shift once.  Gaussian quadrature samples are normal draws.  The
+other families' quadrature samples are drawn from the core density by
+rejection against a Gaussian envelope about the core's own <Y_theta>, with
+variance three times the core's <Y_theta^2>, so a large displacement does
+not widen the envelope; the envelope constant is found by a grid scan, and
+a tabulated inverse-CDF on 4096 nodes takes over if the predicted
+acceptance drops below 10 percent.  For Fock, displaced Fock and
+photon-added states the core density is a sum of at most m+1 oscillator
+eigenfunctions, so the rejection loop costs a few recurrence steps per
+point.  Both rejection samplers test a batch in cache-sized chunks and stop
+once the output is full, so the batch surplus is drawn but never evaluated.
+Husimi samples are exact for Gaussian states (covariance transform of
+G + I/2), Fock and displaced Fock states (Gamma-distributed radius) and
+photon-added coherent states (a Poisson-like mixture of Gamma radii with a
+von Mises phase, drawn for the whole state); even/odd coherent states use
 mixture-envelope rejection.
 """
 
@@ -172,7 +176,10 @@ _SAFETY = 1.10
 _ICDF_NODES = 4096
 _MIN_ACCEPTANCE = 0.10
 _MAX_BATCH = 4_000_000
-_TEST_CHUNK = 1 << 16
+# 64 KiB per float64 temporary: below glibc's default 128 KiB mmap threshold,
+# so the density's temporaries reuse heap memory instead of faulting in
+# fresh pages on every chunk
+_TEST_CHUNK = 1 << 13
 
 
 def _accept_into(out, filled, props, u, accept):
@@ -237,20 +244,14 @@ def _inverse_cdf_1d(pdf, center, half_width, n, gen):
 
 def _sample_quadrature(state: StateModel, theta: float, n: int,
                        gen: np.random.Generator) -> np.ndarray:
-    t = st.quadrature_moments(state, theta)
+    _, u1, u2, _, _, shift = st._core_quadrature(state, theta).tolist()
     if isinstance(state, st.Gaussian):
-        return gen.normal(t.m1, math.sqrt(t.m2 - t.m1 * t.m1), size=n)
-    if isinstance(state, st.DisplacedFock):
-        # exact: the displaced density is the Fock density shifted by <X_theta>
-        inner = st.Fock(state.m)
-        ti = st.quadrature_moments(inner, 0.0)
-        x = _rejection_1d(lambda v: st.quadrature_pdf(inner, 0.0, v),
-                          0.0, _ENVELOPE_INFLATION * ti.m2,
-                          6.0 * math.sqrt(ti.m2), n, gen)
-        return x + t.m1
-    pdf = lambda v: st.quadrature_pdf(state, theta, v)
-    half_width = 6.0 * math.sqrt(t.m2) + abs(t.m1)
-    return _rejection_1d(pdf, t.m1, _ENVELOPE_INFLATION * t.m2, half_width, n, gen)
+        core = gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
+    else:
+        pdf = lambda y: state._core_quadrature_pdf(theta, y)
+        core = _rejection_1d(pdf, u1, _ENVELOPE_INFLATION * u2,
+                             6.0 * math.sqrt(u2) + abs(u1), n, gen)
+    return core + shift
 
 
 def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
@@ -364,26 +365,22 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
         raise SamplingError("n_samples >= 1 required")
     gen = substream(seed, TAG_HET)
     n = int(n_samples)
-    if isinstance(state, st.Gaussian):
-        ghet = het_shift(state.g).as_array()
-        chol = np.linalg.cholesky(ghet)
-        pts = state.r0.as_array() + gen.normal(size=(n, 2)) @ chol.T
-    elif isinstance(state, st.Fock):
-        pts = _sample_fock_husimi(state.n, n, gen)
-    elif isinstance(state, st.DisplacedFock):
-        a0 = complex(state.alpha0)
-        shift = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
-        pts = _sample_fock_husimi(state.m, n, gen) + shift
-    elif isinstance(state, st.PhotonAddedCoherent):
+    if isinstance(state, st.PhotonAddedCoherent):  # exact for the whole state, shift included
         pts = _sample_photon_added_husimi(complex(state.alpha0), state.m, n, gen)
+        return HeterodyneDataset(pts, int(seed), state_to_kv(state))
+    if isinstance(state, st.Gaussian):
+        chol = np.linalg.cholesky(het_shift(state.g).as_array())
+        core = gen.normal(size=(n, 2)) @ chol.T
+    elif isinstance(state, (st.Fock, st.DisplacedFock)):
+        core = _sample_fock_husimi(state._vector.size - 1, n, gen)  # core |n>
     else:  # even/odd coherent
-        h = st.husimi_moments(state)
         ghet = het_shift(st.covariance(state)).as_array()
         var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
         a0 = complex(state.alpha0)
         r0 = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
         centers = [r0, -r0]
-        scan_half = 6.0 * math.sqrt(var_env) + float(np.hypot(h.mx, h.mp)) + float(np.hypot(*r0))
-        pts = _rejection_2d(lambda x, p: st.husimi_pdf(state, x, p), centers,
-                            var_env, n, gen, (0.0, 0.0), scan_half)
-    return HeterodyneDataset(pts, int(seed), state_to_kv(state))
+        scan_half = 6.0 * math.sqrt(var_env) + float(np.hypot(*r0))
+        core = _rejection_2d(state._core_husimi_pdf, centers,
+                             var_env, n, gen, (0.0, 0.0), scan_half)
+    return HeterodyneDataset(core + np.array(state._moments.shift), int(seed),
+                             state_to_kv(state))

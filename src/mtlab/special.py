@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "hyp1f1",
     "hyp1f1_log",
-    "hyp1f1_deriv_ratios",
     "laguerre",
     "oscillator_eigenfunction_sum",
     "log_factorial",
@@ -94,25 +93,6 @@ def hyp1f1_log(a: float, b: float, x: float) -> float:
     else:
         raise ArithmeticError("1F1 series did not converge")
     return math.log(total) + offset
-
-
-def hyp1f1_deriv_ratios(m: int, z0: float, jmax: int = 4) -> np.ndarray:
-    """Ratios f_j / f_0 for f(z) = 1F1(m+1; 1; z), f_j = d^j f / dz^j at z0.
-
-    Uses d/dz 1F1(a; b; z) = (a/b) 1F1(a+1; b+1; z), evaluated in log space
-    so that z0 in the thousands is safe.
-    """
-    if z0 < 0:
-        raise ValueError("ratios defined for z0 >= 0")
-    log_f0 = hyp1f1_log(m + 1, 1, z0)
-    out = np.empty(jmax + 1)
-    out[0] = 1.0
-    log_poch = 0.0
-    for j in range(1, jmax + 1):
-        log_poch += math.log(m + j)
-        log_fj = log_poch - log_factorial(j) + hyp1f1_log(m + 1 + j, 1 + j, z0)
-        out[j] = math.exp(log_fj - log_f0)
-    return out
 
 
 def laguerre(n: int, x):

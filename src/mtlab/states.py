@@ -21,8 +21,18 @@ three identities:
   of the core moments.  Variances are formed from the core moments and the
   shift, with no x^4 terms to cancel at large amplitude.
 
+The densities take the same split: each family states the quadrature and
+Husimi densities of its core once, and ``quadrature_pdf``/``husimi_pdf``
+evaluate them at the point minus the shift.  There are three core routes:
+a centred Gaussian, the even/odd cat, and a finite Fock vector c, whose
+quadrature density is |sum_j c_j e^{i(m-j) theta} psi_j(y)|^2 and whose
+Husimi density is e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi).
+Fock and displaced Fock states have c = e_n; a photon-added state has the
+amplitudes of (B^dag + conj alpha0)^m |0> (Agarwal & Tara, PRA 43, 492,
+1991).
+
 Everything here is validated against the brute-force routes in
-:mod:`mtlab.oracle`.
+:mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
 """
 
 from __future__ import annotations
@@ -47,14 +57,11 @@ __all__ = [
     "StateModel",
     "QuadratureMomentTable",
     "HusimiMomentSet",
-    "FockExpansion",
-    "CutoffError",
     "quadrature_moments",
     "husimi_moments",
     "first_moments",
     "covariance",
     "second_moment_matrix",
-    "fock_expansion",
     "default_cutoff",
     "quadrature_pdf",
     "husimi_pdf",
@@ -63,11 +70,6 @@ __all__ = [
 ]
 
 _SQ2 = math.sqrt(2.0)
-
-
-class CutoffError(ValueError):
-    """Fock-space cutoff too small for the requested truncation error."""
-
 
 # ---------------------------------------------------------------------------
 # the moment table T[j, k] = <a^dag^j a^k>, j + k <= 4
@@ -175,13 +177,19 @@ def _fock_table(c: np.ndarray) -> list:
 
 
 class _MomentData(NamedTuple):
+    shift: tuple[float, float]  # (x0, p0)
     harmonics: np.ndarray  # (6, 9): core <Y_theta^m>, m = 0..4, and the shift
     core_husimi: list  # core Husimi averages of ``_MONOMIALS``
     husimi: HusimiMomentSet
 
 
 class _StateFamily:
-    """Base of the state families: moment data built once from ``_core``."""
+    """Base of the state families: moment data built once from ``_core``.
+
+    Each family also gives the densities of its core state:
+    ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta, and
+    ``_core_husimi_pdf(x, p)``.
+    """
 
     def _core(self) -> tuple[float, float, list]:
         """Shift (x0, p0) and the table, row by row, of the core state it displaces."""
@@ -192,13 +200,36 @@ class _StateFamily:
         x0, p0, table = self._core()
         r = _MOMENT_MAP @ np.array(table + [x0, p0], dtype=complex)
         c = r[54:].real.tolist()
-        return _MomentData(r[:54].reshape(6, 9), c, _shifted_husimi(c, x0, p0))
+        return _MomentData((x0, p0), r[:54].reshape(6, 9), c, _shifted_husimi(c, x0, p0))
 
     @cached_property
     def _covariance(self) -> CovarianceMatrix:
         # the covariance is shift-free: read it from the core
         _, cx, cp, cxx, cxp, cpp = self._moments.core_husimi[:6]
         return CovarianceMatrix(cxx - cx * cx - 0.5, cxp - cx * cp, cpp - cp * cp - 0.5)
+
+
+class _FockVector(_StateFamily):
+    """Families whose core is a finite Fock vector ``_vector`` = (c_0, ..., c_m)."""
+
+    def _core_quadrature_pdf(self, theta, y):
+        # the core rotated by theta has amplitudes c_j e^{i (m - j) theta}
+        c = self._vector
+        w = c * np.exp(1j * theta * np.arange(c.size - 1, -1, -1))
+        re = oscillator_eigenfunction_sum(w.real, y)
+        if not w.imag.any():
+            return re * re
+        im = oscillator_eigenfunction_sum(w.imag, y)
+        return re * re + im * im
+
+    def _core_husimi_pdf(self, x, p):
+        # e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi), b = (x + ip)/sqrt2, by Horner
+        c = self._vector
+        bbar = (x - 1j * p) / _SQ2
+        amp = c[-1]
+        for j in range(c.size - 2, -1, -1):
+            amp = amp * bbar / math.sqrt(j + 1.0) + c[j]
+        return (amp.real ** 2 + amp.imag ** 2) * np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +256,19 @@ class Gaussian(_StateFamily):
         return self.r0.rx, self.r0.rp, _even_table(
             n, s, 2.0 * n * n + abs(s) ** 2, 3.0 * n * s, 3.0 * s * s)
 
+    def _core_quadrature_pdf(self, theta, y):
+        var = _core_quadrature(self, theta)[2]  # the core is centred: <Y^2> is its variance
+        return np.exp(-0.5 * y * y / var) / math.sqrt(2 * math.pi * var)
+
+    def _core_husimi_pdf(self, x, p):
+        s = self.g.as_array() + 0.5 * np.eye(2)
+        si = np.linalg.inv(s)
+        quad = si[0, 0] * x * x + 2 * si[0, 1] * x * p + si[1, 1] * p * p
+        return np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(s)))
+
 
 @dataclass(frozen=True)
-class Fock(_StateFamily):
+class Fock(_FockVector):
     """Photon-number state |n>."""
 
     n: int
@@ -238,6 +279,10 @@ class Fock(_StateFamily):
 
     def _core(self):
         return 0.0, 0.0, _number_table(self.n)
+
+    @cached_property
+    def _vector(self):
+        return np.eye(1, self.n + 1, self.n, dtype=complex)[0]  # e_n
 
 
 @dataclass(frozen=True)
@@ -265,9 +310,42 @@ class EvenOddCoherent(_StateFamily):
             w = a2 * (2.0 - q1) / q1 if a2 else 1.0
         return 0.0, 0.0, _even_table(w, a * a, a2 * a2, w * a * a, a ** 4)
 
+    def _core_quadrature_pdf(self, theta, y):
+        a0 = complex(self.alpha0)
+        # below |alpha0|^2 ~ 1e-8 the odd-state interference cancellation
+        # loses more accuracy than the O(|alpha0|^2) limit error
+        if abs(a0) ** 2 < 1e-8:
+            return Fock(0 if self.parity == "even" else 1)._core_quadrature_pdf(theta, y)
+        sgn = 1.0 if self.parity == "even" else -1.0
+        beta = a0 * cmath.exp(-1j * theta)
+        br, bi = beta.real, beta.imag
+        a2 = abs(a0) ** 2
+        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
+        body = (
+            np.exp(-((y - _SQ2 * br) ** 2))
+            + np.exp(-((y + _SQ2 * br) ** 2))
+            + sgn * 2.0 * np.exp(-y * y - 2.0 * br * br) * np.cos(2.0 * _SQ2 * bi * y)
+        )
+        return body / (den * math.sqrt(math.pi))
+
+    def _core_husimi_pdf(self, x, p):
+        a0 = complex(self.alpha0)
+        if abs(a0) ** 2 < 1e-8:
+            return Fock(0 if self.parity == "even" else 1)._core_husimi_pdf(x, p)
+        sgn = 1.0 if self.parity == "even" else -1.0
+        a2 = abs(a0) ** 2
+        # w = conj(alpha) alpha0 with alpha = (x + ip)/sqrt2, in real arithmetic
+        wr2 = _SQ2 * (a0.real * x + a0.imag * p)
+        wi2 = _SQ2 * (a0.imag * x - a0.real * p)
+        g = -0.5 * (x * x + p * p) - a2
+        # |e^w + s e^{-w}|^2 = e^{2 Re w} + e^{-2 Re w} + 2 s cos(2 Im w)
+        body = np.exp(g + wr2) + np.exp(g - wr2) + sgn * 2.0 * np.exp(g) * np.cos(wi2)
+        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
+        return body / (2 * math.pi * den)
+
 
 @dataclass(frozen=True)
-class DisplacedFock(_StateFamily):
+class DisplacedFock(_FockVector):
     """Displaced Fock state D(alpha0)|m>."""
 
     alpha0: complex
@@ -283,9 +361,13 @@ class DisplacedFock(_StateFamily):
         a = complex(self.alpha0)
         return _SQ2 * a.real, _SQ2 * a.imag, _number_table(self.m)
 
+    @cached_property
+    def _vector(self):
+        return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
+
 
 @dataclass(frozen=True)
-class PhotonAddedCoherent(_StateFamily):
+class PhotonAddedCoherent(_FockVector):
     """Normalized (A^dag)^m |alpha0>."""
 
     alpha0: complex
@@ -298,17 +380,24 @@ class PhotonAddedCoherent(_StateFamily):
             raise ValueError("amplitude must be finite")
 
     def _core(self):
-        # (A^dag)^m |a> = D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43, 492, 1991)
         a = complex(self.alpha0)
-        return (_SQ2 * a.real, _SQ2 * a.imag,
-                _fock_table(_photon_added_displaced_coeffs(a, self.m)))
+        return _SQ2 * a.real, _SQ2 * a.imag, _fock_table(self._vector)
+
+    @cached_property
+    def _vector(self):
+        """Normalized amplitudes of (B^dag + conj a)^m |0> on |0>..|m>, since
+        (A^dag)^m |a> = D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43,
+        492, 1991): c_j = C(m, j) sqrt(j!) conj(a)^(m-j) / sqrt(m! e^{-|a|^2}
+        1F1(m+1; 1; |a|^2)); at a = 0 only c_m = 1 survives, exactly."""
+        a, m = complex(self.alpha0), self.m
+        z = abs(a) ** 2
+        inv_norm = math.exp(-0.5 * (hyp1f1_log(m + 1, 1, z) - z))
+        log_m = log_factorial(m)
+        return np.array([math.comb(m, j) * math.exp(0.5 * (math.lgamma(j + 1.0) - log_m))
+                         * a.conjugate() ** (m - j) * inv_norm for j in range(m + 1)])
 
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]
-
-
-def _amp(state) -> complex:
-    return complex(state.alpha0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,232 +496,38 @@ def second_moment_matrix(state: StateModel) -> CovarianceMatrix:
     return CovarianceMatrix(g.gxx + r.rx * r.rx, g.gxp + r.rx * r.rp, g.gpp + r.rp * r.rp)
 
 
-# ---------------------------------------------------------------------------
-# Fock expansions and densities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FockExpansion:
-    """Truncated Fock-basis amplitudes of a pure state."""
-
-    coeffs: np.ndarray
-    cutoff: int
-
-    @property
-    def norm_defect(self) -> float:
-        return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
-
-
 def default_cutoff(state: StateModel) -> int:
     """Poisson-tail cutoff keeping the truncation defect below ~1e-10."""
     if isinstance(state, Fock):
         return state.n
-    a2 = abs(_amp(state)) ** 2
+    a2 = abs(complex(state.alpha0)) ** 2
     m = getattr(state, "m", 0)
     return int(math.ceil(a2 + m + 10.0 * math.sqrt(a2 + m + 1.0) + 20.0))
 
 
-def fock_expansion(state: StateModel, cutoff: int | None = None,
-                   eps_trunc: float = 1e-10) -> FockExpansion:
-    """Normalized Fock-basis coefficients of a pure non-Gaussian state."""
-    if isinstance(state, Gaussian):
-        raise TypeError("fock_expansion covers the pure non-Gaussian families only")
-    if cutoff is None:
-        cutoff = default_cutoff(state)
-    n = np.arange(cutoff + 1)
-    if isinstance(state, Fock):
-        if cutoff < state.n:
-            raise CutoffError(f"cutoff {cutoff} below photon number {state.n}")
-        c = np.zeros(cutoff + 1, dtype=complex)
-        c[state.n] = 1.0
-        return FockExpansion(c, cutoff)
-
-    a0 = _amp(state)
-    if isinstance(state, EvenOddCoherent):
-        sgn = 1.0 if state.parity == "even" else -1.0
-        a2 = abs(a0) ** 2
-        c = np.zeros(cutoff + 1, dtype=complex)
-        if a2 == 0.0:
-            idx = 0 if sgn > 0 else 1
-            if cutoff < idx:
-                raise CutoffError("cutoff 0 cannot hold the odd-state limit |1>")
-            c[idx] = 1.0
-        else:
-            mask = (n % 2 == 0) if sgn > 0 else (n % 2 == 1)
-            logmag = n * math.log(abs(a0)) - 0.5 * log_factorial(n)
-            phase = np.exp(1j * n * cmath.phase(a0))
-            den = (1.0 + math.exp(-2 * a2)) if sgn > 0 else -math.expm1(-2 * a2)
-            # |c_n|^2 = e^{-a2} a2^n / n! * 2 / den on the parity-allowed n
-            c[mask] = np.exp(logmag[mask] - 0.5 * a2) * phase[mask] * math.sqrt(2.0 / den)
-    elif isinstance(state, DisplacedFock):
-        c = _displacement_column(a0, state.m, cutoff)
-    elif isinstance(state, PhotonAddedCoherent):
-        m = state.m
-        c = np.zeros(cutoff + 1, dtype=complex)
-        if abs(a0) == 0.0:
-            if cutoff < m:
-                raise CutoffError(f"cutoff {cutoff} below added-photon number {m}")
-            c[m] = 1.0
-        else:
-            z0 = abs(a0) ** 2
-            log_norm = 0.5 * (log_factorial(m) + hyp1f1_log(m + 1, 1, z0))
-            k = np.arange(cutoff + 1 - m)
-            logmag = (k * math.log(abs(a0)) + 0.5 * log_factorial(k + m)
-                      - log_factorial(k) - log_norm)
-            phase = np.exp(1j * k * cmath.phase(a0))
-            c[m:] = np.exp(logmag) * phase
-    else:
-        raise TypeError(f"unknown state model {type(state).__name__}")
-
-    defect = 1.0 - float(np.sum(np.abs(c) ** 2))
-    if defect > eps_trunc:
-        raise CutoffError(
-            f"cutoff {cutoff} leaves truncation defect {defect:.3e} > {eps_trunc:.1e}"
-        )
-    return FockExpansion(c, cutoff)
-
-
-def _displacement_column(alpha: complex, m: int, cutoff: int) -> np.ndarray:
-    """<n|D(alpha)|m> for n = 0..cutoff."""
-    if alpha == 0:
-        c = np.zeros(cutoff + 1, dtype=complex)
-        if cutoff >= m:
-            c[m] = 1.0
-        return c
-    la = math.log(abs(alpha))
-    out = np.zeros(cutoff + 1, dtype=complex)
-    lf = log_factorial(np.arange(cutoff + m + 1))
-    for n in range(cutoff + 1):
-        acc = 0.0 + 0.0j
-        for k in range(0, min(m, n) + 1):
-            logmag = (0.5 * (lf[n] + lf[m]) - lf[n - k] - lf[m - k] - lf[k]
-                      + (n + m - 2 * k) * la)
-            term = math.exp(logmag) * (-1) ** (m - k)
-            acc += term * cmath.exp(1j * (n - m) * cmath.phase(alpha))
-        out[n] = acc * math.exp(-0.5 * abs(alpha) ** 2)
-    return out
+# ---------------------------------------------------------------------------
+# densities: the core density at the point minus the shift
+# ---------------------------------------------------------------------------
 
 
 def quadrature_pdf(state: StateModel, theta: float, x) -> np.ndarray:
-    """Probability density of the quadrature X_theta at points x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(state, Gaussian):
-        t = quadrature_moments(state, theta)
-        var = t.m2 - t.m1 * t.m1
-        return np.exp(-0.5 * (x - t.m1) ** 2 / var) / math.sqrt(2 * math.pi * var)
-    if isinstance(state, Fock):
-        c = np.zeros(state.n + 1)
-        c[state.n] = 1.0
-        amp = oscillator_eigenfunction_sum(c, x)
-        return amp * amp
-    if isinstance(state, DisplacedFock):
-        xt = _SQ2 * (_amp(state) * cmath.exp(-1j * theta)).real
-        return quadrature_pdf(Fock(state.m), theta, x - xt)
-    if isinstance(state, EvenOddCoherent):
-        a0 = _amp(state)
-        # below |alpha0|^2 ~ 1e-8 the odd-state interference cancellation
-        # loses more accuracy than the O(|alpha0|^2) limit error
-        if abs(a0) ** 2 < 1e-8:
-            return quadrature_pdf(Fock(0 if state.parity == "even" else 1), theta, x)
-        sgn = 1.0 if state.parity == "even" else -1.0
-        beta = a0 * cmath.exp(-1j * theta)
-        br, bi = beta.real, beta.imag
-        a2 = abs(a0) ** 2
-        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
-        body = (
-            np.exp(-((x - _SQ2 * br) ** 2))
-            + np.exp(-((x + _SQ2 * br) ** 2))
-            + sgn * 2.0 * np.exp(-x * x - 2.0 * br * br) * np.cos(2.0 * _SQ2 * bi * x)
-        )
-        return body / (den * math.sqrt(math.pi))
-    if isinstance(state, PhotonAddedCoherent):
-        # (A^dag)^m |beta> = D(beta) (B^dag + conj(beta))^m |0> in the frame
-        # rotated by theta, so the density is that of m+1 number states
-        # shifted by sqrt2 Re(beta) (Agarwal & Tara, PRA 43, 492, 1991)
-        beta = _amp(state) * cmath.exp(-1j * theta)
-        c = _photon_added_displaced_coeffs(beta, state.m)
-        y = x - _SQ2 * beta.real
-        re = oscillator_eigenfunction_sum(c.real, y)
-        im = oscillator_eigenfunction_sum(c.imag, y)
-        return re * re + im * im
-    raise TypeError(f"unknown state model {type(state).__name__}")
-
-
-def _photon_added_displaced_coeffs(beta: complex, m: int) -> np.ndarray:
-    """Normalized amplitudes of (B^dag + conj(beta))^m |0> on |0>..|m>.
-
-    c_j = C(m, j) sqrt(j!) conj(beta)^(m-j) / sqrt(m! e^{-|beta|^2}
-    1F1(m+1; 1; |beta|^2)); at beta = 0 only c_m = 1 survives, exactly.
-    """
-    z = abs(beta) ** 2
-    inv_norm = math.exp(-0.5 * (hyp1f1_log(m + 1, 1, z) - z))
-    bbar = beta.conjugate()
-    log_m = log_factorial(m)
-    return np.array([math.comb(m, j) * math.exp(0.5 * (math.lgamma(j + 1.0) - log_m))
-                     * bbar ** (m - j) * inv_norm for j in range(m + 1)])
+    """Probability density of the quadrature X_theta at points x: the core
+    density at x - (x0 cos(theta) + p0 sin(theta))."""
+    shift = _core_quadrature(state, theta)[5]
+    return state._core_quadrature_pdf(theta, np.asarray(x, dtype=float) - shift)
 
 
 def husimi_pdf(state: StateModel, x, p) -> np.ndarray:
-    """Husimi density Q(x, p) = |<alpha|psi>|^2 / (2 pi), alpha = (x+ip)/sqrt2."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if isinstance(state, Gaussian):
-        s = state.g.as_array() + 0.5 * np.eye(2)
-        si = np.linalg.inv(s)
-        dx = x - state.r0.rx
-        dp = p - state.r0.rp
-        quad = si[0, 0] * dx * dx + 2 * si[0, 1] * dx * dp + si[1, 1] * dp * dp
-        return np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(s)))
-    if isinstance(state, Fock):
-        n = state.n
-        aa = 0.5 * (x * x + p * p)
-        if n == 0:
-            return np.exp(-aa) / (2 * math.pi)
-        logaa = np.log(np.where(aa > 0, aa, 1.0))
-        q = np.exp(n * logaa - aa - log_factorial(n)) / (2 * math.pi)
-        return np.where(aa > 0, q, 0.0)
-    if isinstance(state, DisplacedFock):
-        a0 = _amp(state)
-        return husimi_pdf(Fock(state.m), x - _SQ2 * a0.real, p - _SQ2 * a0.imag)
-    if isinstance(state, EvenOddCoherent):
-        a0 = _amp(state)
-        if abs(a0) ** 2 < 1e-8:
-            return husimi_pdf(Fock(0 if state.parity == "even" else 1), x, p)
-        sgn = 1.0 if state.parity == "even" else -1.0
-        a2 = abs(a0) ** 2
-        # w = conj(alpha) alpha0 with alpha = (x + ip)/sqrt2, in real arithmetic
-        wr2 = _SQ2 * (a0.real * x + a0.imag * p)
-        wi2 = _SQ2 * (a0.imag * x - a0.real * p)
-        g = -0.5 * (x * x + p * p) - a2
-        # |e^w + s e^{-w}|^2 = e^{2 Re w} + e^{-2 Re w} + 2 s cos(2 Im w)
-        body = np.exp(g + wr2) + np.exp(g - wr2) + sgn * 2.0 * np.exp(g) * np.cos(wi2)
-        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
-        return body / (2 * math.pi * den)
-    if isinstance(state, PhotonAddedCoherent):
-        a0 = _amp(state)
-        m = state.m
-        z0 = abs(a0) ** 2
-        aa = 0.5 * (x * x + p * p)
-        d2 = (x - _SQ2 * a0.real) ** 2 + (p - _SQ2 * a0.imag) ** 2
-        log_norm = z0 - log_factorial(m) - hyp1f1_log(m + 1, 1, z0)
-        with np.errstate(divide="ignore"):
-            logq = m * np.log(np.maximum(aa, 1e-300)) if m > 0 else 0.0
-        return np.exp(log_norm + logq - 0.5 * d2) / (2 * math.pi)
-    raise TypeError(f"unknown state model {type(state).__name__}")
+    """Husimi density Q(x, p) = |<alpha|psi>|^2 / (2 pi), alpha = (x+ip)/sqrt2:
+    the core Husimi density at (x - x0, p - p0)."""
+    x0, p0 = state._moments.shift
+    return state._core_husimi_pdf(np.asarray(x, dtype=float) - x0,
+                                  np.asarray(p, dtype=float) - p0)
 
 
 # ---------------------------------------------------------------------------
 # plain-text serialization (used by CLI configs and dataset headers)
 # ---------------------------------------------------------------------------
-
-_FAMILY_NAMES = {
-    Gaussian: "gaussian",
-    Fock: "fock",
-    DisplacedFock: "displaced_fock",
-    PhotonAddedCoherent: "photon_added",
-}
-
 
 def _fmt_complex(z: complex) -> str:
     z = complex(z)

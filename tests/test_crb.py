@@ -26,7 +26,7 @@ from mtlab import (
     scrb_hom_second,
 )
 import mtlab.crb
-from mtlab.crb import NumericalFailure
+from mtlab.crb import NumericalFailure, ScaledFisher
 from mtlab.oracle import numeric_fisher
 from mtlab.special import hyp1f1
 from conftest import random_gaussian, random_state
@@ -37,6 +37,19 @@ VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 def gaussian_from_shape(mu, lam, phi=0.0, x0=0.0, p0=0.0):
     return Gaussian(FirstMoments(x0, p0),
                     gaussian_cov_from_shape(GaussianShape(mu, lam, phi)))
+
+
+class TestScaledFisher:
+    def test_symmetry_tolerance(self):
+        # |m - m.T| <= 1e-12 + 1e-10 |m.T|, entry by entry
+        m = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+        tol = 1e-12 + 1e-10 * 0.3
+        inside, outside = m.copy(), m.copy()
+        inside[0, 1] += 0.9 * tol
+        outside[0, 1] += 1.1 * tol
+        assert ScaledFisher("second", inside).crb() > 0
+        with pytest.raises(ValueError, match="symmetric"):
+            ScaledFisher("second", outside)
 
 
 class TestFirstMoment:

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import mtlab.sampling
 import mtlab.states
 from mtlab import (
     CovarianceMatrix,
@@ -13,7 +15,7 @@ from mtlab import (
     Fock,
     Gaussian,
     PhotonAddedCoherent,
-    fock_expansion,
+    first_moments,
     husimi_moments,
     quadrature_moments,
     quadrature_pdf,
@@ -31,6 +33,7 @@ from mtlab.sampling import (
     derive_key,
     substream,
 )
+from mtlab.oracle import fock_expansion
 from mtlab.special import oscillator_eigenfunction_sum
 
 SQ2 = math.sqrt(2.0)
@@ -91,8 +94,9 @@ class TestHomodyne:
         assert np.mean(xs ** 2) == pytest.approx(1.5, abs=0.01)
         assert np.mean(xs ** 4) == pytest.approx(3.75, abs=0.05)
 
-    @pytest.mark.parametrize("state", FAMILIES,
-                             ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("state", [
+        *FAMILIES, pytest.param(PhotonAddedCoherent(3.0, 2), id="PhotonAddedCoherent-3.0-2"),
+    ], ids=lambda s: type(s).__name__)
     def test_kolmogorov_smirnov(self, state):
         # exact samplers at significance 1e-3, N = 1e5 per phase draw
         n = 100_000
@@ -117,21 +121,42 @@ class TestHomodyne:
         assert dstat < dcrit, f"KS {dstat:.5f} >= {dcrit:.5f}"
 
     def test_photon_added_draws_match_fock_sum_density(self, monkeypatch):
-        # the closed-form density must not move a single accept decision
+        # the core-vector density must not move a single accept decision
         state = PhotonAddedCoherent(0.8, 2)
         new = sample_homodyne(state, 24, 24_000, seed=4041)
-        pdf = mtlab.states.quadrature_pdf
+        calls = []
 
-        def fock_sum_pdf(s, theta, x):
-            if not isinstance(s, PhotonAddedCoherent):
-                return pdf(s, theta, x)
+        def fock_sum_core_pdf(s, theta, y):
+            # the state's Fock-sum density, moved back by the shift sqrt2 Re(alpha0 e^{-i theta})
+            calls.append(theta)
             e = fock_expansion(s)
             w = e.coeffs * np.exp(-1j * np.arange(e.cutoff + 1) * theta)
-            return np.abs(oscillator_eigenfunction_sum(w, np.asarray(x, dtype=float))) ** 2
+            x = np.asarray(y, dtype=float) + SQ2 * (complex(s.alpha0) * cmath.exp(-1j * theta)).real
+            return np.abs(oscillator_eigenfunction_sum(w, x)) ** 2
 
-        monkeypatch.setattr(mtlab.states, "quadrature_pdf", fock_sum_pdf)
+        monkeypatch.setattr(PhotonAddedCoherent, "_core_quadrature_pdf", fock_sum_core_pdf)
         old = sample_homodyne(state, 24, 24_000, seed=4041)
+        assert len(set(calls)) == 24  # the sampler evaluated the Fock-sum density at every phase
         assert all(np.array_equal(a, b) for a, b in zip(new.samples, old.samples))
+
+    def test_photon_added_draws_never_use_the_inverse_cdf(self, monkeypatch):
+        # the envelope is sized on the core, so a large displacement keeps the draw exact
+        def refuse(*args):
+            raise AssertionError("inverse-CDF fallback reached")
+
+        monkeypatch.setattr(mtlab.sampling, "_inverse_cdf_1d", refuse)
+        for state in (PhotonAddedCoherent(3.0, 2), PhotonAddedCoherent(10.0, 12)):
+            assert sample_homodyne(state, 24, 24_000, seed=5).total == 24_000
+
+    @pytest.mark.parametrize("alpha0, m", [(1.0, 2), (0.9 - 0.4j, 1), (-2.5 + 3.0j, 4)])
+    def test_displaced_fock_draws_are_fock_draws_plus_shift(self, alpha0, m):
+        state = DisplacedFock(alpha0, m)
+        hom, ref = (sample_homodyne(s, 6, 6_000, seed=17) for s in (state, Fock(m)))
+        for th, a, b in zip(hom.phases, hom.samples, ref.samples):
+            assert np.array_equal(a, b + quadrature_moments(state, th).m1)
+        r = first_moments(state)
+        het, ref = (sample_heterodyne(s, 5_000, seed=17).points for s in (state, Fock(m)))
+        assert np.array_equal(het, ref + [r.rx, r.rp])
 
 
 class TestRejection:

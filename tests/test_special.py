@@ -6,7 +6,6 @@ import scipy.special as sp
 
 from mtlab.special import (
     hyp1f1,
-    hyp1f1_deriv_ratios,
     hyp1f1_log,
     laguerre,
     log_factorial,
@@ -68,25 +67,6 @@ class TestAgainstScipy:
         x = rng.uniform(0, 20, size=50)
         for n in (0, 1, 2, 3, 7, 15, 40):
             assert np.allclose(laguerre(n, x), sp.eval_laguerre(n, x), rtol=1e-9, atol=1e-9)
-
-
-class TestDerivativeRatios:
-    def test_against_scipy_derivative_formula(self):
-        for m in (0, 1, 3, 6):
-            for z0 in (0.0, 0.3, 2.0, 9.0):
-                r = hyp1f1_deriv_ratios(m, z0)
-                f0 = sp.hyp1f1(m + 1, 1, z0)
-                poch = 1.0
-                for j in range(1, 5):
-                    poch *= m + j
-                    fj = poch / math.factorial(j) * sp.hyp1f1(m + 1 + j, 1 + j, z0)
-                    assert r[j] == pytest.approx(fj / f0, rel=1e-11)
-
-    def test_large_argument_ratio_is_finite(self):
-        r = hyp1f1_deriv_ratios(5, 2500.0)
-        assert np.all(np.isfinite(r))
-        # 1F1(a;b;z) ~ z^{a-b} e^z Gamma(b)/Gamma(a): ratios grow slowly
-        assert r[1] > 1.0
 
 
 class TestOscillatorFunctions:

@@ -15,7 +15,6 @@ from mtlab import (
     PhotonAddedCoherent,
     covariance,
     first_moments,
-    fock_expansion,
     gaussian_cov_from_shape,
     husimi_moments,
     husimi_pdf,
@@ -26,7 +25,8 @@ from mtlab import (
     state_to_kv,
 )
 from mtlab.special import hyp1f1, oscillator_eigenfunction_sum
-from mtlab.states import CutoffError, quadrature_x2_variance
+from mtlab.oracle import CutoffError, fock_expansion
+from mtlab.states import quadrature_x2_variance
 from conftest import random_state
 
 SQ2 = math.sqrt(2.0)
@@ -356,12 +356,16 @@ class TestDensities:
             ref = np.exp(-aa) * aa ** n / (2 * math.pi * math.factorial(n))
             assert np.allclose(q, ref, atol=1e-14)
 
-    @pytest.mark.parametrize("alpha0, parity", [
-        (1.0, "even"), (1.3 - 0.4j, "odd"), (2.5j, "even"),
+    @pytest.mark.parametrize("s", [
+        pytest.param(EvenOddCoherent(1.0, "even"), id="1.0-even"),
+        pytest.param(EvenOddCoherent(1.3 - 0.4j, "odd"), id="(1.3-0.4j)-odd"),
+        pytest.param(EvenOddCoherent(2.5j, "even"), id="2.5j-even"),
+        pytest.param(DisplacedFock(0.9 + 0.6j, 2), id="displaced_fock-(0.9+0.6j)-2"),
+        pytest.param(PhotonAddedCoherent(-0.7 + 0.5j, 3), id="photon_added-(-0.7+0.5j)-3"),
+        pytest.param(PhotonAddedCoherent(2.0, 6), id="photon_added-2.0-6"),
     ])
-    def test_husimi_cat_matches_fock_sum(self, alpha0, parity):
+    def test_husimi_cat_matches_fock_sum(self, s):
         # Q = |sum_n c_n conj(alpha)^n / sqrt(n!)|^2 e^{-|alpha|^2} / (2 pi)
-        s = EvenOddCoherent(alpha0, parity)
         c = fock_expansion(s).coeffs
         xs = np.linspace(-6, 6, 25)
         X, P = np.meshgrid(xs, xs, indexing="ij")
