@@ -11,7 +11,6 @@ scatter.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -97,17 +96,6 @@ class MomentEstimate:
     r_hat: FirstMoments | None = None
     g2_hat: np.ndarray | None = None
     g2het_hat: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        payload = {"scheme": self.scheme, "order": self.order,
-                   "N": self.n_samples, "seed": self.seed}
-        if self.r_hat is not None:
-            payload["r_hat"] = [self.r_hat.rx, self.r_hat.rp]
-        if self.g2_hat is not None:
-            payload["g2_hat"] = np.asarray(self.g2_hat).tolist()
-        if self.g2het_hat is not None:
-            payload["g2het_hat"] = np.asarray(self.g2het_hat).tolist()
-        return json.dumps(payload, sort_keys=True)
 
 
 def _directions(phases: np.ndarray) -> np.ndarray:
@@ -215,18 +203,6 @@ class McVerifyResult:
     failures: int
     seed: int
     n_theta: int | None = None
-
-    def to_json(self, scrb: float | None = None) -> str:
-        payload = {"scheme": self.scheme, "order": self.order,
-                   "N": self.n_samples, "trials": self.trials,
-                   "scaled_mse": self.scaled_mse, "stderr": self.stderr,
-                   "seed": self.seed, "failures": self.failures}
-        if self.n_theta is not None:
-            payload["n_theta"] = self.n_theta
-        if scrb is not None:
-            payload["scrb"] = scrb
-            payload["ratio"] = self.scaled_mse / scrb
-        return json.dumps(payload, sort_keys=True)
 
 
 def _trial_error(state: StateModel, scheme: str, order: str, n_samples: int,

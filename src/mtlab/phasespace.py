@@ -51,10 +51,6 @@ class FirstMoments:
         r = rotation_matrix(phi) @ self.as_array()
         return FirstMoments(r[0], r[1])
 
-    @property
-    def norm_sq(self) -> float:
-        return self.rx * self.rx + self.rp * self.rp
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:

@@ -11,18 +11,14 @@ phase-space shift once.  Gaussian quadrature samples are normal draws.  The
 other families' quadrature samples are drawn from the core density by
 rejection against a Gaussian envelope about the core's own <Y_theta>, with
 variance three times the core's <Y_theta^2>, so a large displacement does
-not widen the envelope; the envelope constant is found by a grid scan, and
-a tabulated inverse-CDF on 4096 nodes takes over if the predicted
-acceptance drops below 10 percent.  For Fock, displaced Fock and
-photon-added states the core density is a sum of at most m+1 oscillator
-eigenfunctions, so the rejection loop costs a few recurrence steps per
-point.  Both rejection samplers test a batch in cache-sized chunks and stop
-once the output is full, so the batch surplus is drawn but never evaluated.
-Husimi samples are exact for Gaussian states (covariance transform of
-G + I/2), Fock and displaced Fock states (Gamma-distributed radius) and
-photon-added coherent states (a Poisson-like mixture of Gamma radii with a
-von Mises phase, drawn for the whole state); even/odd coherent states use
-mixture-envelope rejection.
+not widen the envelope.  Husimi samples are exact for Gaussian states
+(covariance transform of G + I/2), Fock and displaced Fock states
+(Gamma-distributed radius) and photon-added coherent states (a Poisson-like
+mixture of Gamma radii with a von Mises phase, drawn for the whole state);
+even/odd coherent states use rejection against a two-Gaussian mixture.
+Both rejection draws share one routine, which checks every tested point
+against its envelope: each draw is exact or raises SamplingError, and
+there is no approximate fallback.
 """
 
 from __future__ import annotations
@@ -167,14 +163,10 @@ def dataset_from_csv(text: str):
 
 
 # ---------------------------------------------------------------------------
-# 1-D quadrature sampling
+# rejection sampling
 # ---------------------------------------------------------------------------
 
-_ENVELOPE_INFLATION = 3.0
-_SCAN_NODES = 2049
 _SAFETY = 1.10
-_ICDF_NODES = 4096
-_MIN_ACCEPTANCE = 0.10
 _MAX_BATCH = 4_000_000
 # 64 KiB per float64 temporary: below glibc's default 128 KiB mmap threshold,
 # so the density's temporaries reuse heap memory instead of faulting in
@@ -200,46 +192,40 @@ def _accept_into(out, filled, props, u, accept):
     return filled
 
 
-def _envelope_constant(pdf, center, var_env, half_width):
-    xs = np.linspace(center - half_width, center + half_width, _SCAN_NODES)
-    env = np.exp(-0.5 * (xs - center) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
-    ratio = pdf(xs) / env
-    c = float(np.max(ratio)) * _SAFETY
+def _rejection(pdf, env, propose, grid, n, gen):
+    """n exact draws from pdf by rejection under the majorant c * env.
+
+    propose(gen, k) draws k points from the normalized density env; points
+    are scalars or rows, like those of grid.  The constant c is the largest
+    pdf/env over the grid points times _SAFETY.  Every tested point is
+    checked against the majorant, and one with pdf > c * env (a peak the
+    grid missed) raises SamplingError instead of returning inexact draws.
+    """
+    c = float(np.max(pdf(grid) / env(grid))) * _SAFETY
     if not math.isfinite(c) or c <= 0:
-        raise SamplingError(
-            f"rejection envelope scan failed (center={center}, var={var_env})"
-        )
-    return c
+        raise SamplingError("rejection envelope scan failed")
 
+    def accept(pts, u):
+        e, f = env(pts), pdf(pts)
+        if np.any(f > c * e):
+            raise SamplingError(f"density exceeds the rejection envelope (c = {c:.6g})")
+        return u * c * e < f
 
-def _rejection_1d(pdf, center, var_env, half_width, n, gen):
-    c = _envelope_constant(pdf, center, var_env, half_width)
-    if 1.0 / c < _MIN_ACCEPTANCE:
-        return _inverse_cdf_1d(pdf, center, half_width, n, gen)
-    sd = math.sqrt(var_env)
-
-    def accept(xs, u):
-        env = np.exp(-0.5 * (xs - center) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
-        return u * c * env < pdf(xs)
-
-    out = np.empty(n)
+    out = np.empty((n,) + grid.shape[1:])
     filled = 0
     while filled < n:
         k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
-        xs = gen.normal(center, sd, size=k)
-        filled = _accept_into(out, filled, xs, gen.uniform(0.0, 1.0, size=k), accept)
+        pts = propose(gen, k)
+        filled = _accept_into(out, filled, pts, gen.uniform(0.0, 1.0, size=k), accept)
     return out
 
 
-def _inverse_cdf_1d(pdf, center, half_width, n, gen):
-    xs = np.linspace(center - half_width, center + half_width, _ICDF_NODES)
-    dens = pdf(xs)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
-    if cdf[-1] <= 0:
-        raise SamplingError("inverse-CDF table is degenerate")
-    cdf /= cdf[-1]
-    u = gen.uniform(0.0, 1.0, size=n)
-    return np.interp(u, cdf, xs)
+# ---------------------------------------------------------------------------
+# 1-D quadrature sampling
+# ---------------------------------------------------------------------------
+
+_ENVELOPE_INFLATION = 3.0
+_SCAN_NODES = 2049
 
 
 def _sample_quadrature(state: StateModel, theta: float, n: int,
@@ -248,9 +234,13 @@ def _sample_quadrature(state: StateModel, theta: float, n: int,
     if isinstance(state, st.Gaussian):
         core = gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
     else:
-        pdf = lambda y: state._core_quadrature_pdf(theta, y)
-        core = _rejection_1d(pdf, u1, _ENVELOPE_INFLATION * u2,
-                             6.0 * math.sqrt(u2) + abs(u1), n, gen)
+        var_env = _ENVELOPE_INFLATION * u2
+        sd, half = math.sqrt(var_env), 6.0 * math.sqrt(u2) + abs(u1)
+        core = _rejection(
+            lambda y: state._core_quadrature_pdf(theta, y),
+            lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env),
+            lambda g, k: g.normal(u1, sd, size=k),
+            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen)
     return core + shift
 
 
@@ -325,40 +315,6 @@ def _sample_photon_added_husimi(alpha0: complex, m: int, n: int,
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
-def _rejection_2d(qpdf, centers, var_env, n, gen, scan_center, scan_half):
-    """Rejection against an equal-weight isotropic Gaussian mixture."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    m = len(centers)
-
-    def env(x, p):
-        acc = np.zeros(len(x))
-        for cx, cp in centers:
-            d2 = (x - cx) ** 2 + (p - cp) ** 2
-            acc += np.exp(-0.5 * d2 / var_env)
-        return acc / (m * 2 * math.pi * var_env)
-
-    xs = np.linspace(scan_center[0] - scan_half, scan_center[0] + scan_half, _SCAN_NODES_2D)
-    ps = np.linspace(scan_center[1] - scan_half, scan_center[1] + scan_half, _SCAN_NODES_2D)
-    gx, gp = (g.ravel() for g in np.meshgrid(xs, ps, indexing="ij"))
-    c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * _SAFETY
-    if not math.isfinite(c) or c <= 0:
-        raise SamplingError("Husimi rejection envelope scan failed")
-
-    def accept(pts, u):
-        x, p = pts[:, 0], pts[:, 1]
-        return u * c * env(x, p) < qpdf(x, p)
-
-    sd = math.sqrt(var_env)
-    out = np.empty((n, 2))
-    filled = 0
-    while filled < n:
-        k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
-        idx = gen.integers(0, m, size=k)
-        pts = centers[idx] + gen.normal(0.0, sd, size=(k, 2))
-        filled = _accept_into(out, filled, pts, gen.uniform(0.0, 1.0, size=k), accept)
-    return out
-
-
 def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> HeterodyneDataset:
     """Phase-space points i.i.d. from the Husimi function of the state."""
     if n_samples < 1:
@@ -378,9 +334,20 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
         var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
         a0 = complex(state.alpha0)
         r0 = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
-        centers = [r0, -r0]
-        scan_half = 6.0 * math.sqrt(var_env) + float(np.hypot(*r0))
-        core = _rejection_2d(state._core_husimi_pdf, centers,
-                             var_env, n, gen, (0.0, 0.0), scan_half)
+        centers = np.array([r0, -r0])
+
+        def env(pts):  # equal-weight mixture of isotropic Gaussians about +-r0
+            acc = np.zeros(len(pts))
+            for cx, cp in centers:
+                acc += np.exp(-0.5 * ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cp) ** 2) / var_env)
+            return acc / (4 * math.pi * var_env)
+
+        sd = math.sqrt(var_env)
+        half = 6.0 * sd + float(np.hypot(*r0))
+        xs = np.linspace(-half, half, _SCAN_NODES_2D)
+        core = _rejection(
+            lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env,
+            lambda g, k: centers[g.integers(0, 2, size=k)] + g.normal(0.0, sd, size=(k, 2)),
+            np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
     return HeterodyneDataset(core + np.array(state._moments.shift), int(seed),
                              state_to_kv(state))

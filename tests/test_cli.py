@@ -224,6 +224,14 @@ class TestCliEndToEnd:
                              "--set", "search.bracket_hi=0.1"])
         assert code == 3
 
+    def test_sampling_envelope_violation_exit_code(self, capsys):
+        code = self.run_cli(["mc-verify", "--set", "state.family=even_coherent",
+                             "--set", "state.alpha0=10", "--set", "mc.scheme=het",
+                             "--set", "mc.order=first", "--set", "mc.N=1000",
+                             "--set", "mc.trials=2"])
+        assert code == 3
+        assert "rejection envelope" in capsys.readouterr().err
+
     def test_stdout_when_no_path(self, capsys):
         code = self.run_cli(["crb", "--set", "state.family=fock", "--set", "state.n=2"])
         assert code == 0

@@ -17,7 +17,6 @@ from mtlab import (
     processed_moments,
     sample_heterodyne,
     sample_homodyne,
-    scrb_het_first,
     scrb_het_second,
     scrb_hom_first,
 )
@@ -150,14 +149,6 @@ class TestHeterodyneEstimators:
         d2 = est.g2_hat - g2
         assert np.sum(d1 * d1) == np.sum(d2 * d2)
 
-    def test_json_serialization(self):
-        est = het_first_estimator(HeterodyneDataset(np.array([[1.0, 2.0]]), seed=3))
-        import json
-
-        payload = json.loads(est.to_json())
-        assert payload["scheme"] == "het" and payload["N"] == 1
-        assert payload["r_hat"] == [1.0, 2.0]
-
 
 class TestMonteCarlo:
     def test_argument_validation(self):
@@ -193,14 +184,6 @@ class TestMonteCarlo:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(EstimatorError, match="failures"):
                 monte_carlo_mse(VACUUM, "hom", "second", 24, 2, n_theta=24, seed=1)
-
-    def test_result_json_keys(self):
-        import json
-
-        res = monte_carlo_mse(VACUUM, "het", "first", 1000, 5, seed=3)
-        payload = json.loads(res.to_json(scrb=scrb_het_first(VACUUM)))
-        assert {"scheme", "order", "N", "trials", "scaled_mse", "stderr",
-                "scrb", "ratio", "seed"} <= set(payload)
 
     @pytest.mark.slow
     def test_unbiasedness_all_families(self, rng):

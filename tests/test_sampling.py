@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import mtlab.sampling
 import mtlab.states
 from mtlab import (
     CovarianceMatrix,
@@ -25,9 +24,7 @@ from mtlab import (
 from mtlab.sampling import (
     SamplingError,
     _accept_into,
-    _envelope_constant,
-    _rejection_1d,
-    _rejection_2d,
+    _rejection,
     _sample_photon_added_husimi,
     dataset_from_csv,
     derive_key,
@@ -99,12 +96,19 @@ class TestHomodyne:
     ], ids=lambda s: type(s).__name__)
     def test_kolmogorov_smirnov(self, state):
         # exact samplers at significance 1e-3, N = 1e5 per phase draw
-        n = 100_000
-        theta = 0.5235987755982988  # pi/6
-        d = sample_homodyne(state, 3, 3 * n, seed=11)
-        idx = 1  # phase pi/3... phases are k pi/3; use k=1
-        xs = np.sort(d.samples[idx])
-        th = float(d.phases[idx])
+        d = sample_homodyne(state, 3, 300_000, seed=11)
+        self.check_ks(state, float(d.phases[1]), d.samples[1])  # phases are k pi/3
+
+    def test_kolmogorov_smirnov_far_cat_peaks(self):
+        # the two peaks of the odd cat at alpha0 = 6 sit far from the envelope
+        # centre (constant 13.5 at theta = 0), which still takes exact rejection
+        state = EvenOddCoherent(6.0, "odd")
+        d = sample_homodyne(state, 3, 300_000, seed=11)
+        self.check_ks(state, 0.0, d.samples[0])
+
+    @staticmethod
+    def check_ks(state, th, xs):
+        xs = np.sort(xs)
         t = quadrature_moments(state, th)
         half = 10.0 * math.sqrt(t.m2) + abs(t.m1)
         grid = np.linspace(-half, half, 40001)
@@ -139,15 +143,6 @@ class TestHomodyne:
         assert len(set(calls)) == 24  # the sampler evaluated the Fock-sum density at every phase
         assert all(np.array_equal(a, b) for a, b in zip(new.samples, old.samples))
 
-    def test_photon_added_draws_never_use_the_inverse_cdf(self, monkeypatch):
-        # the envelope is sized on the core, so a large displacement keeps the draw exact
-        def refuse(*args):
-            raise AssertionError("inverse-CDF fallback reached")
-
-        monkeypatch.setattr(mtlab.sampling, "_inverse_cdf_1d", refuse)
-        for state in (PhotonAddedCoherent(3.0, 2), PhotonAddedCoherent(10.0, 12)):
-            assert sample_homodyne(state, 24, 24_000, seed=5).total == 24_000
-
     @pytest.mark.parametrize("alpha0, m", [(1.0, 2), (0.9 - 0.4j, 1), (-2.5 + 3.0j, 4)])
     def test_displaced_fock_draws_are_fock_draws_plus_shift(self, alpha0, m):
         state = DisplacedFock(alpha0, m)
@@ -178,38 +173,62 @@ class TestRejection:
     def test_rejection_1d_matches_whole_batch(self):
         pdf = lambda x: quadrature_pdf(Fock(3), 0.0, x)
         var_env, half = 3.0 * 3.5, 6.0 * math.sqrt(3.5)
-        got = _rejection_1d(pdf, 0.0, var_env, half, 200_000, substream(9, 1))
+        env = lambda x: np.exp(-0.5 * x ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
+        grid = np.linspace(-half, half, 2049)
+        got = _rejection(pdf, env, lambda g, k: g.normal(0.0, math.sqrt(var_env), size=k),
+                         grid, 200_000, substream(9, 1))
         # the reference tests every proposal of each batch at once
-        c = _envelope_constant(pdf, 0.0, var_env, half)
+        c = float(np.max(pdf(grid) / env(grid))) * 1.10
         gen, ref = substream(9, 1), []
         while len(ref) < 200_000:
             k = max(1024, int((200_000 - len(ref)) * c * 1.2))
             xs = gen.normal(0.0, math.sqrt(var_env), size=k)
-            env = np.exp(-0.5 * xs ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
-            ref.extend(xs[gen.uniform(0.0, 1.0, size=k) * c * env < pdf(xs)])
+            ref.extend(xs[gen.uniform(0.0, 1.0, size=k) * c * env(xs) < pdf(xs)])
         assert np.array_equal(got, np.array(ref[:200_000]))
 
     def test_rejection_2d_matches_whole_batch(self):
         state = EvenOddCoherent(1.0, "even")
         qpdf = lambda x, p: mtlab.states.husimi_pdf(state, x, p)
         centers, var_env = np.array([[SQ2, 0.0], [-SQ2, 0.0]]), 2.5
-        got = _rejection_2d(qpdf, centers, var_env, 150_000, substream(9, 2), (0.0, 0.0), 9.0)
-        xs = np.linspace(-9.0, 9.0, 257)
-        gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
 
         def env(x, p):
             return sum(np.exp(-0.5 * ((x - cx) ** 2 + (p - cp) ** 2) / var_env)
                        for cx, cp in centers) / (4 * math.pi * var_env)
 
+        def propose(g, k):
+            return centers[g.integers(0, 2, size=k)] + g.normal(0.0, math.sqrt(var_env), (k, 2))
+
+        xs = np.linspace(-9.0, 9.0, 257)
+        gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+        got = _rejection(lambda pts: qpdf(pts[:, 0], pts[:, 1]),
+                         lambda pts: env(pts[:, 0], pts[:, 1]), propose,
+                         np.column_stack([gx, gp]), 150_000, substream(9, 2))
         c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * 1.10
         gen, ref = substream(9, 2), []
         while len(ref) < 150_000:
             k = max(1024, int((150_000 - len(ref)) * c * 1.2))
-            pts = centers[gen.integers(0, 2, size=k)] + gen.normal(0.0, math.sqrt(var_env), (k, 2))
+            pts = propose(gen, k)
             keep = gen.uniform(0.0, 1.0, size=k) * c * env(pts[:, 0], pts[:, 1]) \
                 < qpdf(pts[:, 0], pts[:, 1])
             ref.extend(pts[keep])
         assert np.array_equal(got, np.array(ref[:150_000]))
+
+    def test_density_above_envelope_between_scan_nodes_raises(self):
+        # a narrow peak at 0.5 falls between the integer scan nodes, so the
+        # scanned constant is too small there and the tested points show it
+        def pdf(x):
+            spike = np.exp(-0.5 * ((x - 0.5) / 0.05) ** 2) / (0.05 * math.sqrt(2 * math.pi))
+            return 0.5 * scipy.stats.norm.pdf(x) + 0.5 * spike
+
+        with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
+            _rejection(pdf, scipy.stats.norm.pdf, lambda g, k: g.normal(size=k),
+                       np.linspace(-4.0, 4.0, 9), 1000, substream(9, 3))
+
+    def test_far_cat_heterodyne_raises_instead_of_inexact_draws(self):
+        # at alpha0 = 10 the 257^2 scan misses the Husimi peaks by more than
+        # the safety factor; the draw must fail rather than be silently wrong
+        with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
+            sample_heterodyne(EvenOddCoherent(10.0, "even"), 1000, seed=1)
 
 
 class TestHeterodyne:
