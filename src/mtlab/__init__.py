@@ -36,6 +36,7 @@ from .states import (
 from .crb import (
     CrbReport,
     ScaledFisher,
+    crb_grid,
     crb_report,
     find_crossover,
     fisher_hom_first,

@@ -45,7 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the experiment seed")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--workers", type=int, help="worker pool size for sweeps/trials")
+    parser.add_argument("--workers", type=int,
+                        help="worker threads for mc-verify trials, crb sweeps and the "
+                             "per-(family, m) searches of fig6 and gamma2-min; the "
+                             "fig2-fig5 grids are one array pass")
     return parser
 
 

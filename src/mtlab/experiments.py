@@ -12,10 +12,12 @@ byte-reproducible.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,15 +186,21 @@ def _pool_map(fn, items, workers):
 # ---------------------------------------------------------------------------
 
 
-def _crb_row(state: StateModel, extra: dict | None = None) -> dict:
-    rep = crb.crb_report(state)
-    row = dict(extra or {})
-    row.update(
-        h1_hom=rep.h1_hom, h1_het=rep.h1_het,
-        h2_hom=rep.h2_hom, h2_het=rep.h2_het,
-        gamma1=rep.gamma1, gamma2=rep.gamma2,
-    )
-    return row
+@contextmanager
+def _sweep_states():
+    """Scope that builds the states of a figure grid, before any bound is
+    evaluated: a sweep value that makes no state is a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad [sweep]: {exc}") from None
+
+
+def _crb_rows(states: list, extras: list) -> list:
+    """One row per state: its extra columns, then every bound and ratio."""
+    rep = vars(crb.crb_grid(states))
+    return [{**extra, **dict(zip(rep, vals))}
+            for extra, vals in zip(extras, zip(*(v.tolist() for v in rep.values())))]
 
 
 def _run_crb(cfg: ExperimentConfig) -> list:
@@ -203,7 +211,7 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     if cfg.kind == "gamma-sweep" and not sweeps:
         raise ConfigError("gamma-sweep requires a [sweep] section")
     if not sweeps:
-        return [_crb_row(_parse_state(state_kv))]
+        return _crb_rows([_parse_state(state_kv)], [{}])
     if len(sweeps) != 1:
         raise ConfigError("crb sweeps cover exactly one parameter")
     (key, spec), = sweeps.items()
@@ -212,7 +220,7 @@ def _run_crb(cfg: ExperimentConfig) -> list:
         raise ConfigError("empty sweep grid")
 
     def one(v):
-        return _crb_row(_state_with(state_kv, **{key: v}), {key: v})
+        return _crb_rows([_state_with(state_kv, **{key: v})], [{key: v}])[0]
 
     return _pool_map(one, values, cfg.workers)
 
@@ -234,14 +242,17 @@ def _parse_search(cfg: ExperimentConfig, m_sweep: bool):
         raise
     except ValueError as exc:
         raise ConfigError(f"bad [search] value: {exc}") from None
-    if any(m is not None and m < 0 for m in ms):
-        raise ConfigError("[search] m must be non-negative")
-    try:
-        for m in ms:
-            crb._gamma2_of_alpha(family, m)  # checks the family and m, evaluates nothing
-    except ValueError as exc:
-        raise ConfigError(f"bad [search]: {exc}") from None
+    _check_search([(family, m) for m in ms], "[search]")
     return family, ms, hi
+
+
+def _check_search(jobs: list, where: str) -> None:
+    """ConfigError unless every (family, m) job names a search family."""
+    try:
+        for family, m in jobs:
+            crb._family_builder(family, m)  # checks the family and m, builds nothing
+    except ValueError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
 
 
 def _run_crossover(cfg: ExperimentConfig) -> list:
@@ -317,12 +328,12 @@ def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
     return derive_key(seed, tag)
 
 
-def _gaussian_x_displaced(mu, lam, alpha0, x0=None, p0=None) -> Gaussian:
-    shape = GaussianShape(mu=mu, lam=lam, phi=0.0)
-    if x0 is None:
-        x0 = math.sqrt(2.0) * alpha0
-        p0 = 0.0
-    return Gaussian(FirstMoments(x0, p0), gaussian_cov_from_shape(shape))
+def _gaussians(pairs) -> list:
+    """One Gaussian state per ((x0, p0), (mu, lam)) pair, with the covariance
+    of shape (mu, lam, phi = 0); equal means and equal shapes share one object."""
+    mean = functools.cache(FirstMoments)
+    cov = functools.cache(lambda mu, lam: gaussian_cov_from_shape(GaussianShape(mu, lam, 0.0)))
+    return [Gaussian(mean(*r0), cov(*shape)) for r0, shape in pairs]
 
 
 def _run_fig2(cfg: ExperimentConfig) -> list:
@@ -331,13 +342,12 @@ def _run_fig2(cfg: ExperimentConfig) -> list:
     mus = _parse_sweep(sweep.get("mu", "1:4:31"), "mu")
     lams = _parse_sweep(sweep.get("lam", "1:4:31"), "lam")
     jobs = [(a, mu, lam) for a in alphas for mu in mus for lam in lams]
-
-    def one(args):
-        a, mu, lam = args
-        g2 = crb.gamma2(_gaussian_x_displaced(mu, lam, a))
-        return {"alpha0": a, "mu": mu, "lam": lam, "gamma2": g2}
-
-    return _pool_map(one, jobs, cfg.workers)
+    with _sweep_states():
+        states = _gaussians(((math.sqrt(2.0) * a, 0.0), (mu, lam)) for a, mu, lam in jobs)
+    g2 = crb.crb_grid(states).gamma2.tolist()
+    del states  # the rows below reuse its memory
+    return [{"alpha0": a, "mu": mu, "lam": lam, "gamma2": g}
+            for (a, mu, lam), g in zip(jobs, g2)]
 
 
 def _run_fig3(cfg: ExperimentConfig) -> list:
@@ -346,49 +356,44 @@ def _run_fig3(cfg: ExperimentConfig) -> list:
     x0s = _parse_sweep(sweep.get("x0", "-3:3:25"), "x0")
     p0s = _parse_sweep(sweep.get("p0", "-3:3:25"), "p0")
     jobs = [(mu, x0, p0) for mu in mus for x0 in x0s for p0 in p0s]
-
-    def one(args):
-        mu, x0, p0 = args
-        g2 = crb.gamma2(_gaussian_x_displaced(mu, mu, 0.0, x0=x0, p0=p0))
-        return {"mu": mu, "lam": mu, "x0": x0, "p0": p0, "gamma2": g2}
-
-    return _pool_map(one, jobs, cfg.workers)
+    with _sweep_states():
+        states = _gaussians(((x0, p0), (mu, mu)) for mu, x0, p0 in jobs)
+    g2 = crb.crb_grid(states).gamma2.tolist()
+    del states  # the rows below reuse its memory
+    return [{"mu": mu, "lam": mu, "x0": x0, "p0": p0, "gamma2": g}
+            for (mu, x0, p0), g in zip(jobs, g2)]
 
 
 def _run_fig4(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     ns = _parse_sweep(sweep.get("n", "0:30:31"), "n")
-
-    def one(n):
-        return _crb_row(Fock(int(n)), {"n": int(n)})
-
-    return _pool_map(one, ns, cfg.workers)
+    with _sweep_states():
+        states = [Fock(n) for n in ns]
+    return _crb_rows(states, [{"n": n} for n in ns])
 
 
 def _run_fig5(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     alphas = _parse_sweep(sweep.get("alpha0", "0.05:3:60"), "alpha0")
-
-    def one(a):
-        even = crb.gamma2(EvenOddCoherent(a, "even"))
-        odd = crb.gamma2(EvenOddCoherent(a, "odd"))
-        return {"alpha0": a, "gamma2_even": even, "gamma2_odd": odd}
-
-    return _pool_map(one, alphas, cfg.workers)
+    with _sweep_states():
+        states = [EvenOddCoherent(a, p) for a in alphas for p in ("even", "odd")]
+    g2 = crb.crb_grid(states).gamma2.tolist()
+    return [{"alpha0": a, "gamma2_even": even, "gamma2_odd": odd}
+            for a, even, odd in zip(alphas, g2[::2], g2[1::2])]
 
 
 def _run_fig6(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     ms = _parse_sweep(sweep.get("m", "0:12:13"), "m")
     families = cfg.get("experiment", "families", "displaced_fock,photon_added").split(",")
+    jobs = [(f.strip(), m) for f in families for m in ms]
+    _check_search(jobs, "fig6 family or m")
 
     def one(args):
         family, m = args
-        a0, g2 = crb.minimize_gamma2(family.strip(), m=int(m))
-        return {"family": family.strip(), "m": int(m),
-                "alpha0_min": a0, "gamma2_min": g2}
+        a0, g2 = crb.minimize_gamma2(family, m=m)
+        return {"family": family, "m": m, "alpha0_min": a0, "gamma2_min": g2}
 
-    jobs = [(f, m) for f in families for m in ms]
     return _pool_map(one, jobs, cfg.workers)
 
 

@@ -349,5 +349,5 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
             lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env,
             lambda g, k: centers[g.integers(0, 2, size=k)] + g.normal(0.0, sd, size=(k, 2)),
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
-    return HeterodyneDataset(core + np.array(state._moments.shift), int(seed),
+    return HeterodyneDataset(core + state._moments.shift[0], int(seed),
                              state_to_kv(state))

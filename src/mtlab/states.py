@@ -21,6 +21,10 @@ three identities:
   of the core moments.  Variances are formed from the core moments and the
   shift, with no x^4 terms to cancel at large amplitude.
 
+The moment data of a sequence of states comes from one product of the map
+with their stacked core rows (``_moment_data``); a state's own moment data,
+built once per state object, is that of a sequence of one.
+
 The densities take the same split: each family states the quadrature and
 Husimi densities of its core once, and ``quadrature_pdf``/``husimi_pdf``
 evaluate them at the point minus the shift.  There are three core routes:
@@ -119,9 +123,9 @@ def _moment_map() -> np.ndarray:
     return out
 
 
-def _shifted_husimi(c: list, x: float, p: float) -> HusimiMomentSet:
-    """Husimi moments <(x' + x)^a (p' + p)^b> of the core shifted by (x, p),
-    from the core averages c of ``_MONOMIALS``, by the binomial theorem."""
+def _shifted_husimi(c: np.ndarray, x: np.ndarray, p: np.ndarray) -> HusimiMomentSet:
+    """Husimi moments <(x' + x)^a (p' + p)^b> of the cores shifted by (x, p),
+    from the core averages c (15, S) of ``_MONOMIALS``, by the binomial theorem."""
     _, c10, c01, c20, c11, c02, c30, c21, c12, c03, c40, c31, c22, c13, c04 = c
     p1 = c01 + p                                  # <(p' + p)^b>, b = 1..3
     p2 = c02 + p * (2.0 * c01 + p)
@@ -177,10 +181,26 @@ def _fock_table(c: np.ndarray) -> list:
 
 
 class _MomentData(NamedTuple):
-    shift: tuple[float, float]  # (x0, p0)
-    harmonics: np.ndarray  # (6, 9): core <Y_theta^m>, m = 0..4, and the shift
-    core_husimi: list  # core Husimi averages of ``_MONOMIALS``
-    husimi: HusimiMomentSet
+    """Moment data of a sequence of states, stacked along the first axis."""
+
+    shift: np.ndarray  # (S, 2): (x0, p0)
+    harmonics: np.ndarray  # (S, 6, 9): core <Y_theta^m>, m = 0..4, and the shift
+    covariance: np.ndarray  # (S, 3): gxx, gxp, gpp
+    husimi: HusimiMomentSet  # fields of shape (S,)
+
+
+def _moment_data(states) -> _MomentData:
+    """Moment data of the states from one product of ``_MOMENT_MAP`` with
+    their stacked core rows (T.ravel(), x0, p0)."""
+    rows = np.array([table + [x0, p0] for x0, p0, table in (s._core() for s in states)],
+                    dtype=complex)
+    r = _MOMENT_MAP @ rows.T  # (69, S)
+    shift = rows[:, 25:].real
+    c = r[54:].real
+    # the covariance is shift-free: read it from the core
+    _, cx, cp, cxx, cxp, cpp = c[:6]
+    cov = np.stack([cxx - cx * cx - 0.5, cxp - cx * cp, cpp - cp * cp - 0.5], axis=1)
+    return _MomentData(shift, r[:54].T.reshape(-1, 6, 9), cov, _shifted_husimi(c, *shift.T))
 
 
 class _StateFamily:
@@ -197,16 +217,11 @@ class _StateFamily:
 
     @cached_property
     def _moments(self) -> _MomentData:
-        x0, p0, table = self._core()
-        r = _MOMENT_MAP @ np.array(table + [x0, p0], dtype=complex)
-        c = r[54:].real.tolist()
-        return _MomentData((x0, p0), r[:54].reshape(6, 9), c, _shifted_husimi(c, x0, p0))
+        return _moment_data([self])
 
     @cached_property
     def _covariance(self) -> CovarianceMatrix:
-        # the covariance is shift-free: read it from the core
-        _, cx, cp, cxx, cxp, cpp = self._moments.core_husimi[:6]
-        return CovarianceMatrix(cxx - cx * cx - 0.5, cxp - cx * cp, cpp - cp * cp - 0.5)
+        return CovarianceMatrix(*self._moments.covariance[0])
 
 
 class _FockVector(_StateFamily):
@@ -418,7 +433,7 @@ class QuadratureMomentTable:
 
 def _core_quadrature(state: StateModel, theta) -> np.ndarray:
     """Rows 1, mu1, mu2, mu3, mu4 (the core <Y_theta^m>) and x0 cos + p0 sin."""
-    return (state._moments.harmonics @ np.exp(np.multiply.outer(_I_HARMONICS, theta))).real
+    return (state._moments.harmonics[0] @ np.exp(np.multiply.outer(_I_HARMONICS, theta))).real
 
 
 def quadrature_moments(state: StateModel, theta: float) -> QuadratureMomentTable:
@@ -433,13 +448,20 @@ def quadrature_moments(state: StateModel, theta: float) -> QuadratureMomentTable
     )
 
 
-def quadrature_x2_variance(state: StateModel, theta) -> np.ndarray:
-    """<X_theta^4> - <X_theta^2>^2, vectorized over theta.
+def _x2_variance(harmonics: np.ndarray, theta) -> np.ndarray:
+    """Var(X_theta^2) of each state of the stacked harmonics (S, 6, 9) of
+    ``_MomentData``, at the phases theta: shape (S,) + shape of theta.
 
     Var((Y + x)^2) = Var(Y^2) + 4 x (Cov(Y^2, Y) + x Var(Y)) for the core
     quadrature Y: no x^4 terms, so nothing cancels at large amplitude."""
-    _, u1, u2, u3, u4, x = _core_quadrature(state, theta)
+    q = (harmonics @ np.exp(np.multiply.outer(_I_HARMONICS, theta))).real
+    _, u1, u2, u3, u4, x = q.swapaxes(0, 1)
     return u4 - u2 * u2 + 4.0 * x * (u3 - u1 * u2 + x * (u2 - u1 * u1))
+
+
+def quadrature_x2_variance(state: StateModel, theta) -> np.ndarray:
+    """<X_theta^4> - <X_theta^2>^2, vectorized over theta."""
+    return _x2_variance(state._moments.harmonics, theta)[0]
 
 
 def quadrature_variance(state: StateModel, theta) -> np.ndarray:
@@ -471,7 +493,7 @@ class HusimiMomentSet:
 
 def husimi_moments(state: StateModel) -> HusimiMomentSet:
     """Husimi moments up to total degree 4."""
-    return state._moments.husimi
+    return HusimiMomentSet(**{k: float(v[0]) for k, v in vars(state._moments.husimi).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +504,7 @@ def husimi_moments(state: StateModel) -> HusimiMomentSet:
 def first_moments(state: StateModel) -> FirstMoments:
     """Mean quadrature vector r = (<X>, <P>)."""
     h = state._moments.husimi
-    return FirstMoments(h.mx, h.mp)
+    return FirstMoments(h.mx[0], h.mp[0])
 
 
 def covariance(state: StateModel) -> CovarianceMatrix:
@@ -520,7 +542,7 @@ def quadrature_pdf(state: StateModel, theta: float, x) -> np.ndarray:
 def husimi_pdf(state: StateModel, x, p) -> np.ndarray:
     """Husimi density Q(x, p) = |<alpha|psi>|^2 / (2 pi), alpha = (x+ip)/sqrt2:
     the core Husimi density at (x - x0, p - p0)."""
-    x0, p0 = state._moments.shift
+    x0, p0 = state._moments.shift[0]
     return state._core_husimi_pdf(np.asarray(x, dtype=float) - x0,
                                   np.asarray(p, dtype=float) - p0)
 

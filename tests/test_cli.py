@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mtlab import cli
+from mtlab import cli, crb
 from mtlab.experiments import (
     ConfigError,
     load_config,
@@ -119,6 +119,34 @@ class TestExperiments:
         center = next(r for r in rep.rows if r["x0"] == 0.0 and r["p0"] == 0.0)
         assert center["gamma2"] == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("kind, overrides", [
+        ("fig2", ["sweep.alpha0=0:0.6:3", "sweep.mu=1:3:5", "sweep.lam=1:3:30"]),
+        ("fig3", ["sweep.mu=1:2:2", "sweep.x0=-1:1:7", "sweep.p0=-1:1:7"]),
+        ("fig4", ["sweep.n=0:80:81"]),
+        ("fig5", ["sweep.alpha0=0.05:3:60"]),
+    ])
+    def test_figure_grid_is_one_array_call(self, monkeypatch, kind, overrides):
+        # every state of the grid goes through one crb_grid call, none through
+        # a per-state bound
+        calls = []
+        grid = crb.crb_grid
+
+        def counted(states):
+            calls.append(len(states))
+            return grid(states)
+
+        def per_state(state):
+            raise AssertionError("per-state bound called")
+
+        monkeypatch.setattr(crb, "crb_grid", counted)
+        for name in ("fisher_hom_second", "crb_report", "gamma2",
+                     "scrb_hom_second", "scrb_het_second"):
+            monkeypatch.setattr(crb, name, per_state)
+        rep = run(load_config(text=f"[experiment]\nkind = {kind}\n", overrides=overrides))
+        assert len(calls) == 1
+        assert calls[0] == len(rep.rows) * (2 if kind == "fig5" else 1)
+        assert calls[0] > crb._BLOCK
+
     def test_fig5_columns(self):
         cfg = load_config(text="[experiment]\nkind = fig5\n",
                           overrides=["sweep.alpha0=0.3:1.5:5"])
@@ -218,6 +246,19 @@ class TestCliEndToEnd:
         code = self.run_cli(["crb", "--set", "state.family=fock", "--set", "state.n=x"])
         assert code == 2
         assert "[state]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["fig2", "--set", "sweep.mu=0.1:0.5:2"], "mu >= 1"),
+        (["fig3", "--set", "sweep.mu=0.5:1:2"], "mu >= 1"),
+        (["fig4", "--set", "sweep.n=-2:2:5"], "non-negative"),
+        (["fig5", "--set", "sweep.alpha0=nan:1:2"], "finite"),
+        (["fig6", "--set", "experiment.families=bogus"], "unknown family"),
+        (["fig6", "--set", "sweep.m=-2:0:3"], "non-negative"),
+    ])
+    def test_bad_figure_sweep_exit_code(self, capsys, argv, says):
+        assert self.run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and says in err
 
     def test_numerical_error_exit_code(self):
         code = self.run_cli(["crossover", "--set", "search.family=coherent",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mtlab import (
     Gaussian,
     GaussianShape,
     PhotonAddedCoherent,
+    crb_grid,
     crb_report,
     find_crossover,
     fisher_hom_first,
@@ -27,6 +29,7 @@ from mtlab import (
 )
 import mtlab.crb
 from mtlab.crb import NumericalFailure, ScaledFisher
+from mtlab.states import state_to_kv
 from mtlab.oracle import numeric_fisher
 from mtlab.special import hyp1f1
 from conftest import random_gaussian, random_state
@@ -351,9 +354,9 @@ class TestHomodyneFisherRoute:
             assert np.max(np.abs(f - fo)) <= 1e-12 * np.max(np.abs(fo)), s
 
     def test_harmonics_beyond_4theta_raise(self, monkeypatch):
-        base = mtlab.crb.quadrature_x2_variance
-        monkeypatch.setattr(mtlab.crb, "quadrature_x2_variance",
-                            lambda s, th: base(s, th) + 0.1 * np.cos(6 * th))
+        base = mtlab.crb._x2_variance
+        monkeypatch.setattr(mtlab.crb, "_x2_variance",
+                            lambda h, th: base(h, th) + 0.1 * np.cos(6 * th))
         with pytest.raises(NumericalFailure):
             fisher_hom_second(Fock(1))
 
@@ -362,7 +365,53 @@ class TestHomodyneFisherRoute:
         lambda th: 1.0 + np.cos(2 * th - 0.2),  # touches zero off the nodes
     ])
     def test_variance_with_zero_raises(self, monkeypatch, var):
-        monkeypatch.setattr(mtlab.crb, "quadrature_x2_variance",
-                            lambda s, th: var(np.asarray(th)))
+        monkeypatch.setattr(mtlab.crb, "_x2_variance",
+                            lambda h, th: var(np.asarray(th))[None])
         with pytest.raises(NumericalFailure):
             fisher_hom_second(Fock(1))
+
+
+def _mixed_grid(per_family=60, seed=7):
+    """per_family random draws of each family, interleaved: the grid spans several blocks."""
+    rng = np.random.default_rng(seed)
+    return [random_state(rng, family=f) for _ in range(per_family) for f in range(5)]
+
+
+class TestGrid:
+    def test_grid_equals_grid_of_one(self):
+        states = _mixed_grid()
+        assert len(states) > 3 * mtlab.crb._BLOCK
+        grid = crb_grid(states)
+        for k, s in enumerate(states):
+            one = crb_report(s)
+            for name, value in vars(one).items():
+                assert getattr(grid, name)[k] == pytest.approx(value, rel=1e-14, abs=0), (s, name)
+            assert gamma2(s) == pytest.approx(grid.gamma2[k], rel=1e-14, abs=0)
+
+    def test_grid_fisher_matches_oracle(self):
+        states = _mixed_grid()
+        fisher = mtlab.crb._grid(states)[0]
+        for k in range(0, len(states), 15):
+            fq = numeric_fisher(states[k], "second")
+            assert np.max(np.abs(fisher[k] - fq)) < 1e-8 * np.max(np.abs(fq)), states[k]
+
+    @pytest.mark.parametrize("bad_var", [
+        lambda var, th: var + 0.1 * np.cos(6 * th),  # harmonic beyond 4 theta
+        lambda var, th: -var,                          # negative variance
+    ])
+    def test_one_bad_state_in_second_block_raises_naming_it(self, monkeypatch, bad_var):
+        states = _mixed_grid(per_family=20)
+        bad = DisplacedFock(0.321 + 0.123j, 2)
+        states[mtlab.crb._BLOCK + 5] = bad
+        target = bad._moments.harmonics[0]
+        base = mtlab.crb._x2_variance
+
+        def patched(h, th):
+            out = base(h, th)
+            rows = np.all(h == target, axis=(1, 2))
+            out[rows] = bad_var(out[rows], np.asarray(th))
+            return out
+
+        monkeypatch.setattr(mtlab.crb, "_x2_variance", patched)
+        with pytest.raises(NumericalFailure, match=re.escape(state_to_kv(bad))):
+            crb_grid(states)
