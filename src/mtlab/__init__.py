@@ -44,6 +44,7 @@ from .crb import (
     gamma1,
     gamma2,
     minimize_gamma2,
+    minimize_gamma2_grid,
     scrb_het_first,
     scrb_het_second,
     scrb_hom_first,

@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
     parser.add_argument("--workers", type=int,
-                        help="worker threads for mc-verify trials, crb sweeps and the "
-                             "per-(family, m) searches of fig6 and gamma2-min; the "
-                             "fig2-fig5 grids are one array pass")
+                        help="worker threads for mc-verify trials; every other "
+                             "experiment is one array pass (the fig6 and gamma2-min "
+                             "searches run in lockstep)")
     return parser
 
 

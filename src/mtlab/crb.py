@@ -17,7 +17,9 @@ tables go through the moment map at once, one DFT over the eight phases
 gives every variance, and the trapezoid rule runs at a node count the
 block's unconverged states share.  ``crb_report``, ``gamma2``,
 ``fisher_hom_second`` and the single-state bounds are that route on a grid
-of one.
+of one.  ``minimize_gamma2_grid`` runs many golden-section searches in
+lockstep, one ``crb_grid`` call per step; ``minimize_gamma2`` is it on one
+job.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "crb_grid",
     "find_crossover",
     "minimize_gamma2",
+    "minimize_gamma2_grid",
     "CrossoverResult",
 ]
 
@@ -351,38 +354,71 @@ def find_crossover(family: str, m: int | None = None,
     return CrossoverResult(family, m, root, scrb_het_second(state_at(root)), False)
 
 
-def minimize_gamma2(family: str, m: int | None = None,
-                    bracket_hi: float | None = None,
-                    tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section minimum of gamma2 over alpha0 in [0, bracket_hi].
+def _golden_section(grid: np.ndarray, tol: float):
+    """One minimum search as a coroutine: it yields the alpha0 values it needs
+    and is sent gamma2 at them, and returns (alpha0_min, gamma2_min).
 
-    A coarse grid scan, one ``crb_grid`` call, brackets the global minimum
-    first so that mild non-unimodality near the endpoints cannot trap the
-    golden section.  Returns (alpha0_min, gamma2_min).
+    The grid scan brackets the global minimum first, so that mild
+    non-unimodality near the endpoints cannot trap the golden section.
     """
-    state_at = _family_builder(family, m)
-
-    def g2(a0):
-        return gamma2(state_at(a0))
-
-    if bracket_hi is None:
-        bracket_hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
-    grid = np.linspace(0.0, bracket_hi, 65)
-    k = int(np.argmin(crb_grid([state_at(a) for a in grid]).gamma2))
+    k = int(np.argmin((yield grid)))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv * (hi - lo)
     x2 = lo + inv * (hi - lo)
-    f1, f2 = g2(x1), g2(x2)
+    f1, f2 = yield x1, x2
     while hi - lo > tol:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
-            f1 = g2(x1)
+            f1, = yield (x1,)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
-            f2 = g2(x2)
+            f2, = yield (x2,)
     xmin = 0.5 * (lo + hi)
-    return xmin, g2(xmin)
+    g2, = yield (xmin,)
+    return float(xmin), g2
+
+
+def minimize_gamma2_grid(jobs, bracket_hi: float | None = None,
+                         tol: float = 1e-6) -> list[tuple[float, float]]:
+    """Golden-section minima of gamma2 over alpha0 in [0, bracket_hi], one
+    (alpha0_min, gamma2_min) per (family, m) job, the searches run in lockstep.
+
+    Every job is checked before any evaluation.  Each round is one
+    ``crb_grid`` call over the points the open searches need: first every
+    job's 65-point scan, then the two inner points, then one point per golden
+    step; a search leaves once its bracket is within tol and its minimum is
+    evaluated.  The default bracket_hi is max(5, 3 sqrt(m)).
+    """
+    builders, searches = [], []
+    for family, m in jobs:
+        builders.append(_family_builder(family, m))
+        hi = bracket_hi
+        if hi is None:
+            hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
+        searches.append(_golden_section(np.linspace(0.0, hi, 65), tol))
+    wanted = [next(s) for s in searches]
+    results = [None] * len(jobs)
+    live = range(len(jobs))
+    while live:
+        g2 = iter(crb_grid([builders[i](a) for i in live for a in wanted[i]]).gamma2.tolist())
+        still = []
+        for i in live:
+            try:
+                wanted[i] = searches[i].send([next(g2) for _ in wanted[i]])
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        live = still
+    return results
+
+
+def minimize_gamma2(family: str, m: int | None = None,
+                    bracket_hi: float | None = None,
+                    tol: float = 1e-6) -> tuple[float, float]:
+    """Golden-section minimum of gamma2 over alpha0 in [0, bracket_hi]:
+    ``minimize_gamma2_grid`` on one job.  Returns (alpha0_min, gamma2_min)."""
+    return minimize_gamma2_grid([(family, m)], bracket_hi, tol)[0]

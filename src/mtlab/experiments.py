@@ -16,7 +16,6 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -174,13 +173,6 @@ def _choice(section: dict, name: str, key: str, choices: dict):
     return choices[value]
 
 
-def _pool_map(fn, items, workers):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
@@ -218,11 +210,8 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     values = _parse_sweep(spec, key)
     if not values:
         raise ConfigError("empty sweep grid")
-
-    def one(v):
-        return _crb_rows([_state_with(state_kv, **{key: v})], [{key: v}])[0]
-
-    return _pool_map(one, values, cfg.workers)
+    states = [_state_with(state_kv, **{key: v}) for v in values]
+    return _crb_rows(states, [{key: v} for v in values])
 
 
 def _parse_search(cfg: ExperimentConfig, m_sweep: bool):
@@ -269,13 +258,9 @@ def _run_crossover(cfg: ExperimentConfig) -> list:
 
 def _run_gamma2_min(cfg: ExperimentConfig) -> list:
     family, ms, hi = _parse_search(cfg, m_sweep=True)
-
-    def one(m):
-        a0, g2 = crb.minimize_gamma2(family, m=m, bracket_hi=hi)
-        return {"family": family, "m": "" if m is None else m,
-                "alpha0_min": a0, "gamma2_min": g2}
-
-    return _pool_map(one, ms, cfg.workers)
+    minima = crb.minimize_gamma2_grid([(family, m) for m in ms], bracket_hi=hi)
+    return [{"family": family, "m": "" if m is None else m, "alpha0_min": a0, "gamma2_min": g2}
+            for m, (a0, g2) in zip(ms, minima)]
 
 
 def _run_mc_verify(cfg: ExperimentConfig) -> list:
@@ -294,6 +279,9 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
                       {"both": ("hom", "het"), "hom": ("hom",), "het": ("het",)})
     orders = _choice(mc, "mc", "order", {"both": ("first", "second"),
                                          "first": ("first",), "second": ("second",)})
+    rep = crb.crb_report(state)
+    bounds = {("hom", "first"): rep.h1_hom, ("het", "first"): rep.h1_het,
+              ("hom", "second"): rep.h2_hom, ("het", "second"): rep.h2_het}
     rows = []
     for scheme in schemes:
         for order in orders:
@@ -303,12 +291,7 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
                 seed=_mc_cell_seed(cfg.seed, scheme, order),
                 workers=cfg.workers,
             )
-            if order == "first":
-                bound = (crb.scrb_hom_first(state) if scheme == "hom"
-                         else crb.scrb_het_first(state))
-            else:
-                bound = (crb.scrb_hom_second(state) if scheme == "hom"
-                         else crb.scrb_het_second(state))
+            bound = bounds[scheme, order]
             rows.append({
                 "state": state_to_kv(state), "scheme": scheme, "order": order,
                 "N": n_samples, "trials": trials,
@@ -388,13 +371,8 @@ def _run_fig6(cfg: ExperimentConfig) -> list:
     families = cfg.get("experiment", "families", "displaced_fock,photon_added").split(",")
     jobs = [(f.strip(), m) for f in families for m in ms]
     _check_search(jobs, "fig6 family or m")
-
-    def one(args):
-        family, m = args
-        a0, g2 = crb.minimize_gamma2(family, m=m)
-        return {"family": family, "m": m, "alpha0_min": a0, "gamma2_min": g2}
-
-    return _pool_map(one, jobs, cfg.workers)
+    return [{"family": family, "m": m, "alpha0_min": a0, "gamma2_min": g2}
+            for (family, m), (a0, g2) in zip(jobs, crb.minimize_gamma2_grid(jobs))]
 
 
 _BODIES = {

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mtlab import cli, crb
+from mtlab import Fock, cli, crb
 from mtlab.experiments import (
     ConfigError,
     load_config,
@@ -61,6 +61,35 @@ class TestExperiments:
                  "[sweep]\nn = 0:3:4\n")
         rep = run(cfg)
         assert [r["n"] for r in rep.rows] == [0, 1, 2, 3]
+
+    def test_gamma_sweep_rows_equal_crb_report(self):
+        cfg = load_config(
+            text="[experiment]\nkind = gamma-sweep\n[state]\nfamily = fock\nn = 0\n"
+                 "[sweep]\nn = 0:30:31\n")
+        assert run(cfg).rows == [{"n": n, **vars(crb.crb_report(Fock(n)))}
+                                 for n in range(31)]
+
+    def test_crb_sweep_bad_value_before_any_bound(self, monkeypatch):
+        # the last value, mu = 0.5, makes no state
+        def never(states):
+            raise AssertionError("bound computed before every state was built")
+
+        monkeypatch.setattr(crb, "crb_grid", never)
+        cfg = load_config(
+            text="[experiment]\nkind = gamma-sweep\n[state]\nfamily = gaussian\n"
+                 "mu = 2\nlam = 1.5\n[sweep]\nmu = 1.5:0.5:3\n")
+        with pytest.raises(ConfigError, match="mu"):
+            run(cfg)
+
+    def test_gamma2_min_m_sweep_rows_equal_single_searches(self):
+        cfg = load_config(text="[experiment]\nkind = gamma2-min\n",
+                          overrides=["search.family=displaced_fock", "search.m=0:4:5"])
+        expect = []
+        for m in range(5):
+            a0, g2 = crb.minimize_gamma2("displaced_fock", m)
+            expect.append({"family": "displaced_fock", "m": m,
+                           "alpha0_min": a0, "gamma2_min": g2})
+        assert run(cfg).rows == expect
 
     def test_gamma_sweep_requires_sweep(self):
         cfg = load_config(text="[experiment]\nkind = gamma-sweep\n"

@@ -22,6 +22,7 @@ from mtlab import (
     gamma2,
     gaussian_cov_from_shape,
     minimize_gamma2,
+    minimize_gamma2_grid,
     scrb_het_first,
     scrb_het_second,
     scrb_hom_first,
@@ -415,3 +416,85 @@ class TestGrid:
         monkeypatch.setattr(mtlab.crb, "_x2_variance", patched)
         with pytest.raises(NumericalFailure, match=re.escape(state_to_kv(bad))):
             crb_grid(states)
+
+
+_SEARCH_STATES = {
+    "displaced_fock": lambda a0, m: DisplacedFock(a0, m),
+    "photon_added": lambda a0, m: PhotonAddedCoherent(a0, m),
+    "even_coherent": lambda a0, m: EvenOddCoherent(a0, "even"),
+}
+
+
+def scalar_golden_minimum(family, m, bracket_hi=None, tol=1e-6):
+    """Reference search: a 65-point scan and a golden section over alpha0,
+    gamma2 evaluated one state at a time."""
+    def g2(a0):
+        return gamma2(_SEARCH_STATES[family](float(a0), m))
+
+    if bracket_hi is None:
+        bracket_hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
+    grid = np.linspace(0.0, bracket_hi, 65)
+    k = int(np.argmin([g2(a) for a in grid]))
+    lo, hi = grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)]
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    f1, f2 = g2(x1), g2(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv * (hi - lo)
+            f1 = g2(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv * (hi - lo)
+            f2 = g2(x2)
+    xmin = 0.5 * (lo + hi)
+    return xmin, g2(xmin)
+
+
+_MIXED_JOBS = [(f, m) for f in ("displaced_fock", "photon_added") for m in (0, 5, 12)]
+_MIXED_JOBS.append(("even_coherent", None))
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("kwargs", [{}, {"bracket_hi": 6.0, "tol": 1e-9}])
+    def test_equals_scalar_golden_section(self, kwargs):
+        expect = [scalar_golden_minimum(f, m, **kwargs) for f, m in _MIXED_JOBS]
+        assert minimize_gamma2_grid(_MIXED_JOBS, **kwargs) == expect
+        assert [minimize_gamma2(f, m, **kwargs) for f, m in _MIXED_JOBS] == expect
+
+    def test_one_grid_call_per_round(self, monkeypatch):
+        # the m = 12 brackets are wider, so those searches take more steps;
+        # the lockstep run takes as many crb_grid calls as its longest search
+        sizes = []
+        grid = mtlab.crb.crb_grid
+
+        def counted(states):
+            sizes.append(len(states))
+            return grid(states)
+
+        monkeypatch.setattr(mtlab.crb, "crb_grid", counted)
+        rounds = []
+        for job in _MIXED_JOBS:
+            sizes.clear()
+            minimize_gamma2_grid([job])
+            rounds.append(len(sizes))
+        sizes.clear()
+        minimize_gamma2_grid(_MIXED_JOBS)
+        assert len(set(rounds)) > 1
+        assert len(sizes) == max(rounds)
+        assert sizes[0] == 65 * len(_MIXED_JOBS)
+        assert sizes[1] == 2 * len(_MIXED_JOBS)
+
+    @pytest.mark.parametrize("jobs", [
+        [("displaced_fock", 1), ("bogus", None)],
+        [("even_coherent", None), ("photon_added", None)],  # missing m
+        [("displaced_fock", 1), ("displaced_fock", -1)],
+    ])
+    def test_bad_job_raises_before_any_evaluation(self, monkeypatch, jobs):
+        def never(states):
+            raise AssertionError("evaluated before the jobs were checked")
+
+        monkeypatch.setattr(mtlab.crb, "crb_grid", never)
+        with pytest.raises(ValueError):
+            minimize_gamma2_grid(jobs)
