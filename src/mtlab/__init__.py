@@ -35,20 +35,11 @@ from .states import (
 )
 from .crb import (
     CrbReport,
-    ScaledFisher,
     crb_grid,
     crb_report,
     find_crossover,
-    fisher_hom_first,
-    fisher_hom_second,
-    gamma1,
-    gamma2,
     minimize_gamma2,
     minimize_gamma2_grid,
-    scrb_het_first,
-    scrb_het_second,
-    scrb_hom_first,
-    scrb_hom_second,
 )
 from .sampling import (
     HeterodyneDataset,

@@ -6,12 +6,12 @@ Usage:
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
-State descriptors (the [state] config section and dataset headers) use one
-key=value vocabulary: `family=gaussian` with entries gxx/gxp/gpp or the
-spectral form mu/lam/phi plus optional x0/p0; `family=fock n=...`;
-`family=even_coherent|odd_coherent alpha0=...`; `family=displaced_fock`
-and `family=photon_added` with alpha0 and m.  Complex amplitudes parse
-with Python syntax (e.g. alpha0=0.5+0.5j).
+State descriptors (the [state] config section and the state column of
+mc-verify reports) use one key=value vocabulary: `family=gaussian` with
+entries gxx/gxp/gpp or the spectral form mu/lam/phi plus optional x0/p0;
+`family=fock n=...`; `family=even_coherent|odd_coherent alpha0=...`;
+`family=displaced_fock` and `family=photon_added` with alpha0 and m.
+Complex amplitudes parse with Python syntax (e.g. alpha0=0.5+0.5j).
 """
 
 from __future__ import annotations

@@ -6,20 +6,24 @@ and H2 for the three second-moment parameters (vectorized as a1 = <X^2>,
 a2 = <{dX,dP}>/2 with a sqrt(2) weight, a3 = <P^2>).
 
 The homodyne Fisher matrices are phase averages of M_theta / Var.  For the
-first moments Var = u^T G u and the average is (G + sqrt(det G) I)^-1.  For
-the second moments Var(X_theta^2) is, for every state, a trigonometric
-polynomial with the harmonics {0, 2 theta, 4 theta}: eight phase samples fix
-it, and the trapezoid rule on the rebuilt variance gives the average.
+first moments Var = u^T G u, the average is (G + sqrt(det G) I)^-1 and the
+bound, the trace of its inverse, is Tr G + 2 sqrt(det G).  For the second
+moments Var(X_theta^2) is, for every state, a trigonometric polynomial with
+the harmonics {0, 2 theta, 4 theta}: eight phase samples fix it, and the
+trapezoid rule on the rebuilt variance gives the average.
 
 The second-moment bounds have one route, ``crb_grid``, an array computation
 over a sequence of states taken in blocks of ``_BLOCK``: the stacked moment
 tables go through the moment map at once, one DFT over the eight phases
 gives every variance, and the trapezoid rule runs at a node count the
-block's unconverged states share.  ``crb_report``, ``gamma2``,
-``fisher_hom_second`` and the single-state bounds are that route on a grid
-of one.  ``minimize_gamma2_grid`` runs many golden-section searches in
-lockstep, one ``crb_grid`` call per step; ``minimize_gamma2`` is it on one
-job.
+block's unconverged states share.  ``crb_report`` is that route on a grid
+of one; the two are the only ways to get a bound.
+
+The searches over the displacement amplitude are coroutines that yield the
+alpha0 values they need, and one driver, ``_lockstep``, runs any number of
+them together with one ``crb_grid`` call per step.  ``minimize_gamma2_grid``
+runs many golden-section searches on it (``minimize_gamma2`` is one job),
+and ``find_crossover`` one bisection.
 """
 
 from __future__ import annotations
@@ -37,22 +41,12 @@ from .states import (
     StateModel,
     _moment_data,
     _x2_variance,
-    covariance,
     state_to_kv,
 )
 
 __all__ = [
-    "ScaledFisher",
     "CrbReport",
     "NumericalFailure",
-    "fisher_hom_first",
-    "scrb_hom_first",
-    "scrb_het_first",
-    "gamma1",
-    "fisher_hom_second",
-    "scrb_hom_second",
-    "scrb_het_second",
-    "gamma2",
     "crb_report",
     "crb_grid",
     "find_crossover",
@@ -66,38 +60,22 @@ _SQ2 = math.sqrt(2.0)
 
 class NumericalFailure(ArithmeticError):
     """A phase average failed: the variance vanished, had harmonics beyond
-    4 theta, or the quadrature did not converge."""
+    4 theta, the quadrature did not converge, or the Fisher matrix it gave is
+    not symmetric positive definite."""
 
 
-@dataclass(frozen=True)
-class ScaledFisher:
-    """Scaled Fisher matrix: 2x2 for first moments, 3x3 for second moments."""
-
-    order: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.order not in ("first", "second"):
-            raise ValueError("order must be 'first' or 'second'")
-        m = np.asarray(self.matrix, dtype=float)
-        want = 2 if self.order == "first" else 3
-        if m.shape != (want, want):
-            raise ValueError(f"expected {want}x{want} matrix")
-        _check_fisher(m)
-
-    def crb(self) -> float:
-        """Trace of the inverse: the scaled Cramer-Rao bound."""
-        return float(_trace_inv(self.matrix))
-
-
-def _check_fisher(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the stack m (..., k, k) is
-    symmetric and positive definite."""
+def _check_fisher(states, m: np.ndarray) -> None:
+    """Raise NumericalFailure naming the first of the states whose Fisher
+    matrix in the stack m (S, k, k) is not symmetric and positive definite."""
     mt = np.swapaxes(m, -1, -2)
-    if not np.all(np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt)):
-        raise ValueError("Fisher matrix must be symmetric")
-    if np.any(np.linalg.eigvalsh(m) <= 0):
-        raise ValueError("Fisher matrix must be positive definite")
+    asym = ~np.all(np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt), axis=(1, 2))
+    if asym.any():
+        raise NumericalFailure("Fisher matrix is not symmetric: "
+                               + state_to_kv(states[np.argmax(asym)]))
+    indef = np.any(np.linalg.eigvalsh(m) <= 0, axis=1)
+    if indef.any():
+        raise NumericalFailure("Fisher matrix is not positive definite: "
+                               + state_to_kv(states[np.argmax(indef)]))
 
 
 def _trace_inv(m: np.ndarray) -> np.ndarray:
@@ -106,44 +84,7 @@ def _trace_inv(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# first moments
-# ---------------------------------------------------------------------------
-
-
-def fisher_hom_first(state: StateModel) -> ScaledFisher:
-    """Scaled homodyne Fisher matrix for the first moments: the phase average
-    of u u^T / (u^T G u), which is (G + sqrt(det G) I)^-1."""
-    g = covariance(state)
-    return ScaledFisher("first", np.linalg.inv(g.as_array() + math.sqrt(g.det) * np.eye(2)))
-
-
-def _first_bounds(gxx, gxp, gpp) -> tuple:
-    """First-moment homodyne bound Tr G + 2 sqrt(det G) and heterodyne bound
-    (the total Husimi variance) Tr G + 1, elementwise."""
-    tr = gxx + gpp
-    return tr + 2.0 * np.sqrt(gxx * gpp - gxp * gxp), tr + 1.0
-
-
-def scrb_hom_first(state: StateModel) -> float:
-    """First-moment homodyne bound Tr G + 2 sqrt(det G)."""
-    g = covariance(state)
-    return float(_first_bounds(g.gxx, g.gxp, g.gpp)[0])
-
-
-def scrb_het_first(state: StateModel) -> float:
-    """First-moment heterodyne bound: total Husimi variance, Tr G + 1."""
-    g = covariance(state)
-    return float(_first_bounds(g.gxx, g.gxp, g.gpp)[1])
-
-
-def gamma1(state: StateModel) -> float:
-    """Heterodyne/homodyne first-moment ratio; <= 1 with equality iff the
-    state is minimum-uncertainty (det G = 1/4)."""
-    return scrb_het_first(state) / scrb_hom_first(state)
-
-
-# ---------------------------------------------------------------------------
-# second moments: one array route over a sequence of states
+# one array route over a sequence of states
 # ---------------------------------------------------------------------------
 
 _HARMONIC_TOL = 1e-10
@@ -210,6 +151,13 @@ def _trapezoid(states, c: np.ndarray) -> np.ndarray:
     raise NumericalFailure("phase quadrature did not converge: " + state_to_kv(states[todo[0]]))
 
 
+def _first_bounds(gxx, gxp, gpp) -> tuple:
+    """First-moment homodyne bound Tr G + 2 sqrt(det G) and heterodyne bound
+    (the total Husimi variance) Tr G + 1, elementwise."""
+    tr = gxx + gpp
+    return tr + 2.0 * np.sqrt(gxx * gpp - gxp * gxp), tr + 1.0
+
+
 def _h2_het(h: HusimiMomentSet):
     """Second-moment heterodyne bound var_Q(x^2) + var_Q(p^2) + 2 var_Q(xp),
     elementwise."""
@@ -221,7 +169,7 @@ def _block(states) -> tuple[np.ndarray, np.ndarray]:
     h2_hom and h2_het (4, S) of at most _BLOCK states."""
     md = _moment_data(states)
     fisher = _trapezoid(states, _variance_harmonics(states, md.harmonics))
-    _check_fisher(fisher)
+    _check_fisher(states, fisher)
     return fisher, np.stack([*_first_bounds(*md.covariance.T), _trace_inv(fisher),
                              _h2_het(md.husimi)])
 
@@ -263,27 +211,6 @@ def crb_report(state: StateModel) -> CrbReport:
     return CrbReport(**{k: float(v[0]) for k, v in vars(crb_grid([state])).items()})
 
 
-def fisher_hom_second(state: StateModel) -> ScaledFisher:
-    """Scaled 3x3 homodyne Fisher matrix for (a1, a2, a3): the phase average
-    (1/pi) int_0^pi v v^T / Var(X_theta^2) dtheta, v = (c^2, sqrt2 s c, s^2)."""
-    return ScaledFisher("second", _grid([state])[0][0])
-
-
-def scrb_hom_second(state: StateModel) -> float:
-    """Second-moment homodyne bound Tr of the inverse scaled Fisher matrix."""
-    return crb_report(state).h2_hom
-
-
-def scrb_het_second(state: StateModel) -> float:
-    """Second-moment heterodyne bound var_Q(x^2) + var_Q(p^2) + 2 var_Q(xp)."""
-    return crb_report(state).h2_het
-
-
-def gamma2(state: StateModel) -> float:
-    """Heterodyne/homodyne second-moment performance ratio."""
-    return crb_report(state).gamma2
-
-
 # ---------------------------------------------------------------------------
 # crossover and minimum searches over the displacement amplitude
 # ---------------------------------------------------------------------------
@@ -295,6 +222,7 @@ _FAMILY_BUILDERS = {
     "displaced_fock": lambda a0, m: DisplacedFock(a0, m),
     "photon_added": lambda a0, m: PhotonAddedCoherent(a0, m),
 }
+_TAKES_M = ("displaced_fock", "photon_added")
 
 
 def _family_builder(family: str, m: int | None):
@@ -304,8 +232,10 @@ def _family_builder(family: str, m: int | None):
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from "
                          f"{sorted(_FAMILY_BUILDERS)}") from None
-    if family in ("displaced_fock", "photon_added") and m is None:
+    if family in _TAKES_M and m is None:
         raise ValueError(f"family {family!r} requires the integer parameter m")
+    if family not in _TAKES_M and m is not None:
+        raise ValueError(f"family {family!r} takes no parameter m, got m={m}")
     if m is not None and m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     return lambda a0: build(float(a0), m)
@@ -322,36 +252,65 @@ class CrossoverResult:
     always_below_unity: bool
 
 
+def _lockstep(builders, searches) -> list:
+    """Run the search coroutines together and return what each returns.
+
+    Each search yields the alpha0 values it needs and is sent gamma2 of the
+    states its builder makes there; every round is one ``crb_grid`` call over
+    the points of the searches still open.
+    """
+    wanted = [next(s) for s in searches]
+    results = [None] * len(searches)
+    live = range(len(searches))
+    while live:
+        g2 = iter(crb_grid([builders[i](a) for i in live for a in wanted[i]]).gamma2.tolist())
+        still = []
+        for i in live:
+            try:
+                wanted[i] = searches[i].send([next(g2) for _ in wanted[i]])
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        live = still
+    return results
+
+
+def _bisection(lo: float, hi: float, tol: float, family: str):
+    """One crossover search as a coroutine: it yields the alpha0 values it
+    needs and is sent gamma2 at them, and returns the root of gamma2 = 1, or
+    None if gamma2 <= 1 already at lo (hi is then never evaluated)."""
+    g_lo, = yield (lo,)
+    if g_lo - 1.0 <= 0.0:
+        return None
+    g_hi, = yield (hi,)
+    if g_hi - 1.0 > 0.0:
+        raise NumericalFailure(
+            f"no gamma2 = 1 sign change for {family} in bracket {(lo, hi)}"
+        )
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        g_mid, = yield (mid,)
+        if g_mid - 1.0 > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def find_crossover(family: str, m: int | None = None,
                    bracket: tuple[float, float] = (0.0, 20.0),
                    tol: float = 1e-6) -> CrossoverResult:
-    """Bisection root of gamma2(alpha0) = 1 over the default bracket.
+    """Bisection root of gamma2(alpha0) = 1 over the bracket, run by
+    ``_lockstep`` as one search.
 
     If gamma2 is already below one at alpha0 = 0 the family stays below
     unity for every displacement and that is reported instead of a root.
     """
     state_at = _family_builder(family, m)
-
-    def g2(a0):
-        return gamma2(state_at(a0))
-
-    lo, hi = bracket
-    f_lo = g2(lo) - 1.0
-    if f_lo <= 0.0:
+    root, = _lockstep([state_at], [_bisection(*bracket, tol, family)])
+    if root is None:
         return CrossoverResult(family, m, None, None, True)
-    f_hi = g2(hi) - 1.0
-    if f_hi > 0.0:
-        raise NumericalFailure(
-            f"no gamma2 = 1 sign change for {family} in bracket {bracket}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g2(mid) - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    return CrossoverResult(family, m, root, scrb_het_second(state_at(root)), False)
+    return CrossoverResult(family, m, root, crb_report(state_at(root)).h2_het, False)
 
 
 def _golden_section(grid: np.ndarray, tol: float):
@@ -400,20 +359,7 @@ def minimize_gamma2_grid(jobs, bracket_hi: float | None = None,
         if hi is None:
             hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
         searches.append(_golden_section(np.linspace(0.0, hi, 65), tol))
-    wanted = [next(s) for s in searches]
-    results = [None] * len(jobs)
-    live = range(len(jobs))
-    while live:
-        g2 = iter(crb_grid([builders[i](a) for i in live for a in wanted[i]]).gamma2.tolist())
-        still = []
-        for i in live:
-            try:
-                wanted[i] = searches[i].send([next(g2) for _ in wanted[i]])
-                still.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-        live = still
-    return results
+    return _lockstep(builders, searches)
 
 
 def minimize_gamma2(family: str, m: int | None = None,

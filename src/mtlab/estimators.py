@@ -66,10 +66,6 @@ class ProcessedMoments:
         """Empirical variance of X^2 per phase (weight denominator, order 2)."""
         return self.m4 - self.m2 ** 2
 
-    def degenerate_mask(self, eps_var: float = _EPS_VAR) -> np.ndarray:
-        """Phases whose empirical variance cannot support a weight."""
-        return (self.var2 <= eps_var) | (self.var4 <= eps_var)
-
 
 def processed_moments(dataset: HomodyneDataset) -> ProcessedMoments:
     """Empirical per-phase moments of a homodyne dataset."""
@@ -118,10 +114,9 @@ def linear_first_estimator(p: ProcessedMoments) -> MomentEstimate:
                           r_hat=FirstMoments(r[0], r[1]))
 
 
-def optimal_first_estimator(p: ProcessedMoments,
-                            eps_var: float = _EPS_VAR) -> MomentEstimate:
+def optimal_first_estimator(p: ProcessedMoments) -> MomentEstimate:
     """Variance-weighted first-moment estimator (asymptotically efficient)."""
-    usable = p.var2 > eps_var
+    usable = p.var2 > _EPS_VAR
     if not np.all(usable):
         warnings.warn("excluding phases with degenerate variance from the "
                       "first-moment weights", RuntimeWarning, stacklevel=2)
@@ -138,10 +133,9 @@ def optimal_first_estimator(p: ProcessedMoments,
                           r_hat=FirstMoments(r[0], r[1]))
 
 
-def optimal_second_estimator(p: ProcessedMoments,
-                             eps_var: float = _EPS_VAR) -> MomentEstimate:
+def optimal_second_estimator(p: ProcessedMoments) -> MomentEstimate:
     """Variance-weighted second-moment estimator in vectorized form."""
-    usable = p.var4 > eps_var
+    usable = p.var4 > _EPS_VAR
     if not np.all(usable):
         warnings.warn("excluding phases with degenerate fourth-moment variance "
                       "from the second-moment weights", RuntimeWarning, stacklevel=2)

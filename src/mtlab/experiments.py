@@ -246,7 +246,8 @@ def _check_search(jobs: list, where: str) -> None:
 
 def _run_crossover(cfg: ExperimentConfig) -> list:
     family, (m,), hi = _parse_search(cfg, m_sweep=False)
-    res = crb.find_crossover(family, m=m, bracket=(0.0, 20.0 if hi is None else hi))
+    bracket = {} if hi is None else {"bracket": (0.0, hi)}
+    res = crb.find_crossover(family, m=m, **bracket)
     return [{
         "family": family,
         "m": "" if m is None else m,

@@ -24,7 +24,6 @@ there is no approximate fallback.
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ import numpy as np
 from . import states as st
 from .phasespace import het_shift
 from .special import hyp1f1_log, log_factorial
-from .states import StateModel, state_to_kv
+from .states import StateModel
 
 __all__ = [
     "HomodyneDataset",
@@ -91,7 +90,6 @@ class HomodyneDataset:
     phases: np.ndarray
     samples: list
     seed: int
-    state_kv: str = ""
 
     @property
     def counts(self) -> np.ndarray:
@@ -101,20 +99,6 @@ class HomodyneDataset:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# schema=mtlab.homodyne.v1\n")
-        buf.write(f"# state={self.state_kv}\n")
-        buf.write(f"# n_theta={len(self.phases)}\n")
-        buf.write(f"# N={self.total}\n")
-        buf.write(f"# seed={self.seed}\n")
-        buf.write("theta,x\n")
-        for th, xs in zip(self.phases, self.samples):
-            tr = repr(float(th))
-            for x in xs:
-                buf.write(f"{tr},{float(x)!r}\n")
-        return buf.getvalue()
-
 
 @dataclass(frozen=True)
 class HeterodyneDataset:
@@ -122,44 +106,6 @@ class HeterodyneDataset:
 
     points: np.ndarray
     seed: int
-    state_kv: str = ""
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("# schema=mtlab.heterodyne.v1\n")
-        buf.write(f"# state={self.state_kv}\n")
-        buf.write(f"# N={len(self.points)}\n")
-        buf.write(f"# seed={self.seed}\n")
-        buf.write("x,p\n")
-        for x, p in self.points:
-            buf.write(f"{float(x)!r},{float(p)!r}\n")
-        return buf.getvalue()
-
-
-def dataset_from_csv(text: str):
-    """Parse either dataset CSV schema back into its dataset object."""
-    meta = {}
-    rows = []
-    header = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            k, _, v = line[1:].strip().partition("=")
-            meta[k.strip()] = v.strip()
-        elif header is None:
-            header = line.strip()
-        else:
-            rows.append(tuple(float(t) for t in line.split(",")))
-    data = np.array(rows) if rows else np.empty((0, 2))
-    seed = int(meta.get("seed", 0))
-    if meta.get("schema") == "mtlab.homodyne.v1":
-        phases = np.unique(data[:, 0])
-        samples = [data[data[:, 0] == th, 1] for th in phases]
-        return HomodyneDataset(phases, samples, seed, meta.get("state", ""))
-    if meta.get("schema") == "mtlab.heterodyne.v1":
-        return HeterodyneDataset(data, seed, meta.get("state", ""))
-    raise ValueError("unrecognized dataset schema")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +209,7 @@ def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
         nk = base + (1 if k < rem else 0)
         gen = substream(seed, TAG_PHASE, k)
         samples.append(_sample_quadrature(state, float(th), nk, gen))
-    return HomodyneDataset(phases, samples, int(seed), state_to_kv(state))
+    return HomodyneDataset(phases, samples, int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +269,7 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
     n = int(n_samples)
     if isinstance(state, st.PhotonAddedCoherent):  # exact for the whole state, shift included
         pts = _sample_photon_added_husimi(complex(state.alpha0), state.m, n, gen)
-        return HeterodyneDataset(pts, int(seed), state_to_kv(state))
+        return HeterodyneDataset(pts, int(seed))
     if isinstance(state, st.Gaussian):
         chol = np.linalg.cholesky(het_shift(state.g).as_array())
         core = gen.normal(size=(n, 2)) @ chol.T
@@ -349,5 +295,4 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
             lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env,
             lambda g, k: centers[g.integers(0, 2, size=k)] + g.normal(0.0, sd, size=(k, 2)),
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
-    return HeterodyneDataset(core + state._moments.shift[0], int(seed),
-                             state_to_kv(state))
+    return HeterodyneDataset(core + state._moments.shift[0], int(seed))

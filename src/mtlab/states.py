@@ -548,7 +548,7 @@ def husimi_pdf(state: StateModel, x, p) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plain-text serialization (used by CLI configs and dataset headers)
+# plain-text serialization (used by CLI configs, reports and error messages)
 # ---------------------------------------------------------------------------
 
 def _fmt_complex(z: complex) -> str:

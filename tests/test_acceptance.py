@@ -20,19 +20,14 @@ from mtlab import (
     Gaussian,
     GaussianShape,
     PhotonAddedCoherent,
+    crb_report,
     find_crossover,
-    fisher_hom_second,
-    gamma1,
-    gamma2,
     gaussian_cov_from_shape,
     husimi_moments,
     minimize_gamma2,
     quadrature_moments,
-    scrb_het_first,
-    scrb_het_second,
-    scrb_hom_first,
-    scrb_hom_second,
 )
+from mtlab.crb import _grid
 from mtlab.estimators import monte_carlo_mse
 from mtlab.oracle import (
     cf_husimi_moment,
@@ -58,16 +53,17 @@ def test_criterion_1_closed_form_constants():
         nonlocal worst
         worst = max(worst, abs(value - target) / abs(target))
 
-    check(gamma2(VACUUM), 1.2)
-    check(gamma2(Fock(1)), 16.0 / 15.0)
+    check(crb_report(VACUUM).gamma2, 1.2)
+    check(crb_report(Fock(1)).gamma2, 16.0 / 15.0)
     for n in range(0, 51):
-        s = Fock(n)
-        check(scrb_hom_second(s), 5.0 * (n * n + n + 1))
-        check(scrb_het_second(s), 2.0 * (n + 1) * (n + 3))
-        check(scrb_hom_first(s), 2.0 * (2 * n + 1))
-        check(scrb_het_first(s), 2.0 * (n + 1))
-    check(scrb_hom_first(VACUUM), 2.0)
-    check(scrb_het_first(VACUUM), 2.0)
+        rep = crb_report(Fock(n))
+        check(rep.h2_hom, 5.0 * (n * n + n + 1))
+        check(rep.h2_het, 2.0 * (n + 1) * (n + 3))
+        check(rep.h1_hom, 2.0 * (2 * n + 1))
+        check(rep.h1_het, 2.0 * (n + 1))
+    rep = crb_report(VACUUM)
+    check(rep.h1_hom, 2.0)
+    check(rep.h1_het, 2.0)
     _report(1, "closed-form constants", worst < 1e-9, f"worst rel err {worst:.2e}")
 
 
@@ -113,22 +109,22 @@ def test_criterion_3_asymptotics():
     # 'within 1%' is read as one percentage point of the ratio: the exact
     # closed forms put the relative deviations at ~1.5% (3/n tail), so the
     # absolute reading is the attainable one
-    checks.append(("fock n=200 -> 2/5", abs(gamma2(Fock(200)) - 0.4), 0.01))
+    checks.append(("fock n=200 -> 2/5", abs(crb_report(Fock(200)).gamma2 - 0.4), 0.01))
     thermal = Gaussian(FirstMoments(0.0, 0.0),
                        gaussian_cov_from_shape(GaussianShape(1000.0, 1.0)))
     checks.append(("thermal mu=1e3 -> 3/10 (rel)",
-                   abs(gamma2(thermal) - 0.3) / 0.3, 5e-3))
+                   abs(crb_report(thermal).gamma2 - 0.3) / 0.3, 5e-3))
 
     from scipy.optimize import minimize_scalar
 
-    res = minimize_scalar(lambda a: gamma1(EvenOddCoherent(float(a), "even")),
+    res = minimize_scalar(lambda a: crb_report(EvenOddCoherent(float(a), "even")).gamma1,
                           bounds=(1.2, 2.4), method="bounded",
                           options={"xatol": 1e-10})
     checks.append(("even gamma1 min value", abs(res.fun - 0.7577), 2e-3))
     checks.append(("even gamma1 min location", abs(res.x - 1.715), 2e-3))
 
     checks.append(("displaced (m=5, a0=50) -> 6/11",
-                   abs(gamma2(DisplacedFock(50.0, 5)) - 6.0 / 11.0), 0.01))
+                   abs(crb_report(DisplacedFock(50.0, 5)).gamma2 - 6.0 / 11.0), 0.01))
 
     for m in (10, 20, 30, 40):
         model = 0.4 + 6.0 / (5.0 * m)
@@ -146,7 +142,7 @@ def test_criterion_4_gaussian_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         s = random_gaussian(rng)
-        fc = fisher_hom_second(s).matrix
+        fc = _grid([s])[0][0]
         fq = numeric_fisher(s, "second")
         worst = max(worst, float(np.max(np.abs(fc - fq)) / np.max(np.abs(fq))))
     _report(4, "noncentral-Gaussian Fisher vs the Simpson oracle",
@@ -234,11 +230,11 @@ MC_STATES = {
     "displaced_fock_2_1": DisplacedFock(1.0, 2),
 }
 
-BOUND_FNS = {
-    ("hom", "first"): scrb_hom_first,
-    ("hom", "second"): scrb_hom_second,
-    ("het", "first"): scrb_het_first,
-    ("het", "second"): scrb_het_second,
+BOUND_FIELDS = {
+    ("hom", "first"): "h1_hom",
+    ("hom", "second"): "h2_hom",
+    ("het", "first"): "h1_het",
+    ("het", "second"): "h2_het",
 }
 
 
@@ -251,7 +247,7 @@ def test_criterion_6_monte_carlo_bound_attainment():
         for scheme in ("hom", "het"):
             for order in ("first", "second"):
                 seed = MC_SEEDS[f"{sname}|{scheme}|{order}"]
-                bound = BOUND_FNS[(scheme, order)](state)
+                bound = getattr(crb_report(state), BOUND_FIELDS[(scheme, order)])
                 # trials draw from their own substreams, so two worker
                 # threads give the same result as a serial run
                 res = monte_carlo_mse(

@@ -168,9 +168,7 @@ class TestExperiments:
             raise AssertionError("per-state bound called")
 
         monkeypatch.setattr(crb, "crb_grid", counted)
-        for name in ("fisher_hom_second", "crb_report", "gamma2",
-                     "scrb_hom_second", "scrb_het_second"):
-            monkeypatch.setattr(crb, name, per_state)
+        monkeypatch.setattr(crb, "crb_report", per_state)
         rep = run(load_config(text=f"[experiment]\nkind = {kind}\n", overrides=overrides))
         assert len(calls) == 1
         assert calls[0] == len(rep.rows) * (2 if kind == "fig5" else 1)
@@ -288,6 +286,25 @@ class TestCliEndToEnd:
         assert self.run_cli(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and says in err
+
+    @pytest.mark.parametrize("argv", [
+        ["crossover", "--set", "search.family=coherent", "--set", "search.m=3"],
+        ["gamma2-min", "--set", "search.family=even_coherent", "--set", "search.m=0:2:3"],
+        ["fig6", "--set", "experiment.families=odd_coherent", "--set", "sweep.m=0:2:3"],
+    ])
+    def test_m_for_family_without_one_exit_code(self, capsys, argv):
+        assert self.run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "takes no parameter m" in err
+
+    def test_failed_fisher_check_exit_code(self, monkeypatch, capsys):
+        # a Fisher matrix that is not positive definite names its state, exit 3
+        base = crb._trapezoid
+        monkeypatch.setattr(crb, "_trapezoid", lambda states, c: -base(states, c))
+        code = self.run_cli(["crb", "--set", "state.family=fock", "--set", "state.n=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "family=fock n=1" in err
 
     def test_numerical_error_exit_code(self):
         code = self.run_cli(["crossover", "--set", "search.family=coherent",

@@ -16,20 +16,12 @@ from mtlab import (
     crb_grid,
     crb_report,
     find_crossover,
-    fisher_hom_first,
-    fisher_hom_second,
-    gamma1,
-    gamma2,
     gaussian_cov_from_shape,
     minimize_gamma2,
     minimize_gamma2_grid,
-    scrb_het_first,
-    scrb_het_second,
-    scrb_hom_first,
-    scrb_hom_second,
 )
 import mtlab.crb
-from mtlab.crb import NumericalFailure, ScaledFisher
+from mtlab.crb import NumericalFailure
 from mtlab.states import state_to_kv
 from mtlab.oracle import numeric_fisher
 from mtlab.special import hyp1f1
@@ -43,7 +35,16 @@ def gaussian_from_shape(mu, lam, phi=0.0, x0=0.0, p0=0.0):
                     gaussian_cov_from_shape(GaussianShape(mu, lam, phi)))
 
 
-class TestScaledFisher:
+def fisher_second(s):
+    """The scaled 3x3 second-moment homodyne Fisher matrix of one state."""
+    return mtlab.crb._grid([s])[0][0]
+
+
+def trace_inv(f):
+    return float(np.trace(np.linalg.inv(f)))
+
+
+class TestFisherCheck:
     def test_symmetry_tolerance(self):
         # |m - m.T| <= 1e-12 + 1e-10 |m.T|, entry by entry
         m = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
@@ -51,42 +52,49 @@ class TestScaledFisher:
         inside, outside = m.copy(), m.copy()
         inside[0, 1] += 0.9 * tol
         outside[0, 1] += 1.1 * tol
-        assert ScaledFisher("second", inside).crb() > 0
-        with pytest.raises(ValueError, match="symmetric"):
-            ScaledFisher("second", outside)
+        states = [Fock(0), Fock(1)]
+        mtlab.crb._check_fisher(states, np.stack([m, inside]))
+        with pytest.raises(NumericalFailure, match="symmetric: " + state_to_kv(Fock(1))):
+            mtlab.crb._check_fisher(states, np.stack([m, outside]))
 
 
 class TestFirstMoment:
+    # the first-moment Fisher matrix is (G + sqrt(det G) I)^-1; crb keeps only
+    # the trace of its inverse, h1_hom, so the matrix comes from the oracle
     def test_vacuum_fisher_is_identity(self):
-        assert np.allclose(fisher_hom_first(VACUUM).matrix, np.eye(2), atol=1e-12)
+        f = numeric_fisher(VACUUM, "first")
+        assert np.allclose(f, np.eye(2), atol=1e-12)
+        assert crb_report(VACUUM).h1_hom == pytest.approx(trace_inv(f), rel=1e-12)
 
     def test_fock_fisher(self):
         for n in (1, 4):
-            f = fisher_hom_first(Fock(n)).matrix
+            f = numeric_fisher(Fock(n), "first")
             assert np.allclose(f, np.eye(2) / (2 * n + 1), atol=1e-12)
+            assert crb_report(Fock(n)).h1_hom == pytest.approx(trace_inv(f), rel=1e-12)
 
     def test_squeezed_closed_form(self):
         s = Gaussian(FirstMoments(0, 0), CovarianceMatrix(0.25, 0.0, 1.0))
-        f = fisher_hom_first(s)
-        assert f.crb() == pytest.approx(2.25, rel=1e-10)
-        assert scrb_hom_first(s) == pytest.approx(2.25)
+        assert trace_inv(numeric_fisher(s, "first")) == pytest.approx(2.25, rel=1e-10)
+        assert crb_report(s).h1_hom == pytest.approx(2.25)
 
     def test_fisher_trace_inverse_matches_closed_form(self, rng):
         for _ in range(20):
             s = random_state(rng)
-            assert fisher_hom_first(s).crb() == pytest.approx(scrb_hom_first(s), rel=1e-8)
+            assert trace_inv(numeric_fisher(s, "first")) == pytest.approx(
+                crb_report(s).h1_hom, rel=1e-8)
 
     def test_fock_bounds(self):
         for n in (0, 1, 5):
-            assert scrb_hom_first(Fock(n)) == pytest.approx(2 * (2 * n + 1), rel=1e-12)
-            assert scrb_het_first(Fock(n)) == pytest.approx(2 * (n + 1), rel=1e-12)
+            rep = crb_report(Fock(n))
+            assert rep.h1_hom == pytest.approx(2 * (2 * n + 1), rel=1e-12)
+            assert rep.h1_het == pytest.approx(2 * (n + 1), rel=1e-12)
 
     def test_even_coherent_closed_form(self):
         a0 = 0.9
         a = a0 ** 2
         b = a0 ** 2 * math.tanh(a0 ** 2) + 0.5
         expect = 2 * (b + math.sqrt(b * b - a * a))
-        assert scrb_hom_first(EvenOddCoherent(a0, "even")) == pytest.approx(expect, rel=1e-10)
+        assert crb_report(EvenOddCoherent(a0, "even")).h1_hom == pytest.approx(expect, rel=1e-10)
 
     def test_photon_added_het_closed_form(self):
         m, a0 = 2, 1.1
@@ -98,17 +106,17 @@ class TestFirstMoment:
         # a = z (f0 f'' - f'^2)/f0^2 written in derivative ratios
         a = z * (f2r - f1r ** 2)
         expect = 2 * (a + f1r)
-        assert scrb_het_first(PhotonAddedCoherent(a0, m)) == pytest.approx(expect, rel=1e-10)
+        assert crb_report(PhotonAddedCoherent(a0, m)).h1_het == pytest.approx(expect, rel=1e-10)
 
     def test_gamma1_values(self):
-        assert gamma1(Fock(1)) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert gamma1(DisplacedFock(1.3, 0)) == pytest.approx(1.0, rel=1e-12)
-        assert gamma1(VACUUM) == pytest.approx(1.0, rel=1e-12)
+        assert crb_report(Fock(1)).gamma1 == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert crb_report(DisplacedFock(1.3, 0)).gamma1 == pytest.approx(1.0, rel=1e-12)
+        assert crb_report(VACUUM).gamma1 == pytest.approx(1.0, rel=1e-12)
 
     def test_gamma1_never_exceeds_one(self, rng):
         for _ in range(500):
             s = random_state(rng)
-            g1 = gamma1(s)
+            g1 = crb_report(s).gamma1
             assert g1 <= 1.0 + 1e-9
             from mtlab import covariance
             if abs(covariance(s).det - 0.25) < 1e-9:
@@ -116,14 +124,14 @@ class TestFirstMoment:
 
     def test_displaced_fock_matches_fock(self):
         for m in (0, 2):
-            assert gamma1(DisplacedFock(1.5, m)) == pytest.approx(
-                gamma1(Fock(m)), rel=1e-12)
+            assert crb_report(DisplacedFock(1.5, m)).gamma1 == pytest.approx(
+                crb_report(Fock(m)).gamma1, rel=1e-12)
 
 
 class TestSecondMomentFisher:
     def test_fock_matrix(self):
         for n in (0, 1, 3):
-            f = fisher_hom_second(Fock(n)).matrix
+            f = fisher_second(Fock(n))
             expect = np.array([[3, 0, 1], [0, 2, 0], [1, 0, 3]]) / (4.0 * (n * n + n + 1))
             assert np.allclose(f, expect, atol=1e-13)
 
@@ -133,13 +141,13 @@ class TestSecondMomentFisher:
 
         v = quadrature_x2_variance(s, np.linspace(0, np.pi, 7))
         assert np.allclose(v, 4.5, atol=1e-12)  # mu^2/2
-        assert scrb_hom_second(s) == pytest.approx(5 * 9.0, rel=1e-12)
+        assert crb_report(s).h2_hom == pytest.approx(5 * 9.0, rel=1e-12)
 
     def test_noncentral_closed_vs_quadrature(self, rng):
         worst = 0.0
         for _ in range(100):
             s = random_gaussian(rng)
-            fc = fisher_hom_second(s).matrix
+            fc = fisher_second(s)
             fq = numeric_fisher(s, "second")
             worst = max(worst, float(np.max(np.abs(fc - fq)) / np.max(np.abs(fq))))
         assert worst < 1e-8
@@ -148,7 +156,7 @@ class TestSecondMomentFisher:
         for fam in (1, 2, 3):
             for _ in range(10):
                 s = random_state(rng, family=fam)
-                fc = fisher_hom_second(s).matrix
+                fc = fisher_second(s)
                 fq = numeric_fisher(s, "second")
                 assert np.max(np.abs(fc - fq)) < 1e-8 * np.max(np.abs(fq))
 
@@ -156,37 +164,37 @@ class TestSecondMomentFisher:
         # r0 = 0 puts the variance roots in coincident pairs
         for _ in range(20):
             s = random_gaussian(rng, central=True)
-            fc = fisher_hom_second(s).matrix
+            fc = fisher_second(s)
             fq = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fq)) < 1e-8 * np.max(np.abs(fq))
 
 
 class TestSecondMomentBounds:
     def test_fock_values(self):
-        assert scrb_hom_second(Fock(1)) == pytest.approx(15.0, rel=1e-12)
-        assert scrb_het_second(Fock(2)) == pytest.approx(30.0, rel=1e-12)
-        assert scrb_het_second(VACUUM) == pytest.approx(6.0, rel=1e-12)
+        assert crb_report(Fock(1)).h2_hom == pytest.approx(15.0, rel=1e-12)
+        assert crb_report(Fock(2)).h2_het == pytest.approx(30.0, rel=1e-12)
+        assert crb_report(VACUUM).h2_het == pytest.approx(6.0, rel=1e-12)
 
     def test_coherent_at_critical_displacement(self):
-        s = DisplacedFock(math.sqrt(5.0 / 32.0), 0)
-        assert scrb_hom_second(s) == pytest.approx(63.0 / 8.0, rel=1e-10)
-        assert scrb_het_second(s) == pytest.approx(63.0 / 8.0, rel=1e-10)
+        rep = crb_report(DisplacedFock(math.sqrt(5.0 / 32.0), 0))
+        assert rep.h2_hom == pytest.approx(63.0 / 8.0, rel=1e-10)
+        assert rep.h2_het == pytest.approx(63.0 / 8.0, rel=1e-10)
 
     def test_coherent_hom_closed_form(self, rng):
         for a0 in (0.3, 1.0, 2.5):
             s = DisplacedFock(a0, 0)
             expect = 3 + 12 * a0 ** 2 + 2 * math.sqrt(1 + 8 * a0 ** 2)
-            assert scrb_hom_second(s) == pytest.approx(expect, rel=1e-10)
+            assert crb_report(s).h2_hom == pytest.approx(expect, rel=1e-10)
 
     def test_displaced_fock_het_closed_form(self):
         # 2 (m+1)(m+3+6 a0^2); the Fock and coherent limits pin the constant
         for m, a0 in ((1, 1.0), (2, 0.5), (0, 1.2)):
             expect = 2 * (m + 1) * (m + 3 + 6 * a0 ** 2)
-            assert scrb_het_second(DisplacedFock(a0, m)) == pytest.approx(expect, rel=1e-10)
-        assert scrb_het_second(DisplacedFock(0.0, 3)) == pytest.approx(
-            scrb_het_second(Fock(3)), rel=1e-12)
+            assert crb_report(DisplacedFock(a0, m)).h2_het == pytest.approx(expect, rel=1e-10)
+        assert crb_report(DisplacedFock(0.0, 3)).h2_het == pytest.approx(
+            crb_report(Fock(3)).h2_het, rel=1e-12)
         # coherent alpha0 = 1: 2 (3 + 6 alpha0^2) = 18
-        assert scrb_het_second(DisplacedFock(1.0, 0)) == pytest.approx(18.0, rel=1e-12)
+        assert crb_report(DisplacedFock(1.0, 0)).h2_het == pytest.approx(18.0, rel=1e-12)
 
     def test_even_odd_closed_forms(self):
         for parity, sgn in (("even", 1.0), ("odd", -1.0)):
@@ -198,20 +206,20 @@ class TestSecondMomentBounds:
                 l = 2 * a2
                 hom = 6 * m_pm + 4 * math.sqrt(m_pm ** 2 - l * l)
                 het = 6 + 12 * a2 * t + sgn * 8 * a2 * a2 / cosh_like ** 2
-                s = EvenOddCoherent(a0, parity)
-                assert scrb_hom_second(s) == pytest.approx(hom, rel=1e-10)
-                assert scrb_het_second(s) == pytest.approx(het, rel=1e-10)
+                rep = crb_report(EvenOddCoherent(a0, parity))
+                assert rep.h2_hom == pytest.approx(hom, rel=1e-10)
+                assert rep.h2_het == pytest.approx(het, rel=1e-10)
 
     def test_photon_added_small_amplitude_expansion(self):
         m, a0 = 1, 0.05
         approx = 5 * (m * m + m + 1) + 10 * a0 ** 2 * (m + 1) * (m + 2)
-        assert scrb_hom_second(PhotonAddedCoherent(a0, m)) == pytest.approx(
+        assert crb_report(PhotonAddedCoherent(a0, m)).h2_hom == pytest.approx(
             approx, abs=2e-3)
 
     def test_gamma2_values(self):
-        assert gamma2(VACUUM) == pytest.approx(1.2, rel=1e-12)
-        assert gamma2(Fock(1)) == pytest.approx(16.0 / 15.0, rel=1e-12)
-        g2 = gamma2(Fock(400))
+        assert crb_report(VACUUM).gamma2 == pytest.approx(1.2, rel=1e-12)
+        assert crb_report(Fock(1)).gamma2 == pytest.approx(16.0 / 15.0, rel=1e-12)
+        g2 = crb_report(Fock(400)).gamma2
         assert abs(g2 - 0.4) < 0.01
 
     def test_rotation_invariance(self, rng):
@@ -220,23 +228,20 @@ class TestSecondMomentBounds:
         for _ in range(15):
             mu = float(np.exp(rng.uniform(0, 1.2)))
             lam = float(np.exp(rng.uniform(0.05, 1.0)))
-            base = gaussian_from_shape(mu, lam, 0.0)
-            h2h, h2e = scrb_hom_second(base), scrb_het_second(base)
+            base = crb_report(gaussian_from_shape(mu, lam, 0.0))
             for phi in rng.uniform(0, np.pi, 3):
-                s = gaussian_from_shape(mu, lam, float(phi))
-                assert scrb_hom_second(s) == pytest.approx(h2h, rel=1e-9)
-                assert scrb_het_second(s) == pytest.approx(h2e, rel=1e-9)
+                rep = crb_report(gaussian_from_shape(mu, lam, float(phi)))
+                assert rep.h2_hom == pytest.approx(base.h2_hom, rel=1e-9)
+                assert rep.h2_het == pytest.approx(base.h2_het, rel=1e-9)
         for _ in range(10):
             a0 = rng.uniform(0.3, 1.5)
             for build in (lambda a: EvenOddCoherent(a, "odd"),
                           lambda a: DisplacedFock(a, 2),
                           lambda a: PhotonAddedCoherent(a, 1)):
-                base = build(complex(a0))
-                rot = build(complex(a0 * np.exp(1j * rng.uniform(0, 2 * np.pi))))
-                assert scrb_hom_second(rot) == pytest.approx(
-                    scrb_hom_second(base), rel=1e-9)
-                assert scrb_het_second(rot) == pytest.approx(
-                    scrb_het_second(base), rel=1e-9)
+                base = crb_report(build(complex(a0)))
+                rot = crb_report(build(complex(a0 * np.exp(1j * rng.uniform(0, 2 * np.pi)))))
+                assert rot.h2_hom == pytest.approx(base.h2_hom, rel=1e-9)
+                assert rot.h2_het == pytest.approx(base.h2_het, rel=1e-9)
 
     def test_het_bound_from_gaussian_formula(self, rng):
         # var-combination route equals 2[(Tr S)^2 - det S + r0 S r0 + Tr S r0^2]
@@ -246,7 +251,7 @@ class TestSecondMomentBounds:
             r0 = s.r0.as_array()
             expect = 2 * (np.trace(ghet) ** 2 - np.linalg.det(ghet)
                           + r0 @ ghet @ r0 + np.trace(ghet) * (r0 @ r0))
-            assert scrb_het_second(s) == pytest.approx(float(expect), rel=1e-10)
+            assert crb_report(s).h2_het == pytest.approx(float(expect), rel=1e-10)
 
 
 class TestSearches:
@@ -293,8 +298,8 @@ class TestSearches:
         # gamma2 curves for the two parities intersect near alpha0 = 0.631
         from scipy.optimize import brentq
 
-        f = lambda a: (gamma2(EvenOddCoherent(a, "even"))
-                       - gamma2(EvenOddCoherent(a, "odd")))
+        f = lambda a: (crb_report(EvenOddCoherent(a, "even")).gamma2
+                       - crb_report(EvenOddCoherent(a, "odd")).gamma2)
         root = brentq(f, 0.4, 0.9, xtol=1e-10)
         assert root == pytest.approx(0.631, abs=0.01)
 
@@ -303,14 +308,17 @@ class TestSearches:
         # so the attainable 0.01 window at alpha0 = 50 ends near m = 8
         for m in (1, 3, 5, 8):
             expect = (m + 1) / (2 * m + 1)
-            assert abs(gamma2(DisplacedFock(50.0, m)) - expect) < 0.01
-        assert abs(gamma2(DisplacedFock(120.0, 10)) - 11.0 / 21.0) < 0.01
+            assert abs(crb_report(DisplacedFock(50.0, m)).gamma2 - expect) < 0.01
+        assert abs(crb_report(DisplacedFock(120.0, 10)).gamma2 - 11.0 / 21.0) < 0.01
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             find_crossover("bogus")
         with pytest.raises(ValueError):
             find_crossover("displaced_fock")  # missing m
+        for family in ("coherent", "even_coherent", "odd_coherent"):
+            with pytest.raises(ValueError, match="takes no parameter m"):
+                find_crossover(family, m=3)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NumericalFailure):
@@ -320,7 +328,7 @@ class TestSearches:
 class TestReport:
     def test_report_fields(self):
         s = PhotonAddedCoherent(0.7, 1)
-        assert fisher_hom_second(s).matrix.shape == (3, 3)
+        assert fisher_second(s).shape == (3, 3)
         rep = crb_report(s)
         assert rep.gamma2 == pytest.approx(rep.h2_het / rep.h2_hom)
 
@@ -351,7 +359,7 @@ class TestHomodyneFisherRoute:
         # small amplitude, rotation symmetry, large m and large |alpha0|
         for s in _near_degenerate_states():
             fo = numeric_fisher(s, "second")
-            f = fisher_hom_second(s).matrix
+            f = fisher_second(s)
             assert np.max(np.abs(f - fo)) <= 1e-12 * np.max(np.abs(fo)), s
 
     def test_harmonics_beyond_4theta_raise(self, monkeypatch):
@@ -359,7 +367,7 @@ class TestHomodyneFisherRoute:
         monkeypatch.setattr(mtlab.crb, "_x2_variance",
                             lambda h, th: base(h, th) + 0.1 * np.cos(6 * th))
         with pytest.raises(NumericalFailure):
-            fisher_hom_second(Fock(1))
+            crb_report(Fock(1))
 
     @pytest.mark.parametrize("var", [
         lambda th: 0.5 + np.cos(2 * th),        # changes sign
@@ -369,7 +377,7 @@ class TestHomodyneFisherRoute:
         monkeypatch.setattr(mtlab.crb, "_x2_variance",
                             lambda h, th: var(np.asarray(th))[None])
         with pytest.raises(NumericalFailure):
-            fisher_hom_second(Fock(1))
+            crb_report(Fock(1))
 
 
 def _mixed_grid(per_family=60, seed=7):
@@ -387,7 +395,6 @@ class TestGrid:
             one = crb_report(s)
             for name, value in vars(one).items():
                 assert getattr(grid, name)[k] == pytest.approx(value, rel=1e-14, abs=0), (s, name)
-            assert gamma2(s) == pytest.approx(grid.gamma2[k], rel=1e-14, abs=0)
 
     def test_grid_fisher_matches_oracle(self):
         states = _mixed_grid()
@@ -419,9 +426,11 @@ class TestGrid:
 
 
 _SEARCH_STATES = {
+    "coherent": lambda a0, m: DisplacedFock(a0, 0),
     "displaced_fock": lambda a0, m: DisplacedFock(a0, m),
     "photon_added": lambda a0, m: PhotonAddedCoherent(a0, m),
     "even_coherent": lambda a0, m: EvenOddCoherent(a0, "even"),
+    "odd_coherent": lambda a0, m: EvenOddCoherent(a0, "odd"),
 }
 
 
@@ -429,7 +438,7 @@ def scalar_golden_minimum(family, m, bracket_hi=None, tol=1e-6):
     """Reference search: a 65-point scan and a golden section over alpha0,
     gamma2 evaluated one state at a time."""
     def g2(a0):
-        return gamma2(_SEARCH_STATES[family](float(a0), m))
+        return crb_report(_SEARCH_STATES[family](float(a0), m)).gamma2
 
     if bracket_hi is None:
         bracket_hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
@@ -490,6 +499,7 @@ class TestLockstepSearch:
         [("displaced_fock", 1), ("bogus", None)],
         [("even_coherent", None), ("photon_added", None)],  # missing m
         [("displaced_fock", 1), ("displaced_fock", -1)],
+        [("displaced_fock", 1), ("even_coherent", 0)],  # m for a family without one
     ])
     def test_bad_job_raises_before_any_evaluation(self, monkeypatch, jobs):
         def never(states):
@@ -498,3 +508,51 @@ class TestLockstepSearch:
         monkeypatch.setattr(mtlab.crb, "crb_grid", never)
         with pytest.raises(ValueError):
             minimize_gamma2_grid(jobs)
+
+
+def scalar_bisection(family, m, tol=1e-6):
+    """Reference crossover: bisection of gamma2 = 1 over alpha0 in [0, 20],
+    gamma2 evaluated one state at a time.  Returns (alpha0, h2_het there)."""
+    def g2(a0):
+        return crb_report(_SEARCH_STATES[family](float(a0), m)).gamma2
+
+    lo, hi = 0.0, 20.0
+    assert g2(lo) > 1.0 and g2(hi) <= 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g2(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    return root, crb_report(_SEARCH_STATES[family](root, m)).h2_het
+
+
+_CROSSOVER_JOBS = [("coherent", None), ("even_coherent", None), ("odd_coherent", None),
+                   ("displaced_fock", 1)]
+
+
+class TestCrossoverSearch:
+    @pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-9}])
+    def test_equals_scalar_bisection(self, kwargs):
+        for family, m in _CROSSOVER_JOBS:
+            res = find_crossover(family, m, **kwargs)
+            assert not res.always_below_unity
+            assert (res.alpha0, res.h2) == scalar_bisection(family, m, **kwargs), family
+
+    def test_grid_calls(self, monkeypatch):
+        sizes = []
+        grid = mtlab.crb.crb_grid
+
+        def counted(states):
+            sizes.append(len(states))
+            return grid(states)
+
+        monkeypatch.setattr(mtlab.crb, "crb_grid", counted)
+        res = find_crossover("displaced_fock", 2)
+        assert res.always_below_unity and res.alpha0 is None and res.h2 is None
+        assert sizes == [1]  # gamma2 at alpha0 = 0 only
+        sizes.clear()
+        find_crossover("coherent")
+        # both ends, 25 halvings of [0, 20] down to 1e-6, and the root
+        assert sizes == [1] * 28

@@ -7,11 +7,11 @@ from mtlab import (
     Fock,
     Gaussian,
     PhotonAddedCoherent,
-    fisher_hom_first,
-    fisher_hom_second,
+    crb_report,
     husimi_moments,
     quadrature_moments,
 )
+from mtlab.crb import _grid
 from mtlab.oracle import (
     OracleConfig,
     OracleFailure,
@@ -107,16 +107,16 @@ class TestNumericFisher:
         for _ in range(5):
             s = random_state(rng)
             f2 = numeric_fisher(s, "second")
-            assert np.allclose(f2, fisher_hom_second(s).matrix,
-                               rtol=1e-8, atol=1e-10)
+            assert np.allclose(f2, _grid([s])[0][0], rtol=1e-8, atol=1e-10)
+            # crb keeps no first-moment matrix: compare the bound, Tr F^-1
             f1 = numeric_fisher(s, "first")
-            assert np.allclose(f1, fisher_hom_first(s).matrix, rtol=1e-8, atol=1e-10)
+            assert np.trace(np.linalg.inv(f1)) == pytest.approx(crb_report(s).h1_hom, rel=1e-8)
 
     def test_noncentral_gaussian_closed_form(self, rng):
         from conftest import random_gaussian
 
         for _ in range(5):
             s = random_gaussian(rng)
-            fc = fisher_hom_second(s).matrix
+            fc = _grid([s])[0][0]
             fn = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fn)) < 1e-8 * np.max(np.abs(fn))

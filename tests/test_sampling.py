@@ -26,7 +26,6 @@ from mtlab.sampling import (
     _accept_into,
     _rejection,
     _sample_photon_added_husimi,
-    dataset_from_csv,
     derive_key,
     substream,
 )
@@ -76,7 +75,6 @@ class TestHomodyne:
             d1 = sample_homodyne(s, 3, 600, seed=123)
             d2 = sample_homodyne(s, 3, 600, seed=123)
             assert all((a == b).all() for a, b in zip(d1.samples, d2.samples))
-            assert d1.to_csv() == d2.to_csv()  # byte-for-byte
             d3 = sample_homodyne(s, 3, 600, seed=124)
             assert not all((a == b).all() for a, b in zip(d1.samples, d3.samples))
 
@@ -295,20 +293,3 @@ class TestHeterodyne:
         for name, vals in monomials.items():
             se = vals.std() / math.sqrt(n)
             assert abs(vals.mean() - getattr(h, name)) < 4.0 * se + 1e-9, name
-
-
-class TestCsv:
-    def test_homodyne_roundtrip(self):
-        d = sample_homodyne(VACUUM, 3, 30, seed=77)
-        back = dataset_from_csv(d.to_csv())
-        assert back.seed == 77
-        assert back.state_kv == d.state_kv
-        assert np.allclose(back.phases, d.phases)
-        for a, b in zip(back.samples, d.samples):
-            assert (a == b).all()
-
-    def test_heterodyne_roundtrip(self):
-        d = sample_heterodyne(Fock(1), 25, seed=5)
-        back = dataset_from_csv(d.to_csv())
-        assert (back.points == d.points).all()
-        assert back.state_kv == "family=fock n=1"
