@@ -7,6 +7,9 @@ estimators, seedable synthetic data, and Monte-Carlo verification that the
 estimators attain the bounds.
 """
 
+# the one version string: pyproject.toml and report metadata read it
+__version__ = "0.1.0"
+
 from .phasespace import (
     CovarianceMatrix,
     FirstMoments,
@@ -48,7 +51,6 @@ from .sampling import (
     sample_homodyne,
 )
 from .estimators import (
-    MomentEstimate,
     ProcessedMoments,
     het_first_estimator,
     het_second_estimator,
@@ -58,5 +60,3 @@ from .estimators import (
     optimal_second_estimator,
     processed_moments,
 )
-
-__version__ = "0.1.0"

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import crb, estimators
+from . import __version__, crb, estimators
 from .phasespace import FirstMoments, GaussianShape, gaussian_cov_from_shape
+from .sampling import derive_key
 from .states import (
     EvenOddCoherent,
     Fock,
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-TOOL_VERSION = "0.1.0"
 
 EXPERIMENTS = (
     "crb", "gamma-sweep", "crossover", "gamma2-min", "mc-verify",
@@ -273,7 +273,7 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
     try:
         n_samples = int(mc.get("N", 100000))
         trials = int(mc.get("trials", 100))
-        n_theta = int(mc.get("n_theta", 24))
+        n_theta = int(mc.get("n_theta", estimators.N_THETA))
     except ValueError as exc:
         raise ConfigError(f"bad [mc] value: {exc}") from None
     schemes = _choice(mc, "mc", "scheme",
@@ -287,8 +287,7 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
     for scheme in schemes:
         for order in orders:
             res = estimators.monte_carlo_mse(
-                state, scheme, order, n_samples, trials,
-                n_theta=n_theta if scheme == "hom" else None,
+                state, scheme, order, n_samples, trials, n_theta=n_theta,
                 seed=_mc_cell_seed(cfg.seed, scheme, order),
                 workers=cfg.workers,
             )
@@ -306,8 +305,6 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
 
 def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
     """Distinct reproducible seed per (scheme, order) cell of an MC table."""
-    from .sampling import derive_key
-
     tag = {"hom": 1, "het": 2}[scheme] * 10 + {"first": 1, "second": 2}[order]
     return derive_key(seed, tag)
 
@@ -401,7 +398,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
             echo.append(f"{sec}.{key}={cfg.sections[sec][key]}")
     meta = {
         "schema_version": SCHEMA_VERSION,
-        "tool": f"mtlab {TOOL_VERSION}",
+        "tool": f"mtlab {__version__}",
         "experiment": cfg.kind,
         "seed": cfg.seed,
         "config": ";".join(echo),

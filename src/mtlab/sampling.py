@@ -7,7 +7,8 @@ reproducible across platforms and safe to generate in parallel: the output
 never depends on scheduling, only on (state, sizes, seed).
 
 Both samplers draw the core state of :mod:`mtlab.states` and add the
-phase-space shift once.  Gaussian quadrature samples are normal draws.  The
+phase-space shift once, except the photon-added heterodyne draw, which is of
+the whole state.  Gaussian quadrature samples are normal draws.  The
 other families' quadrature samples are drawn from the core density by
 rejection against a Gaussian envelope about the core's own <Y_theta>, with
 variance three times the core's <Y_theta^2>, so a large displacement does
@@ -89,7 +90,6 @@ class HomodyneDataset:
 
     phases: np.ndarray
     samples: list
-    seed: int
 
     @property
     def counts(self) -> np.ndarray:
@@ -105,7 +105,6 @@ class HeterodyneDataset:
     """Phase-space scatter (x_j, p_j) distributed by the Husimi function."""
 
     points: np.ndarray
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
         nk = base + (1 if k < rem else 0)
         gen = substream(seed, TAG_PHASE, k)
         samples.append(_sample_quadrature(state, float(th), nk, gen))
-    return HomodyneDataset(phases, samples, int(seed))
+    return HomodyneDataset(phases, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def _sample_fock_husimi(n_photon: int, n: int, gen: np.random.Generator) -> np.n
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
 
-def _sample_photon_added_husimi(alpha0: complex, m: int, n: int,
+def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
                                 gen: np.random.Generator,
                                 cutoff: int | None = None) -> np.ndarray:
     """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2).
@@ -236,13 +235,15 @@ def _sample_photon_added_husimi(alpha0: complex, m: int, n: int,
     with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2, which sum to
     m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
     with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
-    Fock-space cutoff and the lost weight is checked against the 1F1 sum.
+    Fock-space cutoff (default_cutoff of the state unless given) and the
+    lost weight is checked against the 1F1 sum.
     """
+    alpha0, m = complex(state.alpha0), state.m
     z0 = abs(alpha0) ** 2
     if z0 == 0.0:
         return _sample_fock_husimi(m, n, gen)
     if cutoff is None:
-        cutoff = st.default_cutoff(st.PhotonAddedCoherent(alpha0, m))
+        cutoff = st.default_cutoff(state)
     k = np.arange(cutoff + 1)
     logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
     top = float(np.max(logw))
@@ -268,8 +269,7 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
     gen = substream(seed, TAG_HET)
     n = int(n_samples)
     if isinstance(state, st.PhotonAddedCoherent):  # exact for the whole state, shift included
-        pts = _sample_photon_added_husimi(complex(state.alpha0), state.m, n, gen)
-        return HeterodyneDataset(pts, int(seed))
+        return HeterodyneDataset(_sample_photon_added_husimi(state, n, gen))
     if isinstance(state, st.Gaussian):
         chol = np.linalg.cholesky(het_shift(state.g).as_array())
         core = gen.normal(size=(n, 2)) @ chol.T
@@ -295,4 +295,4 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
             lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env,
             lambda g, k: centers[g.integers(0, 2, size=k)] + g.normal(0.0, sd, size=(k, 2)),
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
-    return HeterodyneDataset(core + state._moments.shift[0], int(seed))
+    return HeterodyneDataset(core + state._moments.shift[0])

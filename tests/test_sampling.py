@@ -266,7 +266,7 @@ class TestHeterodyne:
     def test_photon_added_mixture_defect_raises(self):
         gen = substream(1, 2)
         with pytest.raises(SamplingError):
-            _sample_photon_added_husimi(1.5 + 0.5j, 2, 100, gen, cutoff=3)
+            _sample_photon_added_husimi(PhotonAddedCoherent(1.5 + 0.5j, 2), 100, gen, cutoff=3)
 
     @pytest.mark.parametrize("state", FAMILIES,
                              ids=lambda s: type(s).__name__)
