@@ -20,9 +20,7 @@ import argparse
 import sys
 
 from . import experiments
-from .crb import NumericalFailure
 from .estimators import EstimatorError
-from .oracle import OracleFailure
 from .sampling import SamplingError
 
 EXIT_OK = 0
@@ -65,16 +63,12 @@ def main(argv=None) -> int:
             cfg.format = args.format
         if args.workers is not None:
             cfg.workers = args.workers
-    except experiments.ConfigError as exc:
-        print(f"mtlab: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         report = experiments.run(cfg)
     except experiments.ConfigError as exc:
         print(f"mtlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, OracleFailure, EstimatorError, SamplingError,
-            ArithmeticError) as exc:
+    except (EstimatorError, SamplingError, ArithmeticError) as exc:
+        # ArithmeticError covers crb.NumericalFailure and oracle.OracleFailure
         print(f"mtlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     text = experiments.emit_report(report, cfg.format, cfg.out)

@@ -52,7 +52,6 @@ __all__ = [
     "find_crossover",
     "minimize_gamma2",
     "minimize_gamma2_grid",
-    "CrossoverResult",
 ]
 
 _SQ2 = math.sqrt(2.0)
@@ -241,17 +240,6 @@ def _family_builder(family: str, m: int | None):
     return lambda a0: build(float(a0), m)
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
-    """Location of gamma2 = 1, or a report that gamma2 < 1 everywhere."""
-
-    family: str
-    m: int | None
-    alpha0: float | None
-    h2: float | None
-    always_below_unity: bool
-
-
 def _lockstep(builders, searches) -> list:
     """Run the search coroutines together and return what each returns.
 
@@ -299,18 +287,19 @@ def _bisection(lo: float, hi: float, tol: float, family: str):
 
 def find_crossover(family: str, m: int | None = None,
                    bracket: tuple[float, float] = (0.0, 20.0),
-                   tol: float = 1e-6) -> CrossoverResult:
+                   tol: float = 1e-6) -> tuple[float, float] | None:
     """Bisection root of gamma2(alpha0) = 1 over the bracket, run by
-    ``_lockstep`` as one search.
+    ``_lockstep`` as one search: (alpha0, h2_het) at the root.
 
-    If gamma2 is already below one at alpha0 = 0 the family stays below
-    unity for every displacement and that is reported instead of a root.
+    If gamma2 <= 1 already at the bracket's low end (alpha0 = 0 by default)
+    the family stays below unity for every displacement, and None is
+    returned instead of a root.
     """
     state_at = _family_builder(family, m)
     root, = _lockstep([state_at], [_bisection(*bracket, tol, family)])
     if root is None:
-        return CrossoverResult(family, m, None, None, True)
-    return CrossoverResult(family, m, root, crb_report(state_at(root)).h2_het, False)
+        return None
+    return root, crb_report(state_at(root)).h2_het
 
 
 def _golden_section(grid: np.ndarray, tol: float):

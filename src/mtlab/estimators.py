@@ -159,10 +159,8 @@ def het_second_estimator(d: HeterodyneDataset) -> np.ndarray:
         raise EstimatorError("empty heterodyne dataset")
     x = d.points[:, 0]
     pp = d.points[:, 1]
-    return np.array([
-        [np.mean(x * x), np.mean(x * pp)],
-        [np.mean(x * pp), np.mean(pp * pp)],
-    ])
+    xp = np.mean(x * pp)
+    return np.array([[np.mean(x * x), xp], [xp, np.mean(pp * pp)]])
 
 
 # ---------------------------------------------------------------------------

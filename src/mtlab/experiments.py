@@ -248,12 +248,13 @@ def _run_crossover(cfg: ExperimentConfig) -> list:
     family, (m,), hi = _parse_search(cfg, m_sweep=False)
     bracket = {} if hi is None else {"bracket": (0.0, hi)}
     res = crb.find_crossover(family, m=m, **bracket)
+    alpha0, h2 = ("", "") if res is None else res
     return [{
         "family": family,
         "m": "" if m is None else m,
-        "alpha0_star": "" if res.alpha0 is None else res.alpha0,
-        "h2_at_crossover": "" if res.h2 is None else res.h2,
-        "always_below_unity": res.always_below_unity,
+        "alpha0_star": alpha0,
+        "h2_at_crossover": h2,
+        "always_below_unity": res is None,
     }]
 
 

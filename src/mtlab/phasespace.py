@@ -89,10 +89,6 @@ class CovarianceMatrix:
     def det(self) -> float:
         return self.gxx * self.gpp - self.gxp * self.gxp
 
-    @property
-    def trace(self) -> float:
-        return self.gxx + self.gpp
-
     def is_physical(self) -> bool:
         """det G >= 1/4 up to rounding slack (HRS uncertainty bound)."""
         return self.det >= 0.25 - PHYSICALITY_TOL

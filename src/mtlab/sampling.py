@@ -32,7 +32,7 @@ import numpy as np
 
 from . import states as st
 from .phasespace import het_shift
-from .special import hyp1f1_log, log_factorial
+from .special import log_factorial
 from .states import StateModel
 
 __all__ = [
@@ -236,7 +236,8 @@ def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
     m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
     with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
     Fock-space cutoff (default_cutoff of the state unless given) and the
-    lost weight is checked against the 1F1 sum.
+    lost weight is checked against the full sum, e^z0 times the state's
+    finite normalization mass (``states._photon_added_mass``).
     """
     alpha0, m = complex(state.alpha0), state.m
     z0 = abs(alpha0) ** 2
@@ -248,7 +249,7 @@ def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
     logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
     top = float(np.max(logw))
     cdf = np.cumsum(np.exp(logw - top))
-    log_ref = log_factorial(m) + hyp1f1_log(m + 1, 1, z0)
+    log_ref = z0 + st._photon_added_mass(z0, m)[1]
     defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
     if defect > _MIXTURE_DEFECT:
         raise SamplingError(

@@ -1,11 +1,12 @@
 """Confluent hypergeometric, Laguerre and Hermite-oscillator evaluation.
 
-Only the regimes needed by the state models are implemented: 1F1(a; b; z)
-with small non-negative integer a - b, real z >= 0 (log-scaled to survive
-z of a few thousand) or complex z of moderate modulus, Laguerre polynomials
-by the three-term recurrence, and normalized harmonic-oscillator
-eigenfunctions evaluated by the stable recurrence on the functions
-themselves rather than the raw polynomials.
+Only the regimes needed here are implemented: 1F1(a; b; z) with small
+non-negative integer a - b, real z >= 0 (log-scaled to survive z of a few
+thousand) or complex z of moderate modulus, and Laguerre polynomials by the
+three-term recurrence, which serve the oracle and the tests; and normalized
+harmonic-oscillator eigenfunctions, which the state densities sum, evaluated
+by the stable recurrence on the functions themselves rather than the raw
+polynomials.
 """
 
 from __future__ import annotations

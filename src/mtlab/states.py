@@ -33,7 +33,7 @@ quadrature density is |sum_j c_j e^{i(m-j) theta} psi_j(y)|^2 and whose
 Husimi density is e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi).
 Fock and displaced Fock states have c = e_n; a photon-added state has the
 amplitudes of (B^dag + conj alpha0)^m |0> (Agarwal & Tara, PRA 43, 492,
-1991).
+1991), normalized by their own finite sum of squares (``_photon_added_mass``).
 
 Everything here is validated against the brute-force routes in
 :mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
@@ -50,7 +50,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .phasespace import CovarianceMatrix, FirstMoments
-from .special import hyp1f1_log, log_factorial, oscillator_eigenfunction_sum
+from .special import oscillator_eigenfunction_sum
 
 __all__ = [
     "Gaussian",
@@ -219,10 +219,6 @@ class _StateFamily:
     def _moments(self) -> _MomentData:
         return _moment_data([self])
 
-    @cached_property
-    def _covariance(self) -> CovarianceMatrix:
-        return CovarianceMatrix(*self._moments.covariance[0])
-
 
 class _FockVector(_StateFamily):
     """Families whose core is a finite Fock vector ``_vector`` = (c_0, ..., c_m)."""
@@ -250,6 +246,16 @@ class _FockVector(_StateFamily):
 # ---------------------------------------------------------------------------
 # state families
 # ---------------------------------------------------------------------------
+
+
+def _check_count(value, name: str) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer")
+
+
+def _check_amplitude(alpha0) -> None:
+    if not cmath.isfinite(complex(alpha0)):
+        raise ValueError("amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -289,8 +295,7 @@ class Fock(_FockVector):
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
-            raise ValueError("photon number n must be a non-negative integer")
+        _check_count(self.n, "photon number n")
 
     def _core(self):
         return 0.0, 0.0, _number_table(self.n)
@@ -310,8 +315,7 @@ class EvenOddCoherent(_StateFamily):
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
-        if not cmath.isfinite(complex(self.alpha0)):
-            raise ValueError("amplitude must be finite")
+        _check_amplitude(self.alpha0)
 
     def _core(self):
         # <a^dag^j a^k> = conj(a)^j a^k for even j + k, times tanh|a|^2 (even)
@@ -360,56 +364,65 @@ class EvenOddCoherent(_StateFamily):
 
 
 @dataclass(frozen=True)
-class DisplacedFock(_FockVector):
-    """Displaced Fock state D(alpha0)|m>."""
+class _DisplacedCore(_FockVector):
+    """Families whose Fock-vector core, fixed by m, is displaced by alpha0."""
 
     alpha0: complex
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 0):
-            raise ValueError("m must be a non-negative integer")
-        if not cmath.isfinite(complex(self.alpha0)):
-            raise ValueError("amplitude must be finite")
+        _check_count(self.m, "m")
+        _check_amplitude(self.alpha0)
 
     def _core(self):
         a = complex(self.alpha0)
-        return _SQ2 * a.real, _SQ2 * a.imag, _number_table(self.m)
+        return _SQ2 * a.real, _SQ2 * a.imag, self._core_table()
+
+
+class DisplacedFock(_DisplacedCore):
+    """Displaced Fock state D(alpha0)|m>."""
+
+    def _core_table(self):
+        return _number_table(self.m)
 
     @cached_property
     def _vector(self):
         return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
 
 
-@dataclass(frozen=True)
-class PhotonAddedCoherent(_FockVector):
+def _photon_added_mass(z: float, m: int) -> tuple[np.ndarray, float]:
+    """The mass ||(B^dag + sqrt z)^m |0>||^2 = sum_j C(m, j)^2 j! z^(m-j) =
+    m! L_m(-z) = m! e^{-z} 1F1(m+1; 1; z): (its terms j = 0..m over the
+    largest, the log of the sum).  term_{j-1}/term_j = j z/(m-j+1)^2 grows
+    with j, so the largest term follows the ratios below one, and each other
+    term is a product of ratios at most one: nothing overflows."""
+    j = np.arange(1, m + 1)
+    q = j * z / (m - j + 1.0) ** 2
+    top = int(np.count_nonzero(q < 1.0))
+    w = np.ones(m + 1)
+    w[:top] = np.cumprod(q[:top][::-1])[::-1]
+    w[top + 1:] = np.cumprod(1.0 / q[top:])
+    log_top = 2.0 * math.log(math.comb(m, top)) + math.lgamma(top + 1.0)
+    if top < m:  # then z > 0
+        log_top += (m - top) * math.log(z)
+    return w, log_top + math.log(w.sum())
+
+
+class PhotonAddedCoherent(_DisplacedCore):
     """Normalized (A^dag)^m |alpha0>."""
 
-    alpha0: complex
-    m: int
-
-    def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 0):
-            raise ValueError("m must be a non-negative integer")
-        if not cmath.isfinite(complex(self.alpha0)):
-            raise ValueError("amplitude must be finite")
-
-    def _core(self):
-        a = complex(self.alpha0)
-        return _SQ2 * a.real, _SQ2 * a.imag, _fock_table(self._vector)
+    def _core_table(self):
+        return _fock_table(self._vector)
 
     @cached_property
     def _vector(self):
         """Normalized amplitudes of (B^dag + conj a)^m |0> on |0>..|m>, since
         (A^dag)^m |a> = D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43,
-        492, 1991): c_j = C(m, j) sqrt(j!) conj(a)^(m-j) / sqrt(m! e^{-|a|^2}
-        1F1(m+1; 1; |a|^2)); at a = 0 only c_m = 1 survives, exactly."""
+        492, 1991): c_j = C(m, j) sqrt(j!) conj(a)^(m-j) over the root of
+        ``_photon_added_mass``; at a = 0 only c_m = 1 survives, exactly."""
         a, m = complex(self.alpha0), self.m
-        z = abs(a) ** 2
-        inv_norm = math.exp(-0.5 * (hyp1f1_log(m + 1, 1, z) - z))
-        log_m = log_factorial(m)
-        return np.array([math.comb(m, j) * math.exp(0.5 * (math.lgamma(j + 1.0) - log_m))
-                         * a.conjugate() ** (m - j) * inv_norm for j in range(m + 1)])
+        w = _photon_added_mass(abs(a) ** 2, m)[0]
+        return np.sqrt(w / w.sum()) * np.exp(-1j * cmath.phase(a) * np.arange(m, -1, -1))
 
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]
@@ -424,7 +437,6 @@ StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCo
 class QuadratureMomentTable:
     """First four moments of the rotated quadrature X_theta."""
 
-    theta: float
     m1: float
     m2: float
     m3: float
@@ -440,7 +452,6 @@ def quadrature_moments(state: StateModel, theta: float) -> QuadratureMomentTable
     """<X_theta^m> for m = 1..4."""
     _, u1, u2, u3, u4, x = _core_quadrature(state, float(theta)).tolist()
     return QuadratureMomentTable(
-        float(theta),
         x + u1,
         x * x + 2.0 * x * u1 + u2,
         x ** 3 + 3.0 * x * x * u1 + 3.0 * x * u2 + u3,
@@ -509,7 +520,7 @@ def first_moments(state: StateModel) -> FirstMoments:
 
 def covariance(state: StateModel) -> CovarianceMatrix:
     """State covariance matrix G; always satisfies det G >= 1/4."""
-    return state._covariance
+    return CovarianceMatrix(*state._moments.covariance[0])
 
 
 def second_moment_matrix(state: StateModel) -> CovarianceMatrix:

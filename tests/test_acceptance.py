@@ -70,27 +70,27 @@ def test_criterion_1_closed_form_constants():
 def test_criterion_2_crossovers_and_minima():
     checks = []
 
-    res = find_crossover("coherent", tol=1e-9)
+    a0, h2 = find_crossover("coherent", tol=1e-9)
     checks.append(("coherent crossover alpha0",
-                   abs(res.alpha0 - math.sqrt(5.0 / 32.0)), 1e-4))
+                   abs(a0 - math.sqrt(5.0 / 32.0)), 1e-4))
     checks.append(("coherent crossover H2 (rel)",
-                   abs(res.h2 - 63.0 / 8.0) / (63.0 / 8.0), 1e-6))
+                   abs(h2 - 63.0 / 8.0) / (63.0 / 8.0), 1e-6))
 
-    res = find_crossover("even_coherent", tol=1e-9)
-    checks.append(("even crossover", abs(res.alpha0 - 0.693), 1e-3))
+    a0, _ = find_crossover("even_coherent", tol=1e-9)
+    checks.append(("even crossover", abs(a0 - 0.693), 1e-3))
     a0, g2 = minimize_gamma2("even_coherent")
     checks.append(("even gamma2 min value", abs(g2 - 0.77096), 1e-3))
     checks.append(("even gamma2 min location", abs(a0 - 1.148), 1e-3))
 
-    res = find_crossover("odd_coherent", tol=1e-9)
-    checks.append(("odd crossover", abs(res.alpha0 - 1.128), 1e-3))
+    a0, _ = find_crossover("odd_coherent", tol=1e-9)
+    checks.append(("odd crossover", abs(a0 - 1.128), 1e-3))
     a0, g2 = minimize_gamma2("odd_coherent")
     checks.append(("odd gamma2 min value", abs(g2 - 0.86796), 1e-3))
     checks.append(("odd gamma2 min location", abs(a0 - 1.980), 1e-3))
 
-    res = find_crossover("displaced_fock", m=1, tol=1e-9)
+    a0, _ = find_crossover("displaced_fock", m=1, tol=1e-9)
     target = 0.5 * math.sqrt(19.0 / 3.0 - 2.0 * math.sqrt(87.0) / 3.0)
-    checks.append(("displaced m=1 crossover", abs(res.alpha0 - target), 1e-4))
+    checks.append(("displaced m=1 crossover", abs(a0 - target), 1e-4))
 
     a0, g2 = minimize_gamma2("photon_added", m=0)
     checks.append(("photon-added m=0 min value",

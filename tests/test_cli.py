@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +312,14 @@ class TestCliEndToEnd:
         code = self.run_cli(["crossover", "--set", "search.family=coherent",
                              "--set", "search.bracket_hi=0.1"])
         assert code == 3
+
+    def test_import_leaves_out_the_oracle(self):
+        # oracle failures are ArithmeticErrors, so the CLI needs no import of the oracle
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, mtlab.cli; sys.exit('mtlab.oracle' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
 
     def test_sampling_envelope_violation_exit_code(self, capsys):
         code = self.run_cli(["mc-verify", "--set", "state.family=even_coherent",

@@ -256,28 +256,26 @@ class TestSecondMomentBounds:
 
 class TestSearches:
     def test_coherent_crossover(self):
-        res = find_crossover("coherent")
-        assert res.alpha0 == pytest.approx(math.sqrt(5.0 / 32.0), abs=1e-6)
-        assert res.h2 == pytest.approx(63.0 / 8.0, abs=1e-5)
+        a0, h2 = find_crossover("coherent")
+        assert a0 == pytest.approx(math.sqrt(5.0 / 32.0), abs=1e-6)
+        assert h2 == pytest.approx(63.0 / 8.0, abs=1e-5)
 
     def test_even_coherent_crossover(self):
-        res = find_crossover("even_coherent")
-        assert res.alpha0 == pytest.approx(0.6938846847993235, abs=1e-6)
+        a0, _ = find_crossover("even_coherent")
+        assert a0 == pytest.approx(0.6938846847993235, abs=1e-6)
 
     def test_displaced_fock_always_below(self):
         for m in (2, 5):
-            res = find_crossover("displaced_fock", m=m)
-            assert res.always_below_unity
-            assert res.alpha0 is None
+            assert find_crossover("displaced_fock", m=m) is None
 
     def test_displaced_fock_m1_crossover(self):
-        res = find_crossover("displaced_fock", m=1)
+        a0, _ = find_crossover("displaced_fock", m=1)
         expect = 0.5 * math.sqrt(19.0 / 3.0 - 2.0 * math.sqrt(87.0) / 3.0)
-        assert res.alpha0 == pytest.approx(expect, abs=1e-6)
+        assert a0 == pytest.approx(expect, abs=1e-6)
 
     def test_photon_added_m1_crossover(self):
-        res = find_crossover("photon_added", m=1)
-        assert res.alpha0 == pytest.approx(0.2001, abs=1e-3)
+        a0, _ = find_crossover("photon_added", m=1)
+        assert a0 == pytest.approx(0.2001, abs=1e-3)
 
     def test_even_minimum(self):
         a0, g2 = minimize_gamma2("even_coherent")
@@ -536,9 +534,8 @@ class TestCrossoverSearch:
     @pytest.mark.parametrize("kwargs", [{}, {"tol": 1e-9}])
     def test_equals_scalar_bisection(self, kwargs):
         for family, m in _CROSSOVER_JOBS:
-            res = find_crossover(family, m, **kwargs)
-            assert not res.always_below_unity
-            assert (res.alpha0, res.h2) == scalar_bisection(family, m, **kwargs), family
+            got = find_crossover(family, m, **kwargs)
+            assert got == scalar_bisection(family, m, **kwargs), family
 
     def test_grid_calls(self, monkeypatch):
         sizes = []
@@ -549,8 +546,7 @@ class TestCrossoverSearch:
             return grid(states)
 
         monkeypatch.setattr(mtlab.crb, "crb_grid", counted)
-        res = find_crossover("displaced_fock", 2)
-        assert res.always_below_unity and res.alpha0 is None and res.h2 is None
+        assert find_crossover("displaced_fock", 2) is None
         assert sizes == [1]  # gamma2 at alpha0 = 0 only
         sizes.clear()
         find_crossover("coherent")

@@ -24,9 +24,9 @@ from mtlab import (
     state_from_kv,
     state_to_kv,
 )
-from mtlab.special import hyp1f1, oscillator_eigenfunction_sum
+from mtlab.special import hyp1f1, hyp1f1_log, log_factorial, oscillator_eigenfunction_sum
 from mtlab.oracle import CutoffError, fock_expansion
-from mtlab.states import quadrature_x2_variance
+from mtlab.states import _photon_added_mass, quadrature_x2_variance
 from conftest import random_state
 
 SQ2 = math.sqrt(2.0)
@@ -129,6 +129,10 @@ class TestMomentTable:
         EvenOddCoherent(1.3 - 0.4j, "odd"),
         DisplacedFock(0.9 + 0.6j, 2),
         PhotonAddedCoherent(-0.7 + 0.5j, 3),
+        # the largest criterion-3 search state, and one whose unscaled
+        # normalization sum of squares overflows
+        pytest.param(PhotonAddedCoherent(19.0, 40), id="PhotonAddedCoherent-19-40"),
+        pytest.param(PhotonAddedCoherent(20.0, 120), id="PhotonAddedCoherent-20-120"),
     ], ids=lambda s: type(s).__name__)
     def test_displaced_core_matches_fock_expansion(self, state):
         got = _table_of(state)
@@ -421,6 +425,13 @@ class TestPhotonAddedDensity:
             ref = self.fock_sum_pdf(s, theta, x)
             got = quadrature_pdf(s, theta, x)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), (s, theta)
+
+    def test_mass_is_kummer_sum(self):
+        # m! 1F1(m+1; 1; z) = e^z sum_j C(m, j)^2 j! z^(m-j), to 1e-12 relative
+        for m in (*range(0, 120, 7), 120):
+            for z in (0.0, 1e-6, 0.3, 2.0, 15.0, 60.0, 150.0, 400.0):
+                ref = log_factorial(m) + hyp1f1_log(m + 1, 1, z)
+                assert z + _photon_added_mass(z, m)[1] == pytest.approx(ref, abs=1e-12), (m, z)
 
     def test_zero_amplitude_is_fock_exactly(self):
         x = np.linspace(-8.0, 8.0, 1601)
