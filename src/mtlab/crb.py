@@ -23,7 +23,9 @@ The searches over the displacement amplitude are coroutines that yield the
 alpha0 values they need, and one driver, ``_lockstep``, runs any number of
 them together with one ``crb_grid`` call per step.  ``minimize_gamma2_grid``
 runs many golden-section searches on it (``minimize_gamma2`` is one job),
-and ``find_crossover`` one bisection.
+and ``find_crossover`` one bisection.  Both search alpha0 in [0, bracket_hi]
+and check every input of every job in ``_family_builder`` before their
+first evaluation.
 """
 
 from __future__ import annotations
@@ -224,8 +226,10 @@ _FAMILY_BUILDERS = {
 _TAKES_M = ("displaced_fock", "photon_added")
 
 
-def _family_builder(family: str, m: int | None):
-    """alpha0 -> state of the search family; checks the family and m."""
+def _family_builder(family: str, m: int | None, bracket_hi: float | None, tol: float):
+    """alpha0 -> state of the search family; checks every input of one search
+    job: the family, m, the bracket end bracket_hi (None takes the search's
+    default) and tol."""
     try:
         build = _FAMILY_BUILDERS[family]
     except KeyError:
@@ -237,6 +241,9 @@ def _family_builder(family: str, m: int | None):
         raise ValueError(f"family {family!r} takes no parameter m, got m={m}")
     if m is not None and m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
+    for name, value in (("bracket_hi", bracket_hi), ("tol", tol)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     return lambda a0: build(float(a0), m)
 
 
@@ -263,18 +270,18 @@ def _lockstep(builders, searches) -> list:
     return results
 
 
-def _bisection(lo: float, hi: float, tol: float, family: str):
-    """One crossover search as a coroutine: it yields the alpha0 values it
-    needs and is sent gamma2 at them, and returns the root of gamma2 = 1, or
-    None if gamma2 <= 1 already at lo (hi is then never evaluated)."""
+def _bisection(hi: float, tol: float, family: str):
+    """One crossover search over [0, hi] as a coroutine: it yields the alpha0
+    values it needs and is sent gamma2 at them, and returns the root of
+    gamma2 = 1, or None if gamma2 <= 1 already at 0 (hi is then never
+    evaluated)."""
+    lo = 0.0
     g_lo, = yield (lo,)
     if g_lo - 1.0 <= 0.0:
         return None
     g_hi, = yield (hi,)
     if g_hi - 1.0 > 0.0:
-        raise NumericalFailure(
-            f"no gamma2 = 1 sign change for {family} in bracket {(lo, hi)}"
-        )
+        raise NumericalFailure(f"no gamma2 = 1 sign change for {family} in [0, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         g_mid, = yield (mid,)
@@ -285,18 +292,18 @@ def _bisection(lo: float, hi: float, tol: float, family: str):
     return 0.5 * (lo + hi)
 
 
-def find_crossover(family: str, m: int | None = None,
-                   bracket: tuple[float, float] = (0.0, 20.0),
+def find_crossover(family: str, m: int | None = None, bracket_hi: float | None = None,
                    tol: float = 1e-6) -> tuple[float, float] | None:
-    """Bisection root of gamma2(alpha0) = 1 over the bracket, run by
-    ``_lockstep`` as one search: (alpha0, h2_het) at the root.
+    """Bisection root of gamma2(alpha0) = 1 over alpha0 in [0, bracket_hi]
+    (default 20), run by ``_lockstep`` as one search: (alpha0, h2_het) at the
+    root.  Every input is checked before any evaluation.
 
-    If gamma2 <= 1 already at the bracket's low end (alpha0 = 0 by default)
-    the family stays below unity for every displacement, and None is
-    returned instead of a root.
+    If gamma2 <= 1 already at alpha0 = 0 the family stays below unity for
+    every displacement, and None is returned instead of a root.
     """
-    state_at = _family_builder(family, m)
-    root, = _lockstep([state_at], [_bisection(*bracket, tol, family)])
+    state_at = _family_builder(family, m, bracket_hi, tol)
+    hi = 20.0 if bracket_hi is None else bracket_hi
+    root, = _lockstep([state_at], [_bisection(hi, tol, family)])
     if root is None:
         return None
     return root, crb_report(state_at(root)).h2_het
@@ -335,15 +342,15 @@ def minimize_gamma2_grid(jobs, bracket_hi: float | None = None,
     """Golden-section minima of gamma2 over alpha0 in [0, bracket_hi], one
     (alpha0_min, gamma2_min) per (family, m) job, the searches run in lockstep.
 
-    Every job is checked before any evaluation.  Each round is one
-    ``crb_grid`` call over the points the open searches need: first every
-    job's 65-point scan, then the two inner points, then one point per golden
-    step; a search leaves once its bracket is within tol and its minimum is
-    evaluated.  The default bracket_hi is max(5, 3 sqrt(m)).
+    Every input of every job is checked before any evaluation.  Each round
+    is one ``crb_grid`` call over the points the open searches need: first
+    every job's 65-point scan, then the two inner points, then one point per
+    golden step; a search leaves once its bracket is within tol and its
+    minimum is evaluated.  The default bracket_hi is max(5, 3 sqrt(m)).
     """
     builders, searches = [], []
     for family, m in jobs:
-        builders.append(_family_builder(family, m))
+        builders.append(_family_builder(family, m, bracket_hi, tol))
         hi = bracket_hi
         if hi is None:
             hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0

@@ -24,14 +24,7 @@ import numpy as np
 from . import __version__, crb, estimators
 from .phasespace import FirstMoments, GaussianShape, gaussian_cov_from_shape
 from .sampling import derive_key
-from .states import (
-    EvenOddCoherent,
-    Fock,
-    Gaussian,
-    StateModel,
-    state_from_kv,
-    state_to_kv,
-)
+from .states import EvenOddCoherent, Fock, Gaussian, state_from_kv, state_to_kv
 
 __all__ = [
     "ConfigError",
@@ -151,18 +144,25 @@ def _parse_sweep(spec: str, key: str) -> list:
     return [float(v) for v in grid]
 
 
-def _parse_state(kv: dict) -> StateModel:
+@contextmanager
+def _bad(where: str):
+    """Scope in which a ValueError is a ConfigError about `where`; a
+    ConfigError passes through unchanged."""
     try:
-        return state_from_kv(kv)
+        yield
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"bad [state]: {exc}") from None
+        raise ConfigError(f"bad {where}: {exc}") from None
 
 
-def _state_with(base_kv: dict, **updates) -> StateModel:
-    kv = dict(base_kv)
-    for k, v in updates.items():
-        kv[k] = repr(v) if isinstance(v, float) else str(v)
-    return _parse_state(kv)
+def _section(cfg: ExperimentConfig, name: str, keys: tuple) -> dict:
+    """The [name] section of cfg, or a ConfigError naming any key not in keys."""
+    section = cfg.section(name)
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown [{name}] keys {unknown}; choose from {list(keys)}")
+    return section
 
 
 def _choice(section: dict, name: str, key: str, choices: dict):
@@ -176,16 +176,6 @@ def _choice(section: dict, name: str, key: str, choices: dict):
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
-
-
-@contextmanager
-def _sweep_states():
-    """Scope that builds the states of a figure grid, before any bound is
-    evaluated: a sweep value that makes no state is a ConfigError."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"bad [sweep]: {exc}") from None
 
 
 def _crb_rows(states: list, extras: list) -> list:
@@ -202,52 +192,35 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     sweeps = cfg.section("sweep")
     if cfg.kind == "gamma-sweep" and not sweeps:
         raise ConfigError("gamma-sweep requires a [sweep] section")
-    if not sweeps:
-        return _crb_rows([_parse_state(state_kv)], [{}])
-    if len(sweeps) != 1:
+    if len(sweeps) > 1:
         raise ConfigError("crb sweeps cover exactly one parameter")
-    (key, spec), = sweeps.items()
-    values = _parse_sweep(spec, key)
-    if not values:
-        raise ConfigError("empty sweep grid")
-    states = [_state_with(state_kv, **{key: v}) for v in values]
-    return _crb_rows(states, [{key: v} for v in values])
+    # one row per sweep value, or one row without a sweep column
+    extras = [{key: v} for key, spec in sweeps.items() for v in _parse_sweep(spec, key)] or [{}]
+    with _bad("[state]"):
+        states = [state_from_kv({**state_kv, **extra}) for extra in extras]
+    return _crb_rows(states, extras)
 
 
 def _parse_search(cfg: ExperimentConfig, m_sweep: bool):
     """(family, m values, bracket_hi) of a [search] section; m may be swept."""
-    search = cfg.section("search")
+    search = _section(cfg, "search", ("family", "m", "bracket_hi"))
     family = search.get("family")
     if family is None:
         raise ConfigError(f"{cfg.kind} needs [search] family=...")
     spec = search.get("m")
-    try:
+    with _bad("[search]"):
         hi = float(search["bracket_hi"]) if "bracket_hi" in search else None
         if spec is not None and m_sweep and ":" in spec:
             ms = _parse_sweep(spec, "m")
         else:
             ms = [None if spec is None else int(spec)]
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad [search] value: {exc}") from None
-    _check_search([(family, m) for m in ms], "[search]")
     return family, ms, hi
-
-
-def _check_search(jobs: list, where: str) -> None:
-    """ConfigError unless every (family, m) job names a search family."""
-    try:
-        for family, m in jobs:
-            crb._family_builder(family, m)  # checks the family and m, builds nothing
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from None
 
 
 def _run_crossover(cfg: ExperimentConfig) -> list:
     family, (m,), hi = _parse_search(cfg, m_sweep=False)
-    bracket = {} if hi is None else {"bracket": (0.0, hi)}
-    res = crb.find_crossover(family, m=m, **bracket)
+    with _bad("[search]"):  # every search input is checked before any evaluation
+        res = crb.find_crossover(family, m=m, bracket_hi=hi)
     alpha0, h2 = ("", "") if res is None else res
     return [{
         "family": family,
@@ -258,29 +231,42 @@ def _run_crossover(cfg: ExperimentConfig) -> list:
     }]
 
 
+def _minima_rows(jobs: list, bracket_hi: float | None, where: str) -> list:
+    """One row per (family, m) job: its gamma2 minimum, the searches run in
+    lockstep."""
+    with _bad(where):  # every search input is checked before any evaluation
+        minima = crb.minimize_gamma2_grid(jobs, bracket_hi=bracket_hi)
+    return [{"family": family, "m": "" if m is None else m, "alpha0_min": a0, "gamma2_min": g2}
+            for (family, m), (a0, g2) in zip(jobs, minima)]
+
+
 def _run_gamma2_min(cfg: ExperimentConfig) -> list:
     family, ms, hi = _parse_search(cfg, m_sweep=True)
-    minima = crb.minimize_gamma2_grid([(family, m) for m in ms], bracket_hi=hi)
-    return [{"family": family, "m": "" if m is None else m, "alpha0_min": a0, "gamma2_min": g2}
-            for m, (a0, g2) in zip(ms, minima)]
+    return _minima_rows([(family, m) for m in ms], hi, "[search]")
 
 
 def _run_mc_verify(cfg: ExperimentConfig) -> list:
     state_kv = cfg.section("state")
     if not state_kv:
         raise ConfigError("mc-verify needs a [state] section")
-    state = _parse_state(state_kv)
-    mc = cfg.section("mc")
-    try:
+    with _bad("[state]"):
+        state = state_from_kv(state_kv)
+    mc = _section(cfg, "mc", ("N", "trials", "n_theta", "scheme", "order"))
+    with _bad("[mc]"):
         n_samples = int(mc.get("N", 100000))
         trials = int(mc.get("trials", 100))
         n_theta = int(mc.get("n_theta", estimators.N_THETA))
-    except ValueError as exc:
-        raise ConfigError(f"bad [mc] value: {exc}") from None
     schemes = _choice(mc, "mc", "scheme",
                       {"both": ("hom", "het"), "hom": ("hom",), "het": ("het",)})
     orders = _choice(mc, "mc", "order", {"both": ("first", "second"),
                                          "first": ("first",), "second": ("second",)})
+    if trials < 2:
+        raise ConfigError(f"bad [mc] trials={trials}: at least 2 are required")
+    if n_theta < 3:
+        raise ConfigError(f"bad [mc] n_theta={n_theta}: at least 3 LO phases are required")
+    if n_samples < (n_theta if "hom" in schemes else 1):
+        raise ConfigError(f"bad [mc] N={n_samples}: a homodyne run needs one sample "
+                          f"per LO phase (N >= n_theta), a heterodyne run N >= 1")
     rep = crb.crb_report(state)
     bounds = {("hom", "first"): rep.h1_hom, ("het", "first"): rep.h1_het,
               ("hom", "second"): rep.h2_hom, ("het", "second"): rep.h2_het}
@@ -310,12 +296,18 @@ def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
     return derive_key(seed, tag)
 
 
-def _gaussians(pairs) -> list:
-    """One Gaussian state per ((x0, p0), (mu, lam)) pair, with the covariance
-    of shape (mu, lam, phi = 0); equal means and equal shapes share one object."""
+def _gaussian_rows(columns: tuple, jobs: list, place) -> list:
+    """One row per job: its columns, then gamma2 of the Gaussian state with
+    mean and shape (x0, p0), (mu, lam) = place(*job) and phi = 0.  Equal
+    means and equal shapes share one object; the whole grid is built before
+    any bound is evaluated."""
     mean = functools.cache(FirstMoments)
     cov = functools.cache(lambda mu, lam: gaussian_cov_from_shape(GaussianShape(mu, lam, 0.0)))
-    return [Gaussian(mean(*r0), cov(*shape)) for r0, shape in pairs]
+    with _bad("[sweep]"):
+        states = [Gaussian(mean(*r0), cov(*shape)) for r0, shape in (place(*j) for j in jobs)]
+    g2 = crb.crb_grid(states).gamma2.tolist()
+    del states  # the rows below reuse its memory
+    return [dict(zip(columns, (*job, g))) for job, g in zip(jobs, g2)]
 
 
 def _run_fig2(cfg: ExperimentConfig) -> list:
@@ -323,13 +315,9 @@ def _run_fig2(cfg: ExperimentConfig) -> list:
     alphas = _parse_sweep(sweep.get("alpha0", "0:0.79:3"), "alpha0")
     mus = _parse_sweep(sweep.get("mu", "1:4:31"), "mu")
     lams = _parse_sweep(sweep.get("lam", "1:4:31"), "lam")
-    jobs = [(a, mu, lam) for a in alphas for mu in mus for lam in lams]
-    with _sweep_states():
-        states = _gaussians(((math.sqrt(2.0) * a, 0.0), (mu, lam)) for a, mu, lam in jobs)
-    g2 = crb.crb_grid(states).gamma2.tolist()
-    del states  # the rows below reuse its memory
-    return [{"alpha0": a, "mu": mu, "lam": lam, "gamma2": g}
-            for (a, mu, lam), g in zip(jobs, g2)]
+    return _gaussian_rows(("alpha0", "mu", "lam", "gamma2"),
+                          [(a, mu, lam) for a in alphas for mu in mus for lam in lams],
+                          lambda a, mu, lam: ((math.sqrt(2.0) * a, 0.0), (mu, lam)))
 
 
 def _run_fig3(cfg: ExperimentConfig) -> list:
@@ -337,19 +325,15 @@ def _run_fig3(cfg: ExperimentConfig) -> list:
     mus = _parse_sweep(sweep.get("mu", "1:8:4"), "mu")
     x0s = _parse_sweep(sweep.get("x0", "-3:3:25"), "x0")
     p0s = _parse_sweep(sweep.get("p0", "-3:3:25"), "p0")
-    jobs = [(mu, x0, p0) for mu in mus for x0 in x0s for p0 in p0s]
-    with _sweep_states():
-        states = _gaussians(((x0, p0), (mu, mu)) for mu, x0, p0 in jobs)
-    g2 = crb.crb_grid(states).gamma2.tolist()
-    del states  # the rows below reuse its memory
-    return [{"mu": mu, "lam": mu, "x0": x0, "p0": p0, "gamma2": g}
-            for (mu, x0, p0), g in zip(jobs, g2)]
+    return _gaussian_rows(("mu", "lam", "x0", "p0", "gamma2"),
+                          [(mu, mu, x0, p0) for mu in mus for x0 in x0s for p0 in p0s],
+                          lambda mu, lam, x0, p0: ((x0, p0), (mu, lam)))
 
 
 def _run_fig4(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     ns = _parse_sweep(sweep.get("n", "0:30:31"), "n")
-    with _sweep_states():
+    with _bad("[sweep]"):
         states = [Fock(n) for n in ns]
     return _crb_rows(states, [{"n": n} for n in ns])
 
@@ -357,7 +341,7 @@ def _run_fig4(cfg: ExperimentConfig) -> list:
 def _run_fig5(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     alphas = _parse_sweep(sweep.get("alpha0", "0.05:3:60"), "alpha0")
-    with _sweep_states():
+    with _bad("[sweep]"):
         states = [EvenOddCoherent(a, p) for a in alphas for p in ("even", "odd")]
     g2 = crb.crb_grid(states).gamma2.tolist()
     return [{"alpha0": a, "gamma2_even": even, "gamma2_odd": odd}
@@ -368,10 +352,8 @@ def _run_fig6(cfg: ExperimentConfig) -> list:
     sweep = cfg.section("sweep")
     ms = _parse_sweep(sweep.get("m", "0:12:13"), "m")
     families = cfg.get("experiment", "families", "displaced_fock,photon_added").split(",")
-    jobs = [(f.strip(), m) for f in families for m in ms]
-    _check_search(jobs, "fig6 family or m")
-    return [{"family": family, "m": m, "alpha0_min": a0, "gamma2_min": g2}
-            for (family, m), (a0, g2) in zip(jobs, crb.minimize_gamma2_grid(jobs))]
+    return _minima_rows([(f.strip(), m) for f in families for m in ms], None,
+                        "fig6 family or m")
 
 
 _BODIES = {

@@ -49,7 +49,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .phasespace import CovarianceMatrix, FirstMoments
+from .phasespace import CovarianceMatrix, FirstMoments, GaussianShape, gaussian_cov_from_shape
 from .special import oscillator_eigenfunction_sum
 
 __all__ = [
@@ -609,15 +609,12 @@ def state_from_kv(text) -> StateModel:
         if family == "gaussian":
             x0 = float(kv.pop("x0", 0.0))
             p0 = float(kv.pop("p0", 0.0))
-            if "mu" in kv or "lam" in kv or "lambda" in kv:
-                from .phasespace import GaussianShape, gaussian_cov_from_shape
-
-                shape = GaussianShape(
+            if "mu" in kv or "lam" in kv:
+                g = gaussian_cov_from_shape(GaussianShape(
                     mu=float(kv.pop("mu", 1.0)),
-                    lam=float(kv.pop("lam", kv.pop("lambda", 1.0))),
+                    lam=float(kv.pop("lam", 1.0)),
                     phi=float(kv.pop("phi", 0.0)),
-                )
-                g = gaussian_cov_from_shape(shape)
+                ))
             else:
                 g = CovarianceMatrix(float(kv.pop("gxx")), float(kv.pop("gxp", 0.0)),
                                      float(kv.pop("gpp")))

@@ -28,6 +28,18 @@ def parse_csv(text):
     return meta, header, rows
 
 
+# a small, valid mc-verify run; a later --set overrides its entries
+_MC_FOCK = ["mc-verify", "--set", "state.family=fock", "--set", "state.n=1",
+            "--set", "mc.N=100", "--set", "mc.trials=2"]
+
+
+def _src_env():
+    """The environment of a subprocess that imports mtlab from this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestConfig:
     def test_overrides(self):
         cfg = load_config(text="[experiment]\nkind = fig4\n",
@@ -313,13 +325,32 @@ class TestCliEndToEnd:
                              "--set", "search.bracket_hi=0.1"])
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        *(["crossover", "--set", "search.family=coherent", "--set", f"search.bracket_hi={hi}"]
+          for hi in ("-1", "0", "nan", "inf")),
+        *(["gamma2-min", "--set", "search.family=even_coherent",
+           "--set", f"search.bracket_hi={hi}"] for hi in ("0", "nan")),
+        ["crossover", "--set", "search.family=coherent", "--set", "search.tol=1e-9"],
+        *(_MC_FOCK + ["--set", item]
+          for item in ("mc.trials=1", "mc.N=0", "mc.N=10", "mc.n_theta=2", "mc.n=1000")),
+    ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+    def test_bad_search_or_mc_value_exit_code(self, capsys, argv):
+        assert self.run_cli(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_mc_value_error_exits_without_traceback(self):
+        # the in-process main cannot see a leaked exception's exit code 1
+        proc = subprocess.run([sys.executable, "-m", "mtlab.cli", *_MC_FOCK,
+                               "--set", "mc.trials=1"],
+                              env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
     def test_import_leaves_out_the_oracle(self):
         # oracle failures are ArithmeticErrors, so the CLI needs no import of the oracle
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = "import sys, mtlab.cli; sys.exit('mtlab.oracle' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=60).returncode == 0
+        assert subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                              timeout=60).returncode == 0
 
     def test_sampling_envelope_violation_exit_code(self, capsys):
         code = self.run_cli(["mc-verify", "--set", "state.family=even_coherent",

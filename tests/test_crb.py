@@ -320,7 +320,7 @@ class TestSearches:
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NumericalFailure):
-            find_crossover("coherent", bracket=(0.0, 0.1))
+            find_crossover("coherent", bracket_hi=0.1)
 
 
 class TestReport:
@@ -462,6 +462,19 @@ def scalar_golden_minimum(family, m, bracket_hi=None, tol=1e-6):
 _MIXED_JOBS = [(f, m) for f in ("displaced_fock", "photon_added") for m in (0, 5, 12)]
 _MIXED_JOBS.append(("even_coherent", None))
 
+# search inputs that would give a wrong number, a hang or a traceback
+_BAD_SEARCH_KWARGS = [{"bracket_hi": 0.0}, {"bracket_hi": -1.0}, {"bracket_hi": math.nan},
+                      {"tol": 0.0}, {"tol": math.nan}]
+
+
+def _id(kwargs):
+    (key, value), = kwargs.items()
+    return f"{key}={value}"
+
+
+def _never_evaluated(states):
+    raise AssertionError("evaluated before the inputs were checked")
+
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("kwargs", [{}, {"bracket_hi": 6.0, "tol": 1e-9}])
@@ -493,19 +506,20 @@ class TestLockstepSearch:
         assert sizes[0] == 65 * len(_MIXED_JOBS)
         assert sizes[1] == 2 * len(_MIXED_JOBS)
 
-    @pytest.mark.parametrize("jobs", [
-        [("displaced_fock", 1), ("bogus", None)],
-        [("even_coherent", None), ("photon_added", None)],  # missing m
-        [("displaced_fock", 1), ("displaced_fock", -1)],
-        [("displaced_fock", 1), ("even_coherent", 0)],  # m for a family without one
+    @pytest.mark.parametrize("jobs, kwargs", [
+        *(pytest.param(jobs, {}, id=f"jobs{i}") for i, jobs in enumerate([
+            [("displaced_fock", 1), ("bogus", None)],
+            [("even_coherent", None), ("photon_added", None)],  # missing m
+            [("displaced_fock", 1), ("displaced_fock", -1)],
+            [("displaced_fock", 1), ("even_coherent", 0)],  # m for a family without one
+        ])),
+        *(pytest.param(_MIXED_JOBS, kwargs, id=_id(kwargs)) for kwargs in _BAD_SEARCH_KWARGS),
     ])
-    def test_bad_job_raises_before_any_evaluation(self, monkeypatch, jobs):
-        def never(states):
-            raise AssertionError("evaluated before the jobs were checked")
-
-        monkeypatch.setattr(mtlab.crb, "crb_grid", never)
-        with pytest.raises(ValueError):
-            minimize_gamma2_grid(jobs)
+    def test_bad_job_raises_before_any_evaluation(self, monkeypatch, jobs, kwargs):
+        monkeypatch.setattr(mtlab.crb, "crb_grid", _never_evaluated)
+        # a bad bracket_hi or tol is named, not found by a state that rejects it
+        with pytest.raises(ValueError, match=next(iter(kwargs), None)):
+            minimize_gamma2_grid(jobs, **kwargs)
 
 
 def scalar_bisection(family, m, tol=1e-6):
@@ -536,6 +550,12 @@ class TestCrossoverSearch:
         for family, m in _CROSSOVER_JOBS:
             got = find_crossover(family, m, **kwargs)
             assert got == scalar_bisection(family, m, **kwargs), family
+
+    @pytest.mark.parametrize("kwargs", _BAD_SEARCH_KWARGS + [{"bracket_hi": math.inf}], ids=_id)
+    def test_bad_input_raises_before_any_evaluation(self, monkeypatch, kwargs):
+        monkeypatch.setattr(mtlab.crb, "crb_grid", _never_evaluated)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            find_crossover("coherent", **kwargs)
 
     def test_grid_calls(self, monkeypatch):
         sizes = []
