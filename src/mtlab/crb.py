@@ -284,6 +284,8 @@ def _bisection(hi: float, tol: float, family: str):
         raise NumericalFailure(f"no gamma2 = 1 sign change for {family} in [0, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the bracket is down to adjacent floats
+            break
         g_mid, = yield (mid,)
         if g_mid - 1.0 > 0.0:
             lo = mid
@@ -327,10 +329,14 @@ def _golden_section(grid: np.ndarray, tol: float):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
+            if x1 in (lo, hi):  # the bracket is down to adjacent floats
+                break
             f1, = yield (x1,)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
+            if x2 in (lo, hi):
+                break
             f2, = yield (x2,)
     xmin = 0.5 * (lo + hi)
     g2, = yield (xmin,)

@@ -34,6 +34,7 @@ __all__ = [
     "het_second_estimator",
     "monte_carlo_mse",
     "McVerifyResult",
+    "McVerifyResults",
     "N_THETA",
 ]
 
@@ -177,54 +178,76 @@ class McVerifyResult:
     failures: int
 
 
-def _trial_error(state: StateModel, scheme: str, order: str, n_samples: int,
-                 n_theta: int, trial_seed: int, truth) -> float:
+class McVerifyResults(tuple):
+    """The ``McVerifyResult`` of each order of one ``monte_carlo_mse`` call,
+    in the order asked for."""
+
+    @property
+    def failures(self) -> int:
+        """Failed trials of the call, summed over its orders (the per-call
+        failure count that bench/tracing.py reads)."""
+        return sum(r.failures for r in self)
+
+
+def _trial_errors(state: StateModel, scheme: str, orders: tuple, n_samples: int,
+                  n_theta: int, trial_seed: int, truth: dict) -> list:
+    """One trial: a single draw, then per order N * |estimate - truth|^2, or
+    None where that order's estimator fails."""
     if scheme == "hom":
-        p = processed_moments(sampling.sample_homodyne(state, n_theta, n_samples, trial_seed))
-        est = optimal_first_estimator(p) if order == "first" else optimal_second_estimator(p)
+        data = processed_moments(sampling.sample_homodyne(state, n_theta, n_samples, trial_seed))
+        estimator = {"first": optimal_first_estimator, "second": optimal_second_estimator}
     else:
-        ds = sampling.sample_heterodyne(state, n_samples, trial_seed)
-        est = het_first_estimator(ds) if order == "first" else het_second_estimator(ds)
-    if order == "first":
-        diff = est.as_array() - truth
-        return float(n_samples * (diff @ diff))
-    diff = est - truth
-    return float(n_samples * np.sum(diff * diff))
+        data = sampling.sample_heterodyne(state, n_samples, trial_seed)
+        estimator = {"first": het_first_estimator, "second": het_second_estimator}
+    errors = []
+    for order in orders:
+        try:
+            est = estimator[order](data)
+        except EstimatorError:
+            errors.append(None)
+            continue
+        if order == "first":
+            diff = est.as_array() - truth[order]
+            errors.append(float(n_samples * (diff @ diff)))
+        else:
+            diff = est - truth[order]
+            errors.append(float(n_samples * np.sum(diff * diff)))
+    return errors
 
 
-def monte_carlo_mse(state: StateModel, scheme: str, order: str, n_samples: int,
+def monte_carlo_mse(state: StateModel, scheme: str, orders: tuple, n_samples: int,
                     trials: int, n_theta: int = N_THETA, seed: int = 0,
-                    workers: int = 1) -> McVerifyResult:
-    """Mean of N * (squared estimator error) over independent trials.
+                    workers: int = 1) -> McVerifyResults:
+    """Mean of N * (squared estimator error) over independent trials, one
+    ``McVerifyResult`` per estimator order in orders ('first', 'second').
 
-    The truth is the state's first-moment vector or second-moment matrix
+    Each trial draws one dataset, and every order asked for is estimated
+    from it, so the results of one call are correlated across orders.  The
+    truth is the state's first-moment vector or second-moment matrix
     (heterodyne second-moment errors are measured against G2 + I/2, which
     is equivalent to measuring the shifted estimate against G2).  Homodyne
     trials draw at n_theta LO phases; heterodyne trials ignore it.  Trial t
     samples with seed derive_key(seed, TAG_TRIAL, t), so any worker count
     produces the same result; per-trial errors are combined with exact
-    summation.  Estimator failures are counted, and more than 1 percent
-    aborts.
+    summation.  Estimator failures are counted per order, and more than
+    1 percent of the trials of any order aborts.
     """
     if scheme not in ("hom", "het"):
         raise ValueError("scheme must be 'hom' or 'het'")
-    if order not in ("first", "second"):
-        raise ValueError("order must be 'first' or 'second'")
+    orders = tuple(orders)
+    if not orders or any(o not in ("first", "second") for o in orders):
+        raise ValueError(f"orders must be a non-empty tuple of 'first' and 'second', "
+                         f"got {orders!r}")
     if trials < 2:
         raise ValueError("trials >= 2 required")
 
-    if order == "first":
-        truth = first_moments(state).as_array()
-    else:
-        g2 = second_moment_matrix(state).as_array()
-        truth = g2 + 0.5 * np.eye(2) if scheme == "het" else g2
+    g2 = second_moment_matrix(state).as_array()
+    truth = {"first": first_moments(state).as_array(),
+             "second": g2 + 0.5 * np.eye(2) if scheme == "het" else g2}
 
-    def run(trial: int):
-        try:
-            return _trial_error(state, scheme, order, n_samples, n_theta,
-                                sampling.derive_key(seed, TAG_TRIAL, trial), truth)
-        except EstimatorError:
-            return None
+    def run(trial: int) -> list:
+        return _trial_errors(state, scheme, orders, n_samples, n_theta,
+                             sampling.derive_key(seed, TAG_TRIAL, trial), truth)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -232,11 +255,14 @@ def monte_carlo_mse(state: StateModel, scheme: str, order: str, n_samples: int,
     else:
         results = [run(t) for t in range(trials)]
 
-    errors = [e for e in results if e is not None]
-    failures = trials - len(errors)
-    if failures > 0.01 * trials:
-        raise EstimatorError(f"{failures}/{trials} estimator failures")
-    mean = math.fsum(errors) / len(errors)
-    var = math.fsum((e - mean) ** 2 for e in errors) / (len(errors) - 1)
-    return McVerifyResult(scaled_mse=mean, stderr=math.sqrt(var / len(errors)),
-                          failures=failures)
+    out = []
+    for order, column in zip(orders, zip(*results)):
+        errors = [e for e in column if e is not None]
+        failures = trials - len(errors)
+        if failures > 0.01 * trials:
+            raise EstimatorError(f"{failures}/{trials} {order}-moment estimator failures")
+        mean = math.fsum(errors) / len(errors)
+        var = math.fsum((e - mean) ** 2 for e in errors) / (len(errors) - 1)
+        out.append(McVerifyResult(scaled_mse=mean, stderr=math.sqrt(var / len(errors)),
+                                  failures=failures))
+    return McVerifyResults(out)

@@ -272,12 +272,13 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
               ("hom", "second"): rep.h2_hom, ("het", "second"): rep.h2_het}
     rows = []
     for scheme in schemes:
-        for order in orders:
-            res = estimators.monte_carlo_mse(
-                state, scheme, order, n_samples, trials, n_theta=n_theta,
-                seed=_mc_cell_seed(cfg.seed, scheme, order),
-                workers=cfg.workers,
-            )
+        # one draw per trial feeds every order; the call takes the first order's cell seed
+        results = estimators.monte_carlo_mse(
+            state, scheme, orders, n_samples, trials, n_theta=n_theta,
+            seed=_mc_cell_seed(cfg.seed, scheme, orders[0]),
+            workers=cfg.workers,
+        )
+        for order, res in zip(orders, results):
             bound = bounds[scheme, order]
             rows.append({
                 "state": state_to_kv(state), "scheme": scheme, "order": order,
@@ -291,7 +292,8 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
 
 
 def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
-    """Distinct reproducible seed per (scheme, order) cell of an MC table."""
+    """Distinct reproducible seed per (scheme, order) cell of an MC table; the
+    draws of a scheme are seeded by the cell of the first order asked for."""
     tag = {"hom": 1, "het": 2}[scheme] * 10 + {"first": 1, "second": 2}[order]
     return derive_key(seed, tag)
 
@@ -311,7 +313,7 @@ def _gaussian_rows(columns: tuple, jobs: list, place) -> list:
 
 
 def _run_fig2(cfg: ExperimentConfig) -> list:
-    sweep = cfg.section("sweep")
+    sweep = _section(cfg, "sweep", ("alpha0", "mu", "lam"))
     alphas = _parse_sweep(sweep.get("alpha0", "0:0.79:3"), "alpha0")
     mus = _parse_sweep(sweep.get("mu", "1:4:31"), "mu")
     lams = _parse_sweep(sweep.get("lam", "1:4:31"), "lam")
@@ -321,7 +323,7 @@ def _run_fig2(cfg: ExperimentConfig) -> list:
 
 
 def _run_fig3(cfg: ExperimentConfig) -> list:
-    sweep = cfg.section("sweep")
+    sweep = _section(cfg, "sweep", ("mu", "x0", "p0"))
     mus = _parse_sweep(sweep.get("mu", "1:8:4"), "mu")
     x0s = _parse_sweep(sweep.get("x0", "-3:3:25"), "x0")
     p0s = _parse_sweep(sweep.get("p0", "-3:3:25"), "p0")
@@ -331,7 +333,7 @@ def _run_fig3(cfg: ExperimentConfig) -> list:
 
 
 def _run_fig4(cfg: ExperimentConfig) -> list:
-    sweep = cfg.section("sweep")
+    sweep = _section(cfg, "sweep", ("n",))
     ns = _parse_sweep(sweep.get("n", "0:30:31"), "n")
     with _bad("[sweep]"):
         states = [Fock(n) for n in ns]
@@ -339,7 +341,7 @@ def _run_fig4(cfg: ExperimentConfig) -> list:
 
 
 def _run_fig5(cfg: ExperimentConfig) -> list:
-    sweep = cfg.section("sweep")
+    sweep = _section(cfg, "sweep", ("alpha0",))
     alphas = _parse_sweep(sweep.get("alpha0", "0.05:3:60"), "alpha0")
     with _bad("[sweep]"):
         states = [EvenOddCoherent(a, p) for a in alphas for p in ("even", "odd")]
@@ -349,7 +351,7 @@ def _run_fig5(cfg: ExperimentConfig) -> list:
 
 
 def _run_fig6(cfg: ExperimentConfig) -> list:
-    sweep = cfg.section("sweep")
+    sweep = _section(cfg, "sweep", ("m",))
     ms = _parse_sweep(sweep.get("m", "0:12:13"), "m")
     families = cfg.get("experiment", "families", "displaced_fock,photon_added").split(",")
     return _minima_rows([(f.strip(), m) for f in families for m in ms], None,
@@ -372,6 +374,8 @@ _BODIES = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured experiment and assemble its report."""
+    _section(cfg, "experiment", ("kind", "seed", "workers", "families")
+             if cfg.kind == "fig6" else ("kind", "seed", "workers"))
     rows = _BODIES[cfg.kind](cfg)
     if not rows:
         raise ConfigError("experiment produced an empty row set")

@@ -250,8 +250,8 @@ def test_criterion_6_monte_carlo_bound_attainment():
                 bound = getattr(crb_report(state), BOUND_FIELDS[(scheme, order)])
                 # trials draw from their own substreams, so two worker
                 # threads give the same result as a serial run
-                res = monte_carlo_mse(
-                    state, scheme, order, n_samples, trials,
+                res, = monte_carlo_mse(
+                    state, scheme, (order,), n_samples, trials,
                     n_theta=n_theta, seed=seed,
                     workers=2)
                 ratio = res.scaled_mse / bound

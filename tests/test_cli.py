@@ -220,6 +220,32 @@ class TestExperiments:
         assert 0.9 <= row["ratio"] <= 1.1
 
 
+    def test_mc_verify_draws_once_per_trial_and_scheme(self, monkeypatch):
+        # every order asked for reads the same draw of a trial
+        from mtlab import sampling
+
+        draws = {"hom": 0, "het": 0}
+
+        def counted(scheme, sampler):
+            def draw(*args):
+                draws[scheme] += 1
+                return sampler(*args)
+            return draw
+
+        monkeypatch.setattr(sampling, "sample_homodyne",
+                            counted("hom", sampling.sample_homodyne))
+        monkeypatch.setattr(sampling, "sample_heterodyne",
+                            counted("het", sampling.sample_heterodyne))
+        cfg = load_config(
+            text="[experiment]\nkind = mc-verify\nseed = 2\n"
+                 "[state]\nfamily = fock\nn = 1\n"
+                 "[mc]\nscheme = both\norder = both\nN = 600\ntrials = 7\nn_theta = 6\n")
+        rows = run(cfg).rows
+        assert [(r["scheme"], r["order"]) for r in rows] == [
+            ("hom", "first"), ("hom", "second"), ("het", "first"), ("het", "second")]
+        assert draws == {"hom": 7, "het": 7}
+
+
 class TestCliEndToEnd:
     def run_cli(self, args):
         return cli.main(args)
@@ -300,6 +326,36 @@ class TestCliEndToEnd:
         assert self.run_cli(argv) == 2
         err = capsys.readouterr().err
         assert "config error" in err and says in err
+
+    @pytest.mark.parametrize("argv, section", [
+        (["fig2", "--set", "sweep.alpha=0:1:3"], "[sweep]"),
+        (["fig3", "--set", "sweep.lam=1:2:2"], "[sweep]"),
+        (["fig4", "--set", "sweep.N=0:3:4"], "[sweep]"),
+        (["fig5", "--set", "sweep.alpha=0.3:1:3"], "[sweep]"),
+        (["fig6", "--set", "sweep.n=0:2:3"], "[sweep]"),
+        (["fig6", "--set", "experiment.family=photon_added"], "[experiment]"),
+        (["fig5", "--set", "experiment.families=displaced_fock"], "[experiment]"),
+        (_MC_FOCK + ["--set", "trials=5"], "[experiment]"),
+    ])
+    def test_unknown_figure_or_experiment_key_exit_code(self, capsys, argv, section):
+        assert self.run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"unknown {section} keys" in err
+
+    def test_both_orders_first_rows_equal_first_order_run(self, tmp_path):
+        # the first-order rows of an order = both run read the draws of an
+        # order = first run with the same seed
+        rows = {}
+        for order in ("both", "first"):
+            out = tmp_path / f"{order}.csv"
+            assert self.run_cli([*_MC_FOCK, "--seed", "9", "--out", str(out),
+                                 "--set", "mc.N=3000", "--set", "mc.trials=5",
+                                 "--set", "mc.n_theta=6", "--set", f"mc.order={order}"]) == 0
+            rows[order] = [line for line in out.read_text().splitlines()
+                           if not line.startswith("#")]
+        header, *both = rows["both"]
+        assert rows["first"] == [header, both[0], both[2]]
+        assert [line.split(",")[2] for line in both] == ["first", "second"] * 2
 
     @pytest.mark.parametrize("argv", [
         ["crossover", "--set", "search.family=coherent", "--set", "search.m=3"],

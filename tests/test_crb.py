@@ -322,6 +322,27 @@ class TestSearches:
         with pytest.raises(NumericalFailure):
             find_crossover("coherent", bracket_hi=0.1)
 
+    def test_tol_below_float_spacing_returns(self, monkeypatch):
+        # once the bracket is down to adjacent floats the next point rounds
+        # onto an end, and the search stops there; a stalled loop would run
+        # past the round cap
+        rounds = []
+        grid = mtlab.crb.crb_grid
+
+        def capped(states):
+            rounds.append(None)
+            assert len(rounds) < 500, "search stalled"
+            return grid(states)
+
+        root, _ = find_crossover("coherent")
+        expect = minimize_gamma2("even_coherent")
+        monkeypatch.setattr(mtlab.crb, "crb_grid", capped)
+        a0, h2 = find_crossover("coherent", tol=1e-300)
+        assert abs(a0 - root) < 1e-6
+        assert h2 == pytest.approx(63.0 / 8.0, rel=1e-12)  # h2_het at sqrt(5/32)
+        assert np.allclose(minimize_gamma2("even_coherent", tol=1e-300), expect,
+                           rtol=0.0, atol=1e-6)
+
 
 class TestReport:
     def test_report_fields(self):

@@ -22,6 +22,7 @@ from mtlab import (
     sample_homodyne,
     second_moment_matrix,
 )
+from mtlab import estimators
 from mtlab.estimators import EstimatorError, ProcessedMoments
 from mtlab.sampling import TAG_TRIAL, HeterodyneDataset, HomodyneDataset, derive_key
 
@@ -150,71 +151,92 @@ class TestHeterodyneEstimators:
 class TestMonteCarlo:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            monte_carlo_mse(VACUUM, "hom", "first", 100, 1)
+            monte_carlo_mse(VACUUM, "hom", ("first",), 100, 1)
         with pytest.raises(ValueError):
-            monte_carlo_mse(VACUUM, "xyz", "first", 100, 10)
+            monte_carlo_mse(VACUUM, "xyz", ("first",), 100, 10)
+        for orders in ((), ("third",), "first"):
+            with pytest.raises(ValueError, match="orders"):
+                monte_carlo_mse(VACUUM, "het", orders, 100, 10)
 
     def test_vacuum_het_first(self):
-        res = monte_carlo_mse(VACUUM, "het", "first", 10_000, 400, seed=1)
+        res, = monte_carlo_mse(VACUUM, "het", ("first",), 10_000, 400, seed=1)
         assert abs(res.scaled_mse - 2.0) < 3 * res.stderr
 
     def test_vacuum_hom_first(self):
-        res = monte_carlo_mse(VACUUM, "hom", "first", 60_000, 150, n_theta=6, seed=1)
+        res, = monte_carlo_mse(VACUUM, "hom", ("first",), 60_000, 150, n_theta=6, seed=1)
         assert abs(res.scaled_mse - 2.0) < 3 * res.stderr
 
     def test_vacuum_hom_second(self):
-        res = monte_carlo_mse(VACUUM, "hom", "second", 120_000, 200, n_theta=12, seed=1)
+        res, = monte_carlo_mse(VACUUM, "hom", ("second",), 120_000, 200, n_theta=12, seed=1)
         assert abs(res.scaled_mse - 5.0) < 3 * res.stderr
 
     def test_fock1_het_second(self):
-        res = monte_carlo_mse(Fock(1), "het", "second", 50_000, 200, seed=2)
+        res, = monte_carlo_mse(Fock(1), "het", ("second",), 50_000, 200, seed=2)
         assert abs(res.scaled_mse - 16.0) < 3 * res.stderr
 
     def test_worker_pool_matches_serial(self):
-        a = monte_carlo_mse(VACUUM, "het", "first", 2000, 20, seed=3, workers=1)
-        b = monte_carlo_mse(VACUUM, "het", "first", 2000, 20, seed=3, workers=4)
+        a, = monte_carlo_mse(VACUUM, "het", ("first",), 2000, 20, seed=3, workers=1)
+        b, = monte_carlo_mse(VACUUM, "het", ("first",), 2000, 20, seed=3, workers=4)
         assert a.scaled_mse == b.scaled_mse
         assert a.stderr == b.stderr
 
     @pytest.mark.parametrize("scheme", ["hom", "het"])
-    @pytest.mark.parametrize("order", ["first", "second"])
-    def test_trial_measures_scaled_squared_error(self, scheme, order):
-        # one trial, written out: draw at derive_key(seed, TAG_TRIAL, t),
-        # estimate, and take N |estimate - truth|^2 against r, G2, or
-        # G2 + I/2 for the heterodyne second moments
+    @pytest.mark.parametrize("lead", ["first", "second"])
+    def test_trial_measures_scaled_squared_error(self, scheme, lead):
+        # one trial, written out: one draw at derive_key(seed, TAG_TRIAL, t)
+        # feeds both estimators, and each takes N |estimate - truth|^2
+        # against r, G2, or G2 + I/2 for the heterodyne second moments;
+        # lead is the order named first in the call
         state = DisplacedFock(0.7 + 0.2j, 1)
         n, trials, n_theta, seed = 3000, 3, 6, 5
         r = first_moments(state).as_array()
         g2 = second_moment_matrix(state).as_array()
-        errors = []
+        errors = {"first": [], "second": []}
         for t in range(trials):
             key = derive_key(seed, TAG_TRIAL, t)
             if scheme == "hom":
                 p = processed_moments(sample_homodyne(state, n_theta, n, key))
-                est = (optimal_first_estimator(p).as_array() if order == "first"
-                       else optimal_second_estimator(p))
+                est1, est2 = optimal_first_estimator(p).as_array(), optimal_second_estimator(p)
             else:
                 ds = sample_heterodyne(state, n, key)
-                est = (het_first_estimator(ds).as_array() if order == "first"
-                       else het_second_estimator(ds))
-            if order == "first":
-                d = est - r
-                errors.append(float(n * (d @ d)))
-            else:
-                d = est - (g2 + 0.5 * np.eye(2) if scheme == "het" else g2)
-                errors.append(float(n * np.sum(d * d)))
-        mean = math.fsum(errors) / trials
-        var = math.fsum((e - mean) ** 2 for e in errors) / (trials - 1)
-        res = monte_carlo_mse(state, scheme, order, n, trials, n_theta=n_theta, seed=seed)
-        assert res.scaled_mse == mean
-        assert res.stderr == math.sqrt(var / trials)
-        assert res.failures == 0
+                est1, est2 = het_first_estimator(ds).as_array(), het_second_estimator(ds)
+            d = est1 - r
+            errors["first"].append(float(n * (d @ d)))
+            d = est2 - (g2 + 0.5 * np.eye(2) if scheme == "het" else g2)
+            errors["second"].append(float(n * np.sum(d * d)))
+        orders = (lead, {"first": "second", "second": "first"}[lead])
+        results = monte_carlo_mse(state, scheme, orders, n, trials, n_theta=n_theta, seed=seed)
+        assert len(results) == 2
+        for order, res in zip(orders, results):
+            mean = math.fsum(errors[order]) / trials
+            var = math.fsum((e - mean) ** 2 for e in errors[order]) / (trials - 1)
+            assert res.scaled_mse == mean
+            assert res.stderr == math.sqrt(var / trials)
+            assert res.failures == 0
+
+    def test_failures_are_counted_per_order(self, monkeypatch):
+        # a second-moment failure leaves the first-moment result of the same
+        # draws as it is without the second order
+        calls = []
+
+        def fail_once(ds):
+            calls.append(None)
+            if len(calls) == 3:
+                raise EstimatorError("injected")
+            return het_second_estimator(ds)
+
+        monkeypatch.setattr(estimators, "het_second_estimator", fail_once)
+        results = monte_carlo_mse(VACUUM, "het", ("first", "second"), 200, 100, seed=4)
+        alone, = monte_carlo_mse(VACUUM, "het", ("first",), 200, 100, seed=4)
+        first, second = results
+        assert (first.failures, second.failures, results.failures) == (0, 1, 1)
+        assert first == alone
 
     def test_failure_fraction_aborts(self):
         # one sample per phase leaves every weight denominator degenerate
         with pytest.warns(RuntimeWarning):
             with pytest.raises(EstimatorError, match="failures"):
-                monte_carlo_mse(VACUUM, "hom", "second", 24, 2, n_theta=24, seed=1)
+                monte_carlo_mse(VACUUM, "hom", ("second",), 24, 2, n_theta=24, seed=1)
 
     @pytest.mark.slow
     def test_unbiasedness_all_families(self, rng):
