@@ -13,17 +13,21 @@ the harmonics {0, 2 theta, 4 theta}: eight phase samples fix it, and the
 trapezoid rule on the rebuilt variance gives the average.
 
 The second-moment bounds have one route, ``crb_grid``, an array computation
-over a sequence of states taken in blocks of ``_BLOCK``: the stacked moment
-tables go through the moment map at once, one DFT over the eight phases
-gives every variance, and the trapezoid rule runs at a node count the
-block's unconverged states share.  ``crb_report`` is that route on a grid
-of one; the two are the only ways to get a bound.
+over a sequence of states taken in blocks of ``_BLOCK`` = 256: each block's
+core rows are built as stacks, one array pass per family (a grid of
+Gaussian states may come as arrays, with no object per point), and go
+through the moment map at once; one DFT over the eight phases gives every
+variance, and the trapezoid rule runs at a node count the block's
+unconverged states share.  ``crb_report`` is that route on a grid of one;
+the two are the only ways to get a bound.  Every step treats each state on
+its own, so a state's bounds do not depend on the grid it is in.
 
 The searches over the displacement amplitude are coroutines that yield the
 alpha0 values they need, and one driver, ``_lockstep``, runs any number of
 them together with one ``crb_grid`` call per step.  ``minimize_gamma2_grid``
 runs many golden-section searches on it (``minimize_gamma2`` is one job),
-and ``find_crossover`` one bisection.  Both search alpha0 in [0, bracket_hi]
+and ``find_crossover`` one bisection (five levels of midpoints per step: a
+default search takes 7 calls, not 28).  Both search alpha0 in [0, bracket_hi]
 and check every input of every job in ``_family_builder`` before their
 first evaluation.
 """
@@ -91,7 +95,7 @@ def _trace_inv(m: np.ndarray) -> np.ndarray:
 _HARMONIC_TOL = 1e-10
 _TRAPEZOID_TOL = 1e-13
 _MAX_NODES = 2 ** 20
-_BLOCK = 64        # states per array pass
+_BLOCK = 256       # states per array pass
 _CHUNK = 1 << 12   # floats per (states x nodes) temporary of the trapezoid rule
 
 
@@ -110,36 +114,48 @@ def _variance_harmonics(states, harmonics: np.ndarray) -> np.ndarray:
     return c[:, :3]
 
 
-def _trapezoid(states, c: np.ndarray) -> np.ndarray:
+def _phase_sum(states, c: np.ndarray, todo: np.ndarray, n: int) -> np.ndarray:
+    """The n-node trapezoid sums (len(todo), 3, 3) of ``_trapezoid`` for the
+    states todo, at the phases theta = k pi/n.  The states go through in
+    groups small enough that a (states x nodes) temporary stays within
+    _CHUNK floats, or one at a time."""
+    th = np.arange(n) * (math.pi / n)
+    z = np.exp(2j * th)
+    cs, sn = np.cos(th), np.sin(th)
+    v = np.array([cs * cs, _SQ2 * sn * cs, sn * sn])
+    c0, c1, c2 = c[todo].T[..., None]  # each (states, 1)
+    out = np.empty((todo.size, 3, 3))
+    step = max(1, _CHUNK // n)
+    for lo in range(0, todo.size, step):
+        g = slice(lo, lo + step)
+        var = c0[g].real + 2.0 * np.real(c1[g] * z + c2[g] * z * z)
+        bad = ~(var > 0).all(axis=1)
+        if bad.any():
+            raise NumericalFailure("vanishing moment variance in the Fisher integrand: "
+                                   + state_to_kv(states[todo[lo + np.argmax(bad)]]))
+        out[g] = (v / var[:, None]) @ v.T / n
+    return out
+
+
+def _trapezoid(states, c: np.ndarray, nodes: int | None = None) -> np.ndarray:
     """Phase averages (S, 3, 3) of v v^T / Var(X_theta^2), v = (c^2, sqrt2 s c, s^2),
     for the variance harmonics c (S, 3) of the states.
 
     The integrand is pi-periodic and analytic, so the trapezoid rule converges
     geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The states share
     the node count n = 32, 64, ...; a state stops doubling once two successive
-    levels agree.  They go through each level in groups small enough that a
-    (states x nodes) temporary stays within _CHUNK floats, or one at a time.
+    levels agree.  Given a node count, the sum at those nodes is returned as
+    it is: at n nodes it is the Fisher matrix per sample of n equally spaced
+    homodyne phases.
     """
+    if nodes is not None:
+        return _phase_sum(states, c, np.arange(len(c)), nodes)
     out = np.empty((len(c), 3, 3))
     todo = np.arange(len(c))
     prev = None
     n = 32
     while n <= _MAX_NODES:
-        th = np.arange(n) * (math.pi / n)
-        z = np.exp(2j * th)
-        cs, sn = np.cos(th), np.sin(th)
-        v = np.array([cs * cs, _SQ2 * sn * cs, sn * sn])
-        c0, c1, c2 = c[todo].T[..., None]  # each (states, 1)
-        curr = np.empty((todo.size, 3, 3))
-        step = max(1, _CHUNK // n)
-        for lo in range(0, todo.size, step):
-            g = slice(lo, lo + step)
-            var = c0[g].real + 2.0 * np.real(c1[g] * z + c2[g] * z * z)
-            bad = ~(var > 0).all(axis=1)
-            if bad.any():
-                raise NumericalFailure("vanishing moment variance in the Fisher integrand: "
-                                       + state_to_kv(states[todo[lo + np.argmax(bad)]]))
-            curr[g] = (v / var[:, None]) @ v.T / n
+        curr = _phase_sum(states, c, todo, n)
         if prev is not None:
             done = (abs(curr - prev).max(axis=(1, 2))
                     <= _TRAPEZOID_TOL * abs(curr).max(axis=(1, 2)))
@@ -270,24 +286,44 @@ def _lockstep(builders, searches) -> list:
     return results
 
 
+_LEVELS = 5        # bisection levels evaluated ahead in one crb_grid call
+
+
+def _midpoints(lo: float, hi: float, levels: int) -> list:
+    """The 2^levels - 1 midpoints that the next levels of a bisection of
+    [lo, hi] can visit, in order: each is the 0.5*(lo + hi) of its bracket."""
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [*_midpoints(lo, mid, levels - 1), mid, *_midpoints(mid, hi, levels - 1)]
+
+
 def _bisection(hi: float, tol: float, family: str):
     """One crossover search over [0, hi] as a coroutine: it yields the alpha0
     values it needs and is sent gamma2 at them, and returns the root of
     gamma2 = 1, or None if gamma2 <= 1 already at 0 (hi is then never
-    evaluated)."""
+    evaluated).
+
+    It asks for the midpoints of the next _LEVELS levels at once, hi with the
+    first of them, and then steps through them as a one-point bisection
+    would: the same floats, so the same root.
+    """
     lo = 0.0
     g_lo, = yield (lo,)
     if g_lo - 1.0 <= 0.0:
         return None
-    g_hi, = yield (hi,)
-    if g_hi - 1.0 > 0.0:
+    ahead = [hi, *_midpoints(lo, hi, _LEVELS)]
+    g = dict(zip(ahead, (yield ahead)))
+    if g[hi] - 1.0 > 0.0:
         raise NumericalFailure(f"no gamma2 = 1 sign change for {family} in [0, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # the bracket is down to adjacent floats
             break
-        g_mid, = yield (mid,)
-        if g_mid - 1.0 > 0.0:
+        if mid not in g:
+            ahead = _midpoints(lo, hi, _LEVELS)
+            g = dict(zip(ahead, (yield ahead)))
+        if g[mid] - 1.0 > 0.0:
             lo = mid
         else:
             hi = mid

@@ -12,8 +12,8 @@ byte-reproducible.
 from __future__ import annotations
 
 import configparser
-import functools
 import io
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, crb, estimators
-from .phasespace import FirstMoments, GaussianShape, gaussian_cov_from_shape
+from .phasespace import GaussianShape
 from .sampling import derive_key
-from .states import EvenOddCoherent, Fock, Gaussian, state_from_kv, state_to_kv
+from .states import EvenOddCoherent, Fock, _GaussianStack, state_from_kv, state_to_kv
 
 __all__ = [
     "ConfigError",
@@ -298,38 +298,48 @@ def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
     return derive_key(seed, tag)
 
 
-def _gaussian_rows(columns: tuple, jobs: list, place) -> list:
-    """One row per job: its columns, then gamma2 of the Gaussian state with
-    mean and shape (x0, p0), (mu, lam) = place(*job) and phi = 0.  Equal
-    means and equal shapes share one object; the whole grid is built before
-    any bound is evaluated."""
-    mean = functools.cache(FirstMoments)
-    cov = functools.cache(lambda mu, lam: gaussian_cov_from_shape(GaussianShape(mu, lam, 0.0)))
+def _gaussian_rows(columns: tuple, points, x0, p0, mu, lam) -> list:
+    """One row per grid point: its columns, then gamma2 of the Gaussian state
+    with mean (x0, p0) and shape (mu, lam) at phi = 0, where R(phi) is the
+    identity and G = diag(mu/(2 lam), mu lam/2).  The grid goes to
+    ``crb_grid`` as arrays over the points, with no object per point: the
+    shapes are checked at the extremes of mu and lam (every value is finite
+    and at least 1 if the least one is at least 1 and the largest one is
+    finite; a NaN is both), and every point's state by one vectorized check."""
     with _bad("[sweep]"):
-        states = [Gaussian(mean(*r0), cov(*shape)) for r0, shape in (place(*j) for j in jobs)]
+        for extreme in (np.min, np.max):
+            GaussianShape(float(extreme(mu)), float(extreme(lam)))
+        states = _GaussianStack(x0, p0, mu / (2.0 * lam), 0.0, mu * lam / 2.0)
     g2 = crb.crb_grid(states).gamma2.tolist()
-    del states  # the rows below reuse its memory
-    return [dict(zip(columns, (*job, g))) for job, g in zip(jobs, g2)]
+    names = (*columns, "gamma2")
+    return [dict(zip(names, (*point, g))) for point, g in zip(points, g2)]
+
+
+def _grid(*axes: list) -> list:
+    """The points of the product of the sweep axes, in the order of
+    ``itertools.product``, as one array per axis."""
+    return [g.ravel() for g in np.meshgrid(*map(np.asarray, axes), indexing="ij")]
 
 
 def _run_fig2(cfg: ExperimentConfig) -> list:
     sweep = _section(cfg, "sweep", ("alpha0", "mu", "lam"))
-    alphas = _parse_sweep(sweep.get("alpha0", "0:0.79:3"), "alpha0")
-    mus = _parse_sweep(sweep.get("mu", "1:4:31"), "mu")
-    lams = _parse_sweep(sweep.get("lam", "1:4:31"), "lam")
-    return _gaussian_rows(("alpha0", "mu", "lam", "gamma2"),
-                          [(a, mu, lam) for a in alphas for mu in mus for lam in lams],
-                          lambda a, mu, lam: ((math.sqrt(2.0) * a, 0.0), (mu, lam)))
+    axes = (_parse_sweep(sweep.get("alpha0", "0:0.79:3"), "alpha0"),
+            _parse_sweep(sweep.get("mu", "1:4:31"), "mu"),
+            _parse_sweep(sweep.get("lam", "1:4:31"), "lam"))
+    a, mu, lam = _grid(*axes)
+    return _gaussian_rows(("alpha0", "mu", "lam"), itertools.product(*axes),
+                          math.sqrt(2.0) * a, 0.0, mu, lam)
 
 
 def _run_fig3(cfg: ExperimentConfig) -> list:
     sweep = _section(cfg, "sweep", ("mu", "x0", "p0"))
-    mus = _parse_sweep(sweep.get("mu", "1:8:4"), "mu")
-    x0s = _parse_sweep(sweep.get("x0", "-3:3:25"), "x0")
-    p0s = _parse_sweep(sweep.get("p0", "-3:3:25"), "p0")
-    return _gaussian_rows(("mu", "lam", "x0", "p0", "gamma2"),
-                          [(mu, mu, x0, p0) for mu in mus for x0 in x0s for p0 in p0s],
-                          lambda mu, lam, x0, p0: ((x0, p0), (mu, lam)))
+    axes = (_parse_sweep(sweep.get("mu", "1:8:4"), "mu"),
+            _parse_sweep(sweep.get("x0", "-3:3:25"), "x0"),
+            _parse_sweep(sweep.get("p0", "-3:3:25"), "p0"))
+    mu, x0, p0 = _grid(*axes)
+    return _gaussian_rows(("mu", "lam", "x0", "p0"),
+                          ((m, m, x, p) for m, x, p in itertools.product(*axes)),
+                          x0, p0, mu, mu)
 
 
 def _run_fig4(cfg: ExperimentConfig) -> list:
@@ -399,6 +409,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _fmt(v) -> str:
+    """One CSV cell: floats to 12 significant digits, bools in lower case."""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
@@ -406,14 +417,26 @@ def _fmt(v) -> str:
     return str(v)
 
 
+#: what ``_fmt`` does to every cell of a column whose cells all have one of these types
+_COLUMN_FORMATS = {float: "{:.12g}".format, int: str, str: str}
+
+
 def report_to_csv(report: ExperimentReport) -> str:
+    """The report as CSV: the metadata as '#' lines, a header row, then one
+    line per row, each cell as ``_fmt`` writes it.  A column whose cells share
+    one plain type is formatted in one pass, with no per-cell type tests."""
     buf = io.StringIO()
     for k, v in report.meta.items():
         buf.write(f"# {k}={v}\n")
     columns = list(report.rows[0].keys())
     buf.write(",".join(columns) + "\n")
-    for row in report.rows:
-        buf.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+    cells = []
+    for c in columns:
+        column = [row.get(c, "") for row in report.rows]
+        kinds = set(map(type, column))
+        fmt = _COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+        cells.append(map(fmt or _fmt, column))
+    buf.writelines(",".join(line) + "\n" for line in zip(*cells))
     return buf.getvalue()
 
 

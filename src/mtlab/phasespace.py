@@ -47,10 +47,6 @@ class FirstMoments:
     def as_array(self) -> np.ndarray:
         return np.array([self.rx, self.rp])
 
-    def rotated(self, phi: float) -> "FirstMoments":
-        r = rotation_matrix(phi) @ self.as_array()
-        return FirstMoments(r[0], r[1])
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -92,10 +88,6 @@ class CovarianceMatrix:
     def is_physical(self) -> bool:
         """det G >= 1/4 up to rounding slack (HRS uncertainty bound)."""
         return self.det >= 0.25 - PHYSICALITY_TOL
-
-    def rotated(self, phi: float) -> "CovarianceMatrix":
-        r = rotation_matrix(phi)
-        return CovarianceMatrix.from_array(r @ self.as_array() @ r.T)
 
 
 @dataclass(frozen=True)

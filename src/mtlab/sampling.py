@@ -237,7 +237,7 @@ def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
     with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
     Fock-space cutoff (default_cutoff of the state unless given) and the
     lost weight is checked against the full sum, e^z0 times the state's
-    finite normalization mass (``states._photon_added_mass``).
+    finite normalization mass (``states._photon_added_log_mass``).
     """
     alpha0, m = complex(state.alpha0), state.m
     z0 = abs(alpha0) ** 2
@@ -249,7 +249,7 @@ def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
     logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
     top = float(np.max(logw))
     cdf = np.cumsum(np.exp(logw - top))
-    log_ref = z0 + st._photon_added_mass(z0, m)[1]
+    log_ref = z0 + st._photon_added_log_mass(z0, m)
     defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
     if defect > _MIXTURE_DEFECT:
         raise SamplingError(

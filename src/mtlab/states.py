@@ -7,9 +7,10 @@ Conventions: alpha = (x + i p)/sqrt(2), [X, P] = i, vacuum variance 1/2.
 Every moment up to fourth order comes from one table per state: a core
 state's normally ordered moments T[j, k] = <a^dag^j a^k> (j + k <= 4),
 together with the phase-space shift (x0, p0) that displaces the core into
-the state.  Each family builds its core table once, in ``_core``; the
-moment functions read it through constant coefficient maps that rest on
-three identities:
+the state.  Each family has one array function, ``_rows``, that fills the
+core rows (T.ravel(), x0, p0) of a stack of its states from arrays of their
+parameters; the moment functions read the tables through constant
+coefficient maps that rest on three identities:
 
 * e^{t X_theta} = e^{t e^{i theta} a^dag/sqrt2} e^{t e^{-i theta} a/sqrt2}
   e^{t^2/4}, which gives <X_theta^m> as harmonics e^{i d theta}, |d| <= 4;
@@ -22,8 +23,13 @@ three identities:
   shift, with no x^4 terms to cancel at large amplitude.
 
 The moment data of a sequence of states comes from one product of the map
-with their stacked core rows (``_moment_data``); a state's own moment data,
-built once per state object, is that of a sequence of one.
+with their stacked core rows (``_moment_data``), each family's rows built in
+one pass.  Photon-added states of any m share one stack, padded with zero
+amplitudes to the largest m + 1; the padding adds exact zeros, so a state's
+rows do not depend on its stack.  A state's own moment data, built once per
+state object, is that of a stack of one, and so are its Fock vector and the
+sampler's photon-added normalization.  A grid of Gaussian states can also be
+held as arrays (``_GaussianStack``), so that no object is built per point.
 
 The densities take the same split: each family states the quadrature and
 Husimi densities of its core once, and ``quadrature_pdf``/``husimi_pdf``
@@ -49,7 +55,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .phasespace import CovarianceMatrix, FirstMoments, GaussianShape, gaussian_cov_from_shape
+from .phasespace import (
+    PHYSICALITY_TOL,
+    CovarianceMatrix,
+    FirstMoments,
+    GaussianShape,
+    gaussian_cov_from_shape,
+)
 from .special import oscillator_eigenfunction_sum
 
 __all__ = [
@@ -150,34 +162,55 @@ _MOMENT_MAP = _moment_map()
 _I_HARMONICS = 1j * np.arange(-4, 5)
 
 
-def _even_table(t11, t02, t22, t13, t04) -> list:
-    """Table, row by row, of a core state with <a^dag^j a^k> = 0 for odd j + k."""
-    return [1.0, 0, t02, 0, t04,
-            0, t11, 0, t13, 0,
-            t02.conjugate(), 0, t22, 0, 0,
-            0, t13.conjugate(), 0, 0, 0,
-            t04.conjugate(), 0, 0, 0, 0]
+def _rows_of(tables: np.ndarray, x0, p0) -> np.ndarray:
+    """Core rows (S, 27) from the tables T.ravel() (S, 25) and the shifts (x0, p0)."""
+    rows = np.empty((len(tables), 27), dtype=complex)
+    rows[:, :25] = tables
+    rows[:, 25] = x0
+    rows[:, 26] = p0
+    return rows
 
 
-def _number_table(n: int) -> list:
-    """Table, row by row, of |n>: <a^dag^k a^k> = n!/(n-k)!, zero off the diagonal."""
-    t = [0.0] * 25
-    t[0] = 1.0
-    for k in range(1, 5):
-        t[6 * k] = t[6 * k - 6] * (n - k + 1)
+def _even_tables(t11, t02, t22, t13, t04) -> np.ndarray:
+    """Tables (S, 25) of core states with <a^dag^j a^k> = 0 for odd j + k."""
+    t = np.zeros((len(t11), 25), dtype=complex)
+    t[:, 0] = 1.0
+    t[:, [6, 2, 12, 8, 4]] = np.stack([t11, t02, t22, t13, t04], axis=1)
+    t[:, [10, 16, 20]] = np.conj(t[:, [2, 8, 4]])
     return t
 
 
-def _fock_table(c: np.ndarray) -> list:
-    """Table, row by row, of the Fock vector c: the Gram matrix of the ladder
-    vectors a^k c."""
-    n = c.size
-    ladder = np.zeros((5, n), dtype=complex)
-    ladder[0] = c
+def _number_tables(n: np.ndarray) -> np.ndarray:
+    """Tables (S, 25) of the number states |n>: <a^dag^k a^k> = n!/(n-k)!, zero
+    off the diagonal."""
+    t = np.zeros((len(n), 25), dtype=complex)
+    t[:, 0] = 1.0
+    for k in range(1, 5):
+        t[:, 6 * k] = t[:, 6 * k - 6] * (n - k + 1)
+    return t
+
+
+def _gram_tables(c: np.ndarray) -> np.ndarray:
+    """Tables (S, 25) of the Fock vectors c (S, M): the Gram matrices of the
+    ladder vectors a^k c, in one batched product.  Zeros that pad a vector
+    past its last amplitude add exact zeros to its table."""
+    s, n = c.shape
+    ladder = np.zeros((s, 5, n), dtype=complex)
+    ladder[:, 0] = c
     root = np.sqrt(np.arange(1.0, n))
     for k in range(1, min(5, n)):  # (a v)[i] = sqrt(i + 1) v[i + 1]
-        ladder[k, :n - k] = root[:n - k] * ladder[k - 1, 1:n - k + 1]
-    return (np.conj(ladder) @ ladder.T).ravel().tolist()
+        ladder[:, k, :n - k] = root[:n - k] * ladder[:, k - 1, 1:n - k + 1]
+    return (np.conj(ladder) @ ladder.swapaxes(1, 2)).reshape(s, 25)
+
+
+def _gaussian_rows(x0, p0, gxx, gxp, gpp) -> np.ndarray:
+    """Core rows (S, 27) of the Gaussian states with means (x0, p0) and
+    covariances (gxx, gxp, gpp), from arrays: Wick's theorem on
+    n = <a^dag a> and s = <a^2> of each centred state."""
+    n = 0.5 * (gxx + gpp - 1.0)
+    s = 0.5 * (gxx - gpp) + 1j * gxp
+    return _rows_of(_even_tables(n, s, 2.0 * n * n + np.abs(s) ** 2, 3.0 * n * s, 3.0 * s * s),
+                 x0, p0)
 
 
 class _MomentData(NamedTuple):
@@ -189,11 +222,24 @@ class _MomentData(NamedTuple):
     husimi: HusimiMomentSet  # fields of shape (S,)
 
 
+def _core_rows(states) -> np.ndarray:
+    """Stacked core rows (T.ravel(), x0, p0) (S, 27) of a sequence of states:
+    the rows of each family come from its ``_rows`` in one array pass."""
+    if isinstance(states, _GaussianStack):
+        return states._rows()
+    rows = np.empty((len(states), 27), dtype=complex)
+    members = {}
+    for k, s in enumerate(states):
+        members.setdefault(type(s), []).append(k)
+    for family, idx in members.items():
+        rows[idx] = family._rows([states[k] for k in idx])
+    return rows
+
+
 def _moment_data(states) -> _MomentData:
     """Moment data of the states from one product of ``_MOMENT_MAP`` with
-    their stacked core rows (T.ravel(), x0, p0)."""
-    rows = np.array([table + [x0, p0] for x0, p0, table in (s._core() for s in states)],
-                    dtype=complex)
+    their stacked core rows."""
+    rows = _core_rows(states)
     r = _MOMENT_MAP @ rows.T  # (69, S)
     shift = rows[:, 25:].real
     c = r[54:].real
@@ -204,16 +250,13 @@ def _moment_data(states) -> _MomentData:
 
 
 class _StateFamily:
-    """Base of the state families: moment data built once from ``_core``.
+    """Base of the state families: moment data built once, as a stack of one.
 
-    Each family also gives the densities of its core state:
+    Each family builds the core rows of a list of its states in one array
+    pass, ``_rows(states)``, and gives the densities of its core state:
     ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta, and
     ``_core_husimi_pdf(x, p)``.
     """
-
-    def _core(self) -> tuple[float, float, list]:
-        """Shift (x0, p0) and the table, row by row, of the core state it displaces."""
-        raise NotImplementedError
 
     @cached_property
     def _moments(self) -> _MomentData:
@@ -269,13 +312,10 @@ class Gaussian(_StateFamily):
         if not self.g.is_physical():
             raise ValueError(f"unphysical Gaussian covariance, det={self.g.det}")
 
-    def _core(self):
-        # Wick's theorem on n = <a^dag a> and s = <a^2> of the centred state
-        g = self.g
-        n = 0.5 * (g.gxx + g.gpp - 1.0)
-        s = 0.5 * complex(g.gxx - g.gpp, 2.0 * g.gxp)
-        return self.r0.rx, self.r0.rp, _even_table(
-            n, s, 2.0 * n * n + abs(s) ** 2, 3.0 * n * s, 3.0 * s * s)
+    @staticmethod
+    def _rows(states):
+        return _gaussian_rows(*np.array([(s.r0.rx, s.r0.rp, s.g.gxx, s.g.gxp, s.g.gpp)
+                                         for s in states]).T)
 
     def _core_quadrature_pdf(self, theta, y):
         var = _core_quadrature(self, theta)[2]  # the core is centred: <Y^2> is its variance
@@ -288,6 +328,37 @@ class Gaussian(_StateFamily):
         return np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(s)))
 
 
+class _GaussianStack:
+    """Gaussian states held as arrays of (x0, p0, gxx, gxp, gpp), for grids.
+
+    A sequence of states whose rows come from ``_gaussian_rows`` on the
+    arrays themselves; it builds a ``Gaussian`` only for a point taken by
+    index, to name it.  The points pass the checks of ``Gaussian`` at once,
+    vectorized; the first point that fails is built, and raises its own
+    ValueError.
+    """
+
+    def __init__(self, x0, p0, gxx, gxp, gpp):
+        self.params = np.array(np.broadcast_arrays(x0, p0, gxx, gxp, gpp), dtype=float)
+        _, _, gxx, gxp, gpp = self.params
+        ok = (np.isfinite(self.params).all(axis=0) & (gxx > 0.0) & (gpp > 0.0)
+              & (gxx * gpp - gxp * gxp >= 0.25 - PHYSICALITY_TOL))
+        if not ok.all():
+            self[int(np.argmin(ok))]  # raises
+
+    def __len__(self) -> int:
+        return self.params.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _GaussianStack(*self.params[:, k])
+        x0, p0, gxx, gxp, gpp = self.params[:, k].tolist()
+        return Gaussian(FirstMoments(x0, p0), CovarianceMatrix(gxx, gxp, gpp))
+
+    def _rows(self):
+        return _gaussian_rows(*self.params)
+
+
 @dataclass(frozen=True)
 class Fock(_FockVector):
     """Photon-number state |n>."""
@@ -297,8 +368,9 @@ class Fock(_FockVector):
     def __post_init__(self):
         _check_count(self.n, "photon number n")
 
-    def _core(self):
-        return 0.0, 0.0, _number_table(self.n)
+    @staticmethod
+    def _rows(states):
+        return _rows_of(_number_tables(np.array([s.n for s in states])), 0.0, 0.0)
 
     @cached_property
     def _vector(self):
@@ -317,17 +389,19 @@ class EvenOddCoherent(_StateFamily):
             raise ValueError("parity must be 'even' or 'odd'")
         _check_amplitude(self.alpha0)
 
-    def _core(self):
+    @staticmethod
+    def _rows(states):
         # <a^dag^j a^k> = conj(a)^j a^k for even j + k, times tanh|a|^2 (even)
         # or coth|a|^2 (odd) when j is odd; w is |a|^2 times that factor
-        a = complex(self.alpha0)
-        a2 = abs(a) ** 2
-        q1 = -math.expm1(-2.0 * a2)
-        if self.parity == "even":
-            w = a2 * q1 / (2.0 - q1)
-        else:
-            w = a2 * (2.0 - q1) / q1 if a2 else 1.0
-        return 0.0, 0.0, _even_table(w, a * a, a2 * a2, w * a * a, a ** 4)
+        a = np.array([complex(s.alpha0) for s in states])
+        even = np.array([s.parity == "even" for s in states])
+        a2 = np.abs(a) ** 2
+        q1 = -np.expm1(-2.0 * a2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the odd state at a = 0 has w = 1
+            w = np.where(even, a2 * q1 / (2.0 - q1),
+                         np.where(a2 > 0.0, a2 * (2.0 - q1) / q1, 1.0))
+        aa = a * a
+        return _rows_of(_even_tables(w, aa, a2 * a2, w * a * a, aa * aa), 0.0, 0.0)
 
     def _core_quadrature_pdf(self, theta, y):
         a0 = complex(self.alpha0)
@@ -374,55 +448,83 @@ class _DisplacedCore(_FockVector):
         _check_count(self.m, "m")
         _check_amplitude(self.alpha0)
 
-    def _core(self):
-        a = complex(self.alpha0)
-        return _SQ2 * a.real, _SQ2 * a.imag, self._core_table()
+    @classmethod
+    def _rows(cls, states):
+        a = np.array([complex(s.alpha0) for s in states])
+        return _rows_of(cls._tables(a, np.array([s.m for s in states])),
+                     _SQ2 * a.real, _SQ2 * a.imag)
 
 
 class DisplacedFock(_DisplacedCore):
     """Displaced Fock state D(alpha0)|m>."""
 
-    def _core_table(self):
-        return _number_table(self.m)
+    @staticmethod
+    def _tables(alpha0, m):
+        return _number_tables(m)
 
     @cached_property
     def _vector(self):
         return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
 
 
-def _photon_added_mass(z: float, m: int) -> tuple[np.ndarray, float]:
-    """The mass ||(B^dag + sqrt z)^m |0>||^2 = sum_j C(m, j)^2 j! z^(m-j) =
-    m! L_m(-z) = m! e^{-z} 1F1(m+1; 1; z): (its terms j = 0..m over the
-    largest, the log of the sum).  term_{j-1}/term_j = j z/(m-j+1)^2 grows
-    with j, so the largest term follows the ratios below one, and each other
-    term is a product of ratios at most one: nothing overflows."""
-    j = np.arange(1, m + 1)
-    q = j * z / (m - j + 1.0) ** 2
-    top = int(np.count_nonzero(q < 1.0))
-    w = np.ones(m + 1)
-    w[:top] = np.cumprod(q[:top][::-1])[::-1]
-    w[top + 1:] = np.cumprod(1.0 / q[top:])
+def _photon_added_mass(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The masses ||(B^dag + sqrt z)^m |0>||^2 = sum_j C(m, j)^2 j! z^(m-j) =
+    m! L_m(-z) = m! e^{-z} 1F1(m+1; 1; z) of a stack of (z, m), as (the terms
+    j = 0..m of each over its largest, zero past m: shape (S, max m + 1);
+    the index of the largest term, shape (S,)).
+
+    term_{j-1}/term_j = q_j = j z/(m-j+1)^2 grows with j, so the largest term
+    follows the ratios below one, and each other term is a product of ratios
+    at most one: nothing overflows.  Each product runs over the whole stack
+    width, with the factors outside its own range masked to 1.0, so it is
+    exact: a state's terms do not depend on the stack it is in.
+    """
+    j = np.arange(1, int(np.max(m)) + 1)
+    live = j <= m[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # q and 1/q where masked off
+        q = j * z[:, None] / (m[:, None] - j + 1.0) ** 2
+        below = live & (q < 1.0)
+        w = np.ones((len(m), j.size + 1))
+        w[:, :-1] = np.cumprod(np.where(below, q, 1.0)[:, ::-1], axis=1)[:, ::-1]
+        w[:, 1:] *= np.cumprod(np.where(live & ~below, 1.0 / q, 1.0), axis=1)
+    w[:, 1:][~live] = 0.0
+    return w, below.sum(axis=1)
+
+
+def _photon_added_log_mass(z: float, m: int) -> float:
+    """log ||(B^dag + sqrt z)^m |0>||^2 from ``_photon_added_mass`` on a stack
+    of one: the log of the largest term, C(m, top)^2 top! z^(m - top), plus
+    the log of the sum of the terms over it."""
+    w, top = _photon_added_mass(np.array([z]), np.array([m]))
+    top = int(top[0])
     log_top = 2.0 * math.log(math.comb(m, top)) + math.lgamma(top + 1.0)
     if top < m:  # then z > 0
         log_top += (m - top) * math.log(z)
-    return w, log_top + math.log(w.sum())
+    return log_top + math.log(w.sum())
+
+
+def _photon_added_vectors(alpha0: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes (S, max m + 1) of (B^dag + conj a)^m |0> on
+    |0>..|m>, zero past m, for a stack of (a, m), since (A^dag)^m |a> =
+    D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43, 492, 1991):
+    c_j = C(m, j) sqrt(j!) conj(a)^(m-j) over the root of
+    ``_photon_added_mass``; at a = 0 only c_m = 1 survives, exactly."""
+    w, _ = _photon_added_mass(np.abs(alpha0) ** 2, m)
+    total = np.cumsum(w, axis=1)[:, -1:]  # a sequential sum: the zero padding adds exact zeros
+    power = m[:, None] - np.arange(w.shape[1])
+    return np.sqrt(w / total) * np.exp(-1j * (np.angle(alpha0)[:, None] * power))
 
 
 class PhotonAddedCoherent(_DisplacedCore):
     """Normalized (A^dag)^m |alpha0>."""
 
-    def _core_table(self):
-        return _fock_table(self._vector)
+    @staticmethod
+    def _tables(alpha0, m):
+        return _gram_tables(_photon_added_vectors(alpha0, m))
 
     @cached_property
     def _vector(self):
-        """Normalized amplitudes of (B^dag + conj a)^m |0> on |0>..|m>, since
-        (A^dag)^m |a> = D(a) (B^dag + conj a)^m |0> (Agarwal & Tara, PRA 43,
-        492, 1991): c_j = C(m, j) sqrt(j!) conj(a)^(m-j) over the root of
-        ``_photon_added_mass``; at a = 0 only c_m = 1 survives, exactly."""
-        a, m = complex(self.alpha0), self.m
-        w = _photon_added_mass(abs(a) ** 2, m)[0]
-        return np.sqrt(w / w.sum()) * np.exp(-1j * cmath.phase(a) * np.arange(m, -1, -1))
+        return _photon_added_vectors(np.array([complex(self.alpha0)]), np.array([self.m]))[0]
 
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]

@@ -12,6 +12,18 @@ from mtlab import (
     PhotonAddedCoherent,
     gaussian_cov_from_shape,
 )
+from mtlab.phasespace import rotation_matrix
+
+
+def rotated_mean(r, phi):
+    """The mean vector r rotated by the angle phi."""
+    return FirstMoments(*(rotation_matrix(phi) @ r.as_array()))
+
+
+def rotated_cov(g, phi):
+    """The covariance (or second-moment) matrix g rotated by the angle phi: R g R^T."""
+    r = rotation_matrix(phi)
+    return CovarianceMatrix.from_array(r @ g.as_array() @ r.T)
 
 
 def random_gaussian(rng, central=False):

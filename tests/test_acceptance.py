@@ -20,6 +20,7 @@ from mtlab import (
     Gaussian,
     GaussianShape,
     PhotonAddedCoherent,
+    covariance,
     crb_report,
     find_crossover,
     gaussian_cov_from_shape,
@@ -27,8 +28,9 @@ from mtlab import (
     minimize_gamma2,
     quadrature_moments,
 )
-from mtlab.crb import _grid
+from mtlab.crb import _grid, _trapezoid, _variance_harmonics
 from mtlab.estimators import monte_carlo_mse
+from mtlab.states import _moment_data
 from mtlab.oracle import (
     cf_husimi_moment,
     cf_quadrature_moment,
@@ -236,6 +238,26 @@ BOUND_FIELDS = {
     ("het", "first"): "h1_het",
     ("het", "second"): "h2_het",
 }
+
+
+def test_criterion_6_expected_ratio_at_24_phases():
+    # a homodyne trial reads 24 equally spaced phases, so its estimators attain
+    # the bound of the 24-node phase sum; that bound is the continuum bound to
+    # 1e-4 for every criterion-6 state, so each cell's expected ratio is 1
+    n_theta = 24
+    theta = np.arange(n_theta) * (math.pi / n_theta)
+    u = np.stack([np.cos(theta), np.sin(theta)])
+    worst = 0.0
+    for state in MC_STATES.values():
+        rep = crb_report(state)
+        c = _variance_harmonics([state], _moment_data([state]).harmonics)
+        h2 = np.trace(np.linalg.inv(_trapezoid([state], c, n_theta)[0]))
+        g = covariance(state).as_array()
+        fisher1 = (u / np.einsum("ik,ij,jk->k", u, g, u)) @ u.T / n_theta
+        h1 = np.trace(np.linalg.inv(fisher1))
+        worst = max(worst, abs(h2 / rep.h2_hom - 1.0), abs(h1 / rep.h1_hom - 1.0))
+    _report(6, "24-phase bounds equal the continuum bounds", worst <= 1e-4,
+            f"worst rel gap {worst:.2e}")
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,23 @@ import sys
 import numpy as np
 import pytest
 
-from mtlab import Fock, cli, crb
+from mtlab import (
+    CovarianceMatrix,
+    FirstMoments,
+    Fock,
+    Gaussian,
+    PhotonAddedCoherent,
+    cli,
+    crb,
+    crb_report,
+    gaussian_cov_from_shape,
+    GaussianShape,
+    state_to_kv,
+)
 from mtlab.experiments import (
     ConfigError,
+    ExperimentReport,
+    _fmt,
     load_config,
     report_to_csv,
     run,
@@ -164,9 +179,9 @@ class TestExperiments:
 
     @pytest.mark.parametrize("kind, overrides", [
         ("fig2", ["sweep.alpha0=0:0.6:3", "sweep.mu=1:3:5", "sweep.lam=1:3:30"]),
-        ("fig3", ["sweep.mu=1:2:2", "sweep.x0=-1:1:7", "sweep.p0=-1:1:7"]),
-        ("fig4", ["sweep.n=0:80:81"]),
-        ("fig5", ["sweep.alpha0=0.05:3:60"]),
+        ("fig3", ["sweep.mu=1:2:2", "sweep.x0=-1:1:12", "sweep.p0=-1:1:12"]),
+        ("fig4", ["sweep.n=0:299:300"]),
+        ("fig5", ["sweep.alpha0=0.05:3:130"]),
     ])
     def test_figure_grid_is_one_array_call(self, monkeypatch, kind, overrides):
         # every state of the grid goes through one crb_grid call, none through
@@ -187,6 +202,46 @@ class TestExperiments:
         assert len(calls) == 1
         assert calls[0] == len(rep.rows) * (2 if kind == "fig5" else 1)
         assert calls[0] > crb._BLOCK
+
+    def test_gaussian_grids_build_no_state_per_point(self, monkeypatch):
+        # fig2 and fig3 hand crb_grid arrays; a Gaussian built per grid point
+        # would raise here
+        def per_point(state):
+            raise AssertionError("a Gaussian built per grid point")
+
+        monkeypatch.setattr(Gaussian, "__post_init__", per_point)
+        for kind, overrides, size in (
+                ("fig2", ["sweep.alpha0=0:0.6:3", "sweep.mu=1:3:5", "sweep.lam=1:3:5"], 75),
+                ("fig3", ["sweep.mu=1:2:2", "sweep.x0=-1:1:3", "sweep.p0=-1:1:3"], 18)):
+            rep = run(load_config(text=f"[experiment]\nkind = {kind}\n", overrides=overrides))
+            assert len(rep.rows) == size
+
+    def test_gaussian_grid_rows_equal_state_bounds(self):
+        # the array grid gives every point the bound of its own Gaussian state
+        rep = run(load_config(text="[experiment]\nkind = fig2\n",
+                              overrides=["sweep.alpha0=0:0.6:3", "sweep.mu=1:3:5",
+                                         "sweep.lam=1:3:7"]))
+        for r in rep.rows:
+            state = Gaussian(FirstMoments(math.sqrt(2.0) * r["alpha0"], 0.0),
+                             gaussian_cov_from_shape(GaussianShape(r["mu"], r["lam"])))
+            assert r["gamma2"] == crb_report(state).gamma2, r
+        rep = run(load_config(text="[experiment]\nkind = fig3\n",
+                              overrides=["sweep.mu=1:8:4", "sweep.x0=-3:3:5", "sweep.p0=-3:3:5"]))
+        for r in rep.rows:
+            state = Gaussian(FirstMoments(r["x0"], r["p0"]),
+                             gaussian_cov_from_shape(GaussianShape(r["mu"], r["lam"])))
+            assert r["gamma2"] == crb_report(state).gamma2, r
+
+    def test_fig6_builds_no_photon_added_vector_per_state(self, monkeypatch):
+        # the searches' photon-added states get their rows from stacks; the
+        # per-state Fock vector would raise here
+        def per_state(state):
+            raise AssertionError("a photon-added vector built for one state")
+
+        monkeypatch.setattr(PhotonAddedCoherent, "_vector", property(per_state))
+        rep = run(load_config(text="[experiment]\nkind = fig6\n",
+                              overrides=["sweep.m=0:12:13", "families=photon_added"]))
+        assert [r["m"] for r in rep.rows] == list(range(13))
 
     def test_fig5_columns(self):
         cfg = load_config(text="[experiment]\nkind = fig5\n",
@@ -321,6 +376,9 @@ class TestCliEndToEnd:
         (["fig5", "--set", "sweep.alpha0=nan:1:2"], "finite"),
         (["fig6", "--set", "experiment.families=bogus"], "unknown family"),
         (["fig6", "--set", "sweep.m=-2:0:3"], "non-negative"),
+        (["fig2", "--set", "sweep.lam=0.5:2:4"], "lam >= 1"),
+        (["fig2", "--set", "sweep.alpha0=nan:0.5:3"], "finite"),
+        (["fig3", "--set", "sweep.p0=nan:1:2"], "finite"),
     ])
     def test_bad_figure_sweep_exit_code(self, capsys, argv, says):
         assert self.run_cli(argv) == 2
@@ -376,6 +434,28 @@ class TestCliEndToEnd:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "family=fock n=1" in err
 
+    def test_gaussian_grid_failure_names_its_point(self, monkeypatch, capsys):
+        # a failure at a point of fig2's array grid, in its second block,
+        # names the point's state; exit code 3
+        a, mu, lam = 0.6, 2.5, float(np.linspace(1.0, 3.0, 30)[7])
+        bad = Gaussian(FirstMoments(math.sqrt(2.0) * a, 0.0),
+                       CovarianceMatrix(mu / (2.0 * lam), 0.0, mu * lam / 2.0))
+        target = bad._moments.harmonics[0]
+        base = crb._x2_variance
+
+        def patched(h, th):
+            out = base(h, th)
+            rows = np.all(h == target, axis=(1, 2))
+            out[rows] = -out[rows]
+            return out
+
+        monkeypatch.setattr(crb, "_x2_variance", patched)
+        code = self.run_cli(["fig2", "--set", "sweep.alpha0=0:0.6:3", "--set", "sweep.mu=1:3:5",
+                             "--set", "sweep.lam=1:3:30"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and state_to_kv(bad) in err
+
     def test_numerical_error_exit_code(self):
         code = self.run_cli(["crossover", "--set", "search.family=coherent",
                              "--set", "search.bracket_hi=0.1"])
@@ -421,6 +501,21 @@ class TestCliEndToEnd:
         assert code == 0
         meta, header, rows = parse_csv(capsys.readouterr().out)
         assert float(rows[0]["h2_het"]) == 30.0
+
+    def test_cell_format(self):
+        assert [_fmt(v) for v in (True, False, 7, np.int64(-3), 0.1 + 0.2, 1.0, 1e-300,
+                                  np.float64(2.0 / 3.0), "", "even_coherent")] == [
+            "true", "false", "7", "-3", "0.3", "1", "1e-300", "0.666666666667",
+            "", "even_coherent"]
+
+    def test_csv_cells_are_fmt_cells(self):
+        # columns of one plain type, of mixed types and of numpy scalars all
+        # read as _fmt writes each cell
+        rows = [{"a": 0.1 * k, "b": k, "c": f"s{k}", "d": (k > 1, "", 2.5, np.int64(k))[k],
+                 "e": np.float64(k / 3.0), "f": ""} for k in range(4)]
+        text = report_to_csv(ExperimentReport({"seed": 1}, rows))
+        want = ["# seed=1", "a,b,c,d,e,f"] + [",".join(_fmt(r[c]) for c in r) for r in rows]
+        assert text == "\n".join(want) + "\n"
 
     def test_twelve_significant_digits(self, capsys):
         self.run_cli(["crb", "--set", "state.family=fock", "--set", "state.n=1"])

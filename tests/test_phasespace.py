@@ -12,6 +12,7 @@ from mtlab import (
     het_shift,
 )
 from mtlab.phasespace import rotation_matrix
+from conftest import rotated_cov
 
 
 class TestCovarianceMatrix:
@@ -73,6 +74,6 @@ class TestHetShift:
     @settings(max_examples=40)
     def test_commutes_with_rotation(self, phi):
         g = CovarianceMatrix(0.8, 0.2, 0.6)
-        lhs = het_shift(g.rotated(phi)).as_array()
+        lhs = het_shift(rotated_cov(g, phi)).as_array()
         rhs = rotation_matrix(phi) @ het_shift(g).as_array() @ rotation_matrix(phi).T
         assert np.allclose(lhs, rhs, atol=1e-12)

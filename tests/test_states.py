@@ -26,8 +26,8 @@ from mtlab import (
 )
 from mtlab.special import hyp1f1, hyp1f1_log, log_factorial, oscillator_eigenfunction_sum
 from mtlab.oracle import CutoffError, fock_expansion
-from mtlab.states import _photon_added_mass, quadrature_x2_variance
-from conftest import random_state
+from mtlab.states import _core_rows, _photon_added_log_mass, quadrature_x2_variance
+from conftest import random_state, rotated_cov, rotated_mean
 
 SQ2 = math.sqrt(2.0)
 
@@ -108,8 +108,9 @@ def _gram_table(c):
 
 def _table_of(state):
     """Normally ordered table of the state: its core table displaced by its shift."""
-    x0, p0, flat = state._core()
-    core = np.array(flat, dtype=complex).reshape(5, 5)
+    row = _core_rows([state])[0]
+    x0, p0 = row[25:].real
+    core = row[:25].reshape(5, 5)
     beta = complex(x0, p0) / SQ2
     out = np.zeros((5, 5), dtype=complex)
     for j in range(5):
@@ -139,6 +140,20 @@ class TestMomentTable:
         ref = _gram_table(fock_expansion(state).coeffs)
         assert got[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(got[LOW_ORDER], ref[LOW_ORDER], rtol=1e-9, atol=1e-9)
+
+    def test_stacked_photon_added_tables_match_gram_tables(self):
+        # one stack of every m = 0..12, padded to 13 amplitudes: each table
+        # is the Gram table of the state's own vector (a stack of one)
+        rng = np.random.default_rng(43)
+        states = [PhotonAddedCoherent(complex(a0), m) for m in range(13)
+                  for a0 in (0.0, 20.0, -20j, 1e-3,
+                             rng.uniform(0.1, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))]
+        rng.shuffle(states)
+        tables = _core_rows(states)[:, :25].reshape(-1, 5, 5)
+        for s, got in zip(states, tables):
+            ref = _gram_table(s._vector)
+            assert s._vector.size == s.m + 1
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), s
 
     @pytest.mark.parametrize("r, phi", [(0.4, 0.0), (0.7, 2.3)])
     def test_gaussian_wick_table_matches_squeezed_vacuum(self, r, phi):
@@ -198,7 +213,7 @@ class TestHusimiMoments:
                                   float(rng.uniform(0.0, np.pi)))
             g = gaussian_cov_from_shape(shape)
             base = Gaussian(FirstMoments(SQ2 * a, 0.0), g)
-            yield base, Gaussian(base.r0.rotated(delta), g.rotated(delta))
+            yield base, Gaussian(rotated_mean(base.r0, delta), rotated_cov(g, delta))
             yield Fock(m), Fock(m)
             for parity in ("even", "odd"):
                 yield EvenOddCoherent(a, parity), EvenOddCoherent(a * np.exp(1j * delta), parity)
@@ -209,10 +224,10 @@ class TestHusimiMoments:
             a = float(rng.uniform(0.1, 2.0))
             delta = float(rng.uniform(0, 2 * np.pi))
             for real, rotated in pairs(a, delta):
-                want = first_moments(real).rotated(delta).as_array()
+                want = rotated_mean(first_moments(real), delta).as_array()
                 got = first_moments(rotated).as_array()
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), rotated
-                want = second_moment_matrix(real).rotated(delta).as_array()
+                want = rotated_cov(second_moment_matrix(real), delta).as_array()
                 got = second_moment_matrix(rotated).as_array()
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), rotated
                 if draw < 2:
@@ -431,7 +446,7 @@ class TestPhotonAddedDensity:
         for m in (*range(0, 120, 7), 120):
             for z in (0.0, 1e-6, 0.3, 2.0, 15.0, 60.0, 150.0, 400.0):
                 ref = log_factorial(m) + hyp1f1_log(m + 1, 1, z)
-                assert z + _photon_added_mass(z, m)[1] == pytest.approx(ref, abs=1e-12), (m, z)
+                assert z + _photon_added_log_mass(z, m) == pytest.approx(ref, abs=1e-12), (m, z)
 
     def test_zero_amplitude_is_fock_exactly(self):
         x = np.linspace(-8.0, 8.0, 1601)
