@@ -137,6 +137,8 @@ def _parse_sweep(spec: str, key: str) -> list:
         raise ConfigError(f"bad sweep {key}={spec!r}: {exc}") from None
     if steps < 1:
         raise ConfigError(f"sweep {key}={spec!r} is empty")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep {key}={spec!r} bounds must be finite")
     grid = np.linspace(start, stop, steps)
     if key in _INT_KEYS:
         vals = [int(round(v)) for v in grid]

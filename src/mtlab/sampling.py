@@ -20,6 +20,16 @@ even/odd coherent states use rejection against a two-Gaussian mixture.
 Both rejection draws share one routine, which checks every tested point
 against its envelope: each draw is exact or raises SamplingError, and
 there is no approximate fallback.
+
+A heterodyne draw of n points holds its (n, 2) output plus the random
+inputs it must keep at once: the Gamma variates (made radii in place) and
+the angles of the Fock and photon-added draws, whose Gamma shapes and von
+Mises concentrations share one buffer; the normals of the Gaussian draw;
+for the cat, one batch of proposal normals and a byte per proposal for its
+mixture component.  A rejection batch's uniforms are drawn one test chunk
+at a time.  The generator calls, their order and their sizes are those of
+whole-array draws, so the random stream and every drawn value are
+unchanged.
 """
 
 from __future__ import annotations
@@ -119,19 +129,22 @@ _MAX_BATCH = 4_000_000
 _TEST_CHUNK = 1 << 13
 
 
-def _accept_into(out, filled, props, u, accept):
+def _accept_into(out, filled, props, gen, accept):
     """Copy the proposals that pass accept(chunk, u) into out[filled:], in order.
 
-    A batch is tested in cache-sized chunks and testing stops once out is
-    full: the surplus proposals are still drawn, so the random stream is
-    the same, but their density is never evaluated.
+    A batch is tested in cache-sized chunks, each with its uniforms u drawn
+    from gen just before it is tested, and testing stops once out is full.
+    The uniforms are a batch's last draws and nothing is drawn after the
+    batch that fills out, so the stream is that of drawing all of a batch's
+    uniforms at once; the surplus proposals are still drawn, but neither
+    their uniforms nor their density are.
     """
     n = len(out)
     for lo in range(0, len(props), _TEST_CHUNK):
         if filled == n:
             break
         chunk = props[lo:lo + _TEST_CHUNK]
-        take = chunk[accept(chunk, u[lo:lo + _TEST_CHUNK])][: n - filled]
+        take = chunk[accept(chunk, gen.uniform(0.0, 1.0, size=len(chunk)))][: n - filled]
         out[filled:filled + len(take)] = take
         filled += len(take)
     return filled
@@ -160,8 +173,8 @@ def _rejection(pdf, env, propose, grid, n, gen):
     filled = 0
     while filled < n:
         k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
-        pts = propose(gen, k)
-        filled = _accept_into(out, filled, pts, gen.uniform(0.0, 1.0, size=k), accept)
+        # no name holds a batch, so it is freed before the next one is drawn
+        filled = _accept_into(out, filled, propose(gen, k), gen, accept)
     return out
 
 
@@ -219,11 +232,20 @@ _SCAN_NODES_2D = 257
 _MIXTURE_DEFECT = 1e-12
 
 
+def _polar_rows(s: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Rows (r cos(ang), r sin(ang)) with r = sqrt(2 s), computed in place of s."""
+    np.multiply(s, 2.0, out=s)
+    np.sqrt(s, out=s)
+    out = np.empty((len(s), 2))
+    np.cos(ang, out=out[:, 0])
+    np.sin(ang, out=out[:, 1])
+    out *= s[:, None]
+    return out
+
+
 def _sample_fock_husimi(n_photon: int, n: int, gen: np.random.Generator) -> np.ndarray:
     s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
-    r = np.sqrt(2.0 * s)
-    ang = gen.uniform(0.0, 2.0 * math.pi, size=n)
-    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
 
 
 def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
@@ -256,11 +278,16 @@ def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
             f"photon-added Husimi mixture cutoff {cutoff} leaves weight "
             f"{defect:.3e} > {_MIXTURE_DEFECT:.1e}"
         )
-    ks = np.searchsorted(cdf / cdf[-1], gen.random(n), side="right")
-    s = gen.gamma(shape=m + 1.0 + ks, scale=1.0)
-    ang = gen.vonmises(cmath.phase(alpha0), 2.0 * np.sqrt(s * z0))
-    r = np.sqrt(2.0 * s)
-    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    # one buffer holds the uniforms, then the Gamma shapes m + k + 1, then the
+    # von Mises concentrations 2 sqrt(s z0), each written over the last
+    buf = gen.random(n)
+    np.add(np.searchsorted(cdf / cdf[-1], buf, side="right"), m + 1.0, out=buf)
+    s = gen.gamma(shape=buf, scale=1.0)
+    np.sqrt(np.multiply(s, z0, out=buf), out=buf)
+    buf *= 2.0
+    ang = gen.vonmises(cmath.phase(alpha0), buf)
+    del buf  # freed before the (n, 2) output is made
+    return _polar_rows(s, ang)
 
 
 def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> HeterodyneDataset:
@@ -290,10 +317,20 @@ def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> Heterodyn
             return acc / (4 * math.pi * var_env)
 
         sd = math.sqrt(var_env)
+
+        def propose(g, k):  # the centre of each normal pair is added in place
+            # another dtype would change the stream, so the int64 draw is
+            # narrowed to a byte per proposal afterwards
+            side = g.integers(0, 2, size=k).astype(np.uint8)
+            pts = g.normal(0.0, sd, size=(k, 2))
+            for lo in range(0, k, _TEST_CHUNK):
+                pts[lo:lo + _TEST_CHUNK] += centers[side[lo:lo + _TEST_CHUNK]]
+            return pts
+
         half = 6.0 * sd + float(np.hypot(*r0))
         xs = np.linspace(-half, half, _SCAN_NODES_2D)
         core = _rejection(
-            lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env,
-            lambda g, k: centers[g.integers(0, 2, size=k)] + g.normal(0.0, sd, size=(k, 2)),
+            lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env, propose,
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
-    return HeterodyneDataset(core + state._moments.shift[0])
+    core += state._moments.shift[0]
+    return HeterodyneDataset(core)

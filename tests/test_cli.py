@@ -379,6 +379,7 @@ class TestCliEndToEnd:
         (["fig2", "--set", "sweep.lam=0.5:2:4"], "lam >= 1"),
         (["fig2", "--set", "sweep.alpha0=nan:0.5:3"], "finite"),
         (["fig3", "--set", "sweep.p0=nan:1:2"], "finite"),
+        (["fig2", "--set", "sweep.alpha0=0:inf:3"], "finite"),
     ])
     def test_bad_figure_sweep_exit_code(self, capsys, argv, says):
         assert self.run_cli(argv) == 2

@@ -23,8 +23,7 @@ from mtlab import (
 import mtlab.crb
 from mtlab.crb import NumericalFailure
 from mtlab.states import state_to_kv
-from mtlab.oracle import numeric_fisher
-from mtlab.special import hyp1f1
+from mtlab.oracle import hyp1f1, numeric_fisher
 from conftest import random_gaussian, random_state
 
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))

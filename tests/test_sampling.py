@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,16 +22,20 @@ from mtlab import (
     sample_heterodyne,
     sample_homodyne,
 )
+from mtlab.phasespace import het_shift
 from mtlab.sampling import (
+    TAG_HET,
     SamplingError,
+    _TEST_CHUNK,
     _accept_into,
     _rejection,
+    _sample_fock_husimi,
     _sample_photon_added_husimi,
     derive_key,
     substream,
 )
 from mtlab.oracle import fock_expansion
-from mtlab.special import oscillator_eigenfunction_sum
+from mtlab.special import log_factorial, oscillator_eigenfunction_sum
 
 SQ2 = math.sqrt(2.0)
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
@@ -163,10 +168,13 @@ class TestRejection:
             seen.append(chunk[0])
             return chunk % 3 == 0
 
+        gen, ref = substream(9, 4), substream(9, 4)
         out = np.full(5, -1.0)
-        assert _accept_into(out, 2, props, np.zeros(props.size), accept) == 5
+        assert _accept_into(out, 2, props, gen, accept) == 5
         assert list(out) == [-1.0, -1.0, 0.0, 3.0, 6.0]
         assert seen == [0.0]  # later chunks are never tested
+        ref.uniform(0.0, 1.0, size=_TEST_CHUNK)  # nor are their uniforms drawn
+        assert np.array_equal(gen.random(8), ref.random(8))
 
     def test_rejection_1d_matches_whole_batch(self):
         pdf = lambda x: quadrature_pdf(Fock(3), 0.0, x)
@@ -293,3 +301,114 @@ class TestHeterodyne:
         for name, vals in monomials.items():
             se = vals.std() / math.sqrt(n)
             assert abs(vals.mean() - getattr(h, name)) < 4.0 * se + 1e-9, name
+
+
+# Whole-array heterodyne draws, as the samplers once made them: every
+# temporary full length and each batch's uniforms drawn at once.  The
+# samplers must reproduce them bit for bit.
+
+def whole_fock_husimi(n_photon, n, gen):
+    s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
+    r = np.sqrt(2.0 * s)
+    ang = gen.uniform(0.0, 2.0 * math.pi, size=n)
+    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+
+
+def whole_photon_added_husimi(state, n, gen):
+    alpha0, m = complex(state.alpha0), state.m
+    z0 = abs(alpha0) ** 2
+    if z0 == 0.0:
+        return whole_fock_husimi(m, n, gen)
+    k = np.arange(mtlab.states.default_cutoff(state) + 1)
+    logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
+    cdf = np.cumsum(np.exp(logw - float(np.max(logw))))
+    ks = np.searchsorted(cdf / cdf[-1], gen.random(n), side="right")
+    s = gen.gamma(shape=m + 1.0 + ks, scale=1.0)
+    ang = gen.vonmises(cmath.phase(alpha0), 2.0 * np.sqrt(s * z0))
+    r = np.sqrt(2.0 * s)
+    return np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+
+
+def whole_gaussian_heterodyne(state, n, gen):
+    chol = np.linalg.cholesky(het_shift(state.g).as_array())
+    return gen.normal(size=(n, 2)) @ chol.T + state._moments.shift[0]
+
+
+def whole_cat_heterodyne(state, n, gen):
+    ghet = het_shift(mtlab.states.covariance(state)).as_array()
+    var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
+    a0 = complex(state.alpha0)
+    r0 = np.array([SQ2 * a0.real, SQ2 * a0.imag])
+    centers = np.array([r0, -r0])
+
+    def env(x, p):
+        acc = np.zeros(len(x))
+        for cx, cp in centers:
+            acc += np.exp(-0.5 * ((x - cx) ** 2 + (p - cp) ** 2) / var_env)
+        return acc / (4 * math.pi * var_env)
+
+    sd = math.sqrt(var_env)
+    half = 6.0 * sd + float(np.hypot(*r0))
+    xs = np.linspace(-half, half, 257)
+    gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    c = float(np.max(state._core_husimi_pdf(gx, gp) / env(gx, gp))) * 1.10
+    blocks, filled = [], 0
+    while filled < n:
+        k = min(4_000_000, max(1024, int((n - filled) * c * 1.2)))
+        pts = centers[gen.integers(0, 2, size=k)] + gen.normal(0.0, sd, size=(k, 2))
+        x, p = pts[:, 0], pts[:, 1]
+        blocks.append(pts[gen.uniform(0.0, 1.0, size=k) * c * env(x, p)
+                          < state._core_husimi_pdf(x, p)])
+        filled += len(blocks[-1])
+    return np.concatenate(blocks)[:n] + state._moments.shift[0]
+
+
+STREAM_SIZES = (1, 12_345, 100_000)
+
+
+class TestHeterodyneStream:
+    """In-place draws take the same values as the whole-array expressions."""
+
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_fock_husimi(self, n):
+        got = _sample_fock_husimi(3, n, substream(5, n))
+        assert np.array_equal(got, whole_fock_husimi(3, n, substream(5, n)))
+
+    @pytest.mark.parametrize("state", [PhotonAddedCoherent(0.8, 2),
+                                       PhotonAddedCoherent(1.3 + 0.7j, 3),
+                                       PhotonAddedCoherent(0.0, 3)],
+                             ids=["real", "complex", "vacuum"])
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_photon_added_husimi(self, state, n):
+        got = _sample_photon_added_husimi(state, n, substream(6, n))
+        assert np.array_equal(got, whole_photon_added_husimi(state, n, substream(6, n)))
+
+    @pytest.mark.parametrize("state, whole", [
+        (FAMILIES[0], whole_gaussian_heterodyne),
+        (EvenOddCoherent(1.0, "even"), whole_cat_heterodyne),
+        (EvenOddCoherent(1.5 + 0.5j, "odd"), whole_cat_heterodyne),
+    ], ids=["gaussian", "even_cat", "odd_cat"])
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_sample_heterodyne(self, state, whole, n):
+        got = sample_heterodyne(state, n, seed=7).points
+        assert np.array_equal(got, whole(state, n, substream(7, TAG_HET)))
+
+
+@pytest.mark.parametrize("state, mib", [
+    (FAMILIES[0], 32),
+    (Fock(3), 32),
+    (DisplacedFock(1 + 0.5j, 2), 32),
+    (PhotonAddedCoherent(0.8, 2), 32),
+    (EvenOddCoherent(1.0, "even"), 90),
+], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat"])
+def test_heterodyne_draw_peak_memory(state, mib):
+    # 10^6 draws hold their (n, 2) output (15.3 MiB) and, for the cat, one
+    # batch of proposals: two normals and a byte of component index each
+    sample_heterodyne(state, 100, seed=1)  # warm-up: the state's cached tables
+    tracemalloc.start()
+    try:
+        sample_heterodyne(state, 10**6, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20, f"{peak / 2**20:.1f} MiB"

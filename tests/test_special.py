@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from mtlab.special import (
-    hyp1f1,
-    hyp1f1_log,
-    laguerre,
-    log_factorial,
-    oscillator_eigenfunction_sum,
-)
+from mtlab.oracle import hyp1f1, hyp1f1_log, laguerre
+from mtlab.special import log_factorial, oscillator_eigenfunction_sum
 
 
 class TestKummerIdentities:

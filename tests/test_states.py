@@ -24,8 +24,8 @@ from mtlab import (
     state_from_kv,
     state_to_kv,
 )
-from mtlab.special import hyp1f1, hyp1f1_log, log_factorial, oscillator_eigenfunction_sum
-from mtlab.oracle import CutoffError, fock_expansion
+from mtlab.special import log_factorial, oscillator_eigenfunction_sum
+from mtlab.oracle import CutoffError, fock_expansion, hyp1f1, hyp1f1_log
 from mtlab.states import _core_rows, _photon_added_log_mass, quadrature_x2_variance
 from conftest import random_state, rotated_cov, rotated_mean
 
