@@ -40,10 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
-    DisplacedFock,
-    EvenOddCoherent,
+    _AMPLITUDE_FAMILIES,
     HusimiMomentSet,
-    PhotonAddedCoherent,
     StateModel,
     _moment_data,
     _x2_variance,
@@ -232,14 +230,11 @@ def crb_report(state: StateModel) -> CrbReport:
 # crossover and minimum searches over the displacement amplitude
 # ---------------------------------------------------------------------------
 
-_FAMILY_BUILDERS = {
-    "coherent": lambda a0, m: DisplacedFock(a0, 0),
-    "even_coherent": lambda a0, m: EvenOddCoherent(a0, "even"),
-    "odd_coherent": lambda a0, m: EvenOddCoherent(a0, "odd"),
-    "displaced_fock": lambda a0, m: DisplacedFock(a0, m),
-    "photon_added": lambda a0, m: PhotonAddedCoherent(a0, m),
+# the amplitude families, and "coherent", search-only: displaced_fock at m = 0
+_SEARCH_FAMILIES = {
+    "coherent": (lambda a0, m: _AMPLITUDE_FAMILIES["displaced_fock"][0](a0, 0), False),
+    **_AMPLITUDE_FAMILIES,
 }
-_TAKES_M = ("displaced_fock", "photon_added")
 
 
 def _family_builder(family: str, m: int | None, bracket_hi: float | None, tol: float):
@@ -247,13 +242,13 @@ def _family_builder(family: str, m: int | None, bracket_hi: float | None, tol: f
     job: the family, m, the bracket end bracket_hi (None takes the search's
     default) and tol."""
     try:
-        build = _FAMILY_BUILDERS[family]
+        build, takes_m = _SEARCH_FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from "
-                         f"{sorted(_FAMILY_BUILDERS)}") from None
-    if family in _TAKES_M and m is None:
+                         f"{sorted(_SEARCH_FAMILIES)}") from None
+    if takes_m and m is None:
         raise ValueError(f"family {family!r} requires the integer parameter m")
-    if family not in _TAKES_M and m is not None:
+    if not takes_m and m is not None:
         raise ValueError(f"family {family!r} takes no parameter m, got m={m}")
     if m is not None and m < 0:
         raise ValueError(f"m must be non-negative, got {m}")

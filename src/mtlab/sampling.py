@@ -6,20 +6,12 @@ are derived by hashing the user seed together with an integer path
 reproducible across platforms and safe to generate in parallel: the output
 never depends on scheduling, only on (state, sizes, seed).
 
-Both samplers draw the core state of :mod:`mtlab.states` and add the
-phase-space shift once, except the photon-added heterodyne draw, which is of
-the whole state.  Gaussian quadrature samples are normal draws.  The
-other families' quadrature samples are drawn from the core density by
-rejection against a Gaussian envelope about the core's own <Y_theta>, with
-variance three times the core's <Y_theta^2>, so a large displacement does
-not widen the envelope.  Husimi samples are exact for Gaussian states
-(covariance transform of G + I/2), Fock and displaced Fock states
-(Gamma-distributed radius) and photon-added coherent states (a Poisson-like
-mixture of Gamma radii with a von Mises phase, drawn for the whole state);
-even/odd coherent states use rejection against a two-Gaussian mixture.
-Both rejection draws share one routine, which checks every tested point
-against its envelope: each draw is exact or raises SamplingError, and
-there is no approximate fallback.
+Each state family states its own draws next to its densities in
+:mod:`mtlab.states`; the samplers here check the sizes and hand each phase
+or scheme its substream.  The draws share the routines below: rejection,
+``_rejection``, checks every tested point against its envelope, so each
+draw is exact or raises SamplingError, and there is no approximate
+fallback; ``_polar_rows`` turns a radial draw into rows.
 
 A heterodyne draw of n points holds its (n, 2) output plus the random
 inputs it must keep at once: the Gamma variates (made radii in place) and
@@ -34,16 +26,14 @@ unchanged.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import states as st
-from .phasespace import het_shift
-from .special import log_factorial
-from .states import StateModel
+if TYPE_CHECKING:  # states imports the draw routines from here
+    from .states import StateModel
 
 __all__ = [
     "HomodyneDataset",
@@ -118,7 +108,7 @@ class HeterodyneDataset:
 
 
 # ---------------------------------------------------------------------------
-# rejection sampling
+# the draw routines of the state families, and the samplers of both schemes
 # ---------------------------------------------------------------------------
 
 _SAFETY = 1.10
@@ -178,28 +168,15 @@ def _rejection(pdf, env, propose, grid, n, gen):
     return out
 
 
-# ---------------------------------------------------------------------------
-# 1-D quadrature sampling
-# ---------------------------------------------------------------------------
-
-_ENVELOPE_INFLATION = 3.0
-_SCAN_NODES = 2049
-
-
-def _sample_quadrature(state: StateModel, theta: float, n: int,
-                       gen: np.random.Generator) -> np.ndarray:
-    _, u1, u2, _, _, shift = st._core_quadrature(state, theta).tolist()
-    if isinstance(state, st.Gaussian):
-        core = gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
-    else:
-        var_env = _ENVELOPE_INFLATION * u2
-        sd, half = math.sqrt(var_env), 6.0 * math.sqrt(u2) + abs(u1)
-        core = _rejection(
-            lambda y: state._core_quadrature_pdf(theta, y),
-            lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env),
-            lambda g, k: g.normal(u1, sd, size=k),
-            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen)
-    return core + shift
+def _polar_rows(s: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """Rows (r cos(ang), r sin(ang)) with r = sqrt(2 s), computed in place of s."""
+    np.multiply(s, 2.0, out=s)
+    np.sqrt(s, out=s)
+    out = np.empty((len(s), 2))
+    np.cos(ang, out=out[:, 0])
+    np.sin(ang, out=out[:, 1])
+    out *= s[:, None]
+    return out
 
 
 def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
@@ -220,117 +197,12 @@ def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
     for k, th in enumerate(phases):
         nk = base + (1 if k < rem else 0)
         gen = substream(seed, TAG_PHASE, k)
-        samples.append(_sample_quadrature(state, float(th), nk, gen))
+        samples.append(state._quadrature_draw(float(th), nk, gen))
     return HomodyneDataset(phases, samples)
-
-
-# ---------------------------------------------------------------------------
-# 2-D Husimi sampling
-# ---------------------------------------------------------------------------
-
-_SCAN_NODES_2D = 257
-_MIXTURE_DEFECT = 1e-12
-
-
-def _polar_rows(s: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Rows (r cos(ang), r sin(ang)) with r = sqrt(2 s), computed in place of s."""
-    np.multiply(s, 2.0, out=s)
-    np.sqrt(s, out=s)
-    out = np.empty((len(s), 2))
-    np.cos(ang, out=out[:, 0])
-    np.sin(ang, out=out[:, 1])
-    out *= s[:, None]
-    return out
-
-
-def _sample_fock_husimi(n_photon: int, n: int, gen: np.random.Generator) -> np.ndarray:
-    s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
-    return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
-
-
-def _sample_photon_added_husimi(state: st.PhotonAddedCoherent, n: int,
-                                gen: np.random.Generator,
-                                cutoff: int | None = None) -> np.ndarray:
-    """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2).
-
-    In polar form s = |alpha|^2 is a mixture over k of Gamma(m + k + 1)
-    with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2, which sum to
-    m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
-    with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
-    Fock-space cutoff (default_cutoff of the state unless given) and the
-    lost weight is checked against the full sum, e^z0 times the state's
-    finite normalization mass (``states._photon_added_log_mass``).
-    """
-    alpha0, m = complex(state.alpha0), state.m
-    z0 = abs(alpha0) ** 2
-    if z0 == 0.0:
-        return _sample_fock_husimi(m, n, gen)
-    if cutoff is None:
-        cutoff = st.default_cutoff(state)
-    k = np.arange(cutoff + 1)
-    logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
-    top = float(np.max(logw))
-    cdf = np.cumsum(np.exp(logw - top))
-    log_ref = z0 + st._photon_added_log_mass(z0, m)
-    defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
-    if defect > _MIXTURE_DEFECT:
-        raise SamplingError(
-            f"photon-added Husimi mixture cutoff {cutoff} leaves weight "
-            f"{defect:.3e} > {_MIXTURE_DEFECT:.1e}"
-        )
-    # one buffer holds the uniforms, then the Gamma shapes m + k + 1, then the
-    # von Mises concentrations 2 sqrt(s z0), each written over the last
-    buf = gen.random(n)
-    np.add(np.searchsorted(cdf / cdf[-1], buf, side="right"), m + 1.0, out=buf)
-    s = gen.gamma(shape=buf, scale=1.0)
-    np.sqrt(np.multiply(s, z0, out=buf), out=buf)
-    buf *= 2.0
-    ang = gen.vonmises(cmath.phase(alpha0), buf)
-    del buf  # freed before the (n, 2) output is made
-    return _polar_rows(s, ang)
 
 
 def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> HeterodyneDataset:
     """Phase-space points i.i.d. from the Husimi function of the state."""
     if n_samples < 1:
         raise SamplingError("n_samples >= 1 required")
-    gen = substream(seed, TAG_HET)
-    n = int(n_samples)
-    if isinstance(state, st.PhotonAddedCoherent):  # exact for the whole state, shift included
-        return HeterodyneDataset(_sample_photon_added_husimi(state, n, gen))
-    if isinstance(state, st.Gaussian):
-        chol = np.linalg.cholesky(het_shift(state.g).as_array())
-        core = gen.normal(size=(n, 2)) @ chol.T
-    elif isinstance(state, (st.Fock, st.DisplacedFock)):
-        core = _sample_fock_husimi(state._vector.size - 1, n, gen)  # core |n>
-    else:  # even/odd coherent
-        ghet = het_shift(st.covariance(state)).as_array()
-        var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
-        a0 = complex(state.alpha0)
-        r0 = np.array([math.sqrt(2.0) * a0.real, math.sqrt(2.0) * a0.imag])
-        centers = np.array([r0, -r0])
-
-        def env(pts):  # equal-weight mixture of isotropic Gaussians about +-r0
-            acc = np.zeros(len(pts))
-            for cx, cp in centers:
-                acc += np.exp(-0.5 * ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cp) ** 2) / var_env)
-            return acc / (4 * math.pi * var_env)
-
-        sd = math.sqrt(var_env)
-
-        def propose(g, k):  # the centre of each normal pair is added in place
-            # another dtype would change the stream, so the int64 draw is
-            # narrowed to a byte per proposal afterwards
-            side = g.integers(0, 2, size=k).astype(np.uint8)
-            pts = g.normal(0.0, sd, size=(k, 2))
-            for lo in range(0, k, _TEST_CHUNK):
-                pts[lo:lo + _TEST_CHUNK] += centers[side[lo:lo + _TEST_CHUNK]]
-            return pts
-
-        half = 6.0 * sd + float(np.hypot(*r0))
-        xs = np.linspace(-half, half, _SCAN_NODES_2D)
-        core = _rejection(
-            lambda pts: state._core_husimi_pdf(pts[:, 0], pts[:, 1]), env, propose,
-            np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
-    core += state._moments.shift[0]
-    return HeterodyneDataset(core)
+    return HeterodyneDataset(state._husimi_draw(int(n_samples), substream(seed, TAG_HET)))

@@ -31,15 +31,26 @@ state object, is that of a stack of one, and so are its Fock vector and the
 sampler's photon-added normalization.  A grid of Gaussian states can also be
 held as arrays (``_GaussianStack``), so that no object is built per point.
 
-The densities take the same split: each family states the quadrature and
-Husimi densities of its core once, and ``quadrature_pdf``/``husimi_pdf``
-evaluate them at the point minus the shift.  There are three core routes:
-a centred Gaussian, the even/odd cat, and a finite Fock vector c, whose
-quadrature density is |sum_j c_j e^{i(m-j) theta} psi_j(y)|^2 and whose
-Husimi density is e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi).
-Fock and displaced Fock states have c = e_n; a photon-added state has the
-amplitudes of (B^dag + conj alpha0)^m |0> (Agarwal & Tara, PRA 43, 492,
-1991), normalized by their own finite sum of squares (``_photon_added_mass``).
+The densities and draws take the same split: each family states the
+quadrature and Husimi densities of its core once, and ``quadrature_pdf``/
+``husimi_pdf`` evaluate them at the point minus the shift.  There are three
+core routes: a centred Gaussian, the even/odd cat, and a finite Fock vector
+c, whose quadrature density is |sum_j c_j e^{i(m-j) theta} psi_j(y)|^2 and
+whose Husimi density is e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 /
+(2 pi).  Fock and displaced Fock states have c = e_n; a photon-added state
+has the amplitudes of (B^dag + conj alpha0)^m |0> (Agarwal & Tara, PRA 43,
+492, 1991), normalized by their own finite sum of squares
+(``_photon_added_mass``).
+Each family draws its core, with the routines and streams of
+:mod:`mtlab.sampling`, and the shift is added once; the photon-added Husimi
+draw is of the whole state.  Gaussian quadrature samples are normal draws;
+the others come by rejection under a Gaussian envelope about the core's own
+<Y_theta>, with variance three times its <Y_theta^2>, so a large
+displacement does not widen it.  Husimi draws are exact for Gaussian states
+(covariance transform of G + I/2), Fock and displaced Fock states
+(Gamma-distributed radius) and photon-added states (a Poisson-like mixture
+of Gamma radii with a von Mises phase); even/odd cats use rejection against
+a two-Gaussian mixture.
 
 Everything here is validated against the brute-force routes in
 :mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
@@ -61,8 +72,10 @@ from .phasespace import (
     FirstMoments,
     GaussianShape,
     gaussian_cov_from_shape,
+    het_shift,
 )
-from .special import oscillator_eigenfunction_sum
+from .sampling import _TEST_CHUNK, SamplingError, _polar_rows, _rejection
+from .special import log_factorial, oscillator_eigenfunction_sum
 
 __all__ = [
     "Gaussian",
@@ -249,18 +262,45 @@ def _moment_data(states) -> _MomentData:
     return _MomentData(shift, r[:54].T.reshape(-1, 6, 9), cov, _shifted_husimi(c, *shift.T))
 
 
+_ENVELOPE_INFLATION = 3.0  # quadrature envelope variance over the core's <Y_theta^2>
+_SCAN_NODES = 2049
+_SCAN_NODES_2D = 257
+_MIXTURE_DEFECT = 1e-12
+
+
 class _StateFamily:
     """Base of the state families: moment data built once, as a stack of one.
 
     Each family builds the core rows of a list of its states in one array
-    pass, ``_rows(states)``, and gives the densities of its core state:
-    ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta, and
-    ``_core_husimi_pdf(x, p)``.
+    pass, ``_rows(states)``, and states the densities and draws of its core:
+    ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta,
+    ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
+    gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>; rejection unless
+    overridden) and ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
+    ``_husimi_draw`` add the shift.
     """
 
     @cached_property
     def _moments(self) -> _MomentData:
         return _moment_data([self])
+
+    def _quadrature_draw(self, theta, n, gen):
+        _, u1, u2, _, _, shift = _core_quadrature(self, theta).tolist()
+        return self._core_quadrature_draw(theta, u1, u2, n, gen) + shift
+
+    def _core_quadrature_draw(self, theta, u1, u2, n, gen):
+        var_env = _ENVELOPE_INFLATION * u2
+        sd, half = math.sqrt(var_env), 6.0 * math.sqrt(u2) + abs(u1)
+        return _rejection(
+            lambda y: self._core_quadrature_pdf(theta, y),
+            lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env),
+            lambda g, k: g.normal(u1, sd, size=k),
+            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen)
+
+    def _husimi_draw(self, n, gen):
+        core = self._core_husimi_draw(n, gen)
+        core += self._moments.shift[0]
+        return core
 
 
 class _FockVector(_StateFamily):
@@ -286,13 +326,19 @@ class _FockVector(_StateFamily):
         return (amp.real ** 2 + amp.imag ** 2) * np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
 
 
+def _number_husimi_draw(n_photon, n, gen):
+    """Husimi draw of |n_photon>: |alpha|^2 ~ Gamma(n_photon + 1), uniform phase."""
+    s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
+    return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
+
+
 # ---------------------------------------------------------------------------
 # state families
 # ---------------------------------------------------------------------------
 
 
 def _check_count(value, name: str) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0):
         raise ValueError(f"{name} must be a non-negative integer")
 
 
@@ -326,6 +372,13 @@ class Gaussian(_StateFamily):
         si = np.linalg.inv(s)
         quad = si[0, 0] * x * x + 2 * si[0, 1] * x * p + si[1, 1] * p * p
         return np.exp(-0.5 * quad) / (2 * math.pi * math.sqrt(np.linalg.det(s)))
+
+    def _core_quadrature_draw(self, theta, u1, u2, n, gen):
+        return gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
+
+    def _core_husimi_draw(self, n, gen):
+        chol = np.linalg.cholesky(het_shift(self.g).as_array())
+        return gen.normal(size=(n, 2)) @ chol.T
 
 
 class _GaussianStack:
@@ -375,6 +428,9 @@ class Fock(_FockVector):
     @cached_property
     def _vector(self):
         return np.eye(1, self.n + 1, self.n, dtype=complex)[0]  # e_n
+
+    def _core_husimi_draw(self, n, gen):
+        return _number_husimi_draw(self.n, n, gen)
 
 
 @dataclass(frozen=True)
@@ -436,6 +492,36 @@ class EvenOddCoherent(_StateFamily):
         den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
         return body / (2 * math.pi * den)
 
+    def _core_husimi_draw(self, n, gen):
+        ghet = het_shift(covariance(self)).as_array()
+        var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
+        a0 = complex(self.alpha0)
+        r0 = np.array([_SQ2 * a0.real, _SQ2 * a0.imag])
+        centers = np.array([r0, -r0])
+
+        def env(pts):  # equal-weight mixture of isotropic Gaussians about +-r0
+            acc = np.zeros(len(pts))
+            for cx, cp in centers:
+                acc += np.exp(-0.5 * ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cp) ** 2) / var_env)
+            return acc / (4 * math.pi * var_env)
+
+        sd = math.sqrt(var_env)
+
+        def propose(g, k):  # the centre of each normal pair is added in place
+            # another dtype would change the stream, so the int64 draw is
+            # narrowed to a byte per proposal afterwards
+            side = g.integers(0, 2, size=k).astype(np.uint8)
+            pts = g.normal(0.0, sd, size=(k, 2))
+            for lo in range(0, k, _TEST_CHUNK):
+                pts[lo:lo + _TEST_CHUNK] += centers[side[lo:lo + _TEST_CHUNK]]
+            return pts
+
+        half = 6.0 * sd + float(np.hypot(*r0))
+        xs = np.linspace(-half, half, _SCAN_NODES_2D)
+        return _rejection(
+            lambda pts: self._core_husimi_pdf(pts[:, 0], pts[:, 1]), env, propose,
+            np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
+
 
 @dataclass(frozen=True)
 class _DisplacedCore(_FockVector):
@@ -465,6 +551,9 @@ class DisplacedFock(_DisplacedCore):
     @cached_property
     def _vector(self):
         return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
+
+    def _core_husimi_draw(self, n, gen):
+        return _number_husimi_draw(self.m, n, gen)
 
 
 def _photon_added_mass(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,8 +615,55 @@ class PhotonAddedCoherent(_DisplacedCore):
     def _vector(self):
         return _photon_added_vectors(np.array([complex(self.alpha0)]), np.array([self.m]))[0]
 
+    def _husimi_draw(self, n, gen, cutoff: int | None = None):
+        """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2), shift included.
+
+        In polar form s = |alpha|^2 is a mixture over k of Gamma(m + k + 1)
+        with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2, which sum to
+        m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
+        with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
+        Fock-space cutoff (default_cutoff of the state unless given) and the
+        lost weight is checked against the full sum, e^z0 times the state's
+        finite normalization mass (``_photon_added_log_mass``).
+        """
+        alpha0, m = complex(self.alpha0), self.m
+        z0 = abs(alpha0) ** 2
+        if z0 == 0.0:
+            return _number_husimi_draw(m, n, gen)
+        if cutoff is None:
+            cutoff = default_cutoff(self)
+        k = np.arange(cutoff + 1)
+        logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
+        top = float(np.max(logw))
+        cdf = np.cumsum(np.exp(logw - top))
+        log_ref = z0 + _photon_added_log_mass(z0, m)
+        defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
+        if defect > _MIXTURE_DEFECT:
+            raise SamplingError(
+                f"photon-added Husimi mixture cutoff {cutoff} leaves weight "
+                f"{defect:.3e} > {_MIXTURE_DEFECT:.1e}"
+            )
+        # one buffer holds the uniforms, then the Gamma shapes m + k + 1, then the
+        # von Mises concentrations 2 sqrt(s z0), each written over the last
+        buf = gen.random(n)
+        np.add(np.searchsorted(cdf / cdf[-1], buf, side="right"), m + 1.0, out=buf)
+        s = gen.gamma(shape=buf, scale=1.0)
+        np.sqrt(np.multiply(s, z0, out=buf), out=buf)
+        buf *= 2.0
+        ang = gen.vonmises(cmath.phase(alpha0), buf)
+        del buf  # freed before the (n, 2) output is made
+        return _polar_rows(s, ang)
+
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]
+
+#: the families of an amplitude alpha0: name -> ((alpha0, m) -> state, takes m)
+_AMPLITUDE_FAMILIES = {
+    "even_coherent": (lambda a0, m: EvenOddCoherent(a0, "even"), False),
+    "odd_coherent": (lambda a0, m: EvenOddCoherent(a0, "odd"), False),
+    "displaced_fock": (DisplacedFock, True),
+    "photon_added": (PhotonAddedCoherent, True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +859,9 @@ def state_from_kv(text) -> StateModel:
             state = Gaussian(FirstMoments(x0, p0), g)
         elif family == "fock":
             state = Fock(int(kv.pop("n")))
-        elif family in ("even_coherent", "odd_coherent"):
-            state = EvenOddCoherent(complex(kv.pop("alpha0")), family.split("_")[0])
-        elif family == "displaced_fock":
-            state = DisplacedFock(complex(kv.pop("alpha0")), int(kv.pop("m")))
-        elif family == "photon_added":
-            state = PhotonAddedCoherent(complex(kv.pop("alpha0")), int(kv.pop("m")))
+        elif family in _AMPLITUDE_FAMILIES:
+            build, takes_m = _AMPLITUDE_FAMILIES[family]
+            state = build(complex(kv.pop("alpha0")), int(kv.pop("m")) if takes_m else None)
         else:
             raise ValueError(f"unknown family {family!r}")
     except KeyError as exc:

@@ -22,7 +22,7 @@ from mtlab import (
 )
 import mtlab.crb
 from mtlab.crb import NumericalFailure
-from mtlab.states import state_to_kv
+from mtlab.states import state_from_kv, state_to_kv
 from mtlab.oracle import hyp1f1, numeric_fisher
 from conftest import random_gaussian, random_state
 
@@ -316,6 +316,22 @@ class TestSearches:
         for family in ("coherent", "even_coherent", "odd_coherent"):
             with pytest.raises(ValueError, match="takes no parameter m"):
                 find_crossover(family, m=3)
+
+    @pytest.mark.parametrize("family, m, kv", [
+        ("coherent", None, "family=displaced_fock alpha0={} m=0"),
+        ("even_coherent", None, "family=even_coherent alpha0={}"),
+        ("odd_coherent", None, "family=odd_coherent alpha0={}"),
+        ("displaced_fock", 0, "family=displaced_fock alpha0={} m=0"),
+        ("displaced_fock", 3, "family=displaced_fock alpha0={} m=3"),
+        ("photon_added", 1, "family=photon_added alpha0={} m=1"),
+        ("photon_added", 4, "family=photon_added alpha0={} m=4"),
+    ])
+    def test_search_families_build_the_descriptor_states(self, family, m, kv):
+        build = mtlab.crb._family_builder(family, m, None, 1e-8)
+        for a0 in (0.0, 0.35, 2.5):
+            state = build(a0)
+            assert state == state_from_kv(kv.format(a0))
+            assert state_to_kv(state) == kv.format(a0)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NumericalFailure):

@@ -25,12 +25,11 @@ from mtlab import (
 from mtlab.phasespace import het_shift
 from mtlab.sampling import (
     TAG_HET,
+    TAG_PHASE,
     SamplingError,
     _TEST_CHUNK,
     _accept_into,
     _rejection,
-    _sample_fock_husimi,
-    _sample_photon_added_husimi,
     derive_key,
     substream,
 )
@@ -274,7 +273,7 @@ class TestHeterodyne:
     def test_photon_added_mixture_defect_raises(self):
         gen = substream(1, 2)
         with pytest.raises(SamplingError):
-            _sample_photon_added_husimi(PhotonAddedCoherent(1.5 + 0.5j, 2), 100, gen, cutoff=3)
+            PhotonAddedCoherent(1.5 + 0.5j, 2)._husimi_draw(100, gen, cutoff=3)
 
     @pytest.mark.parametrize("state", FAMILIES,
                              ids=lambda s: type(s).__name__)
@@ -371,7 +370,7 @@ class TestHeterodyneStream:
 
     @pytest.mark.parametrize("n", STREAM_SIZES)
     def test_fock_husimi(self, n):
-        got = _sample_fock_husimi(3, n, substream(5, n))
+        got = Fock(3)._core_husimi_draw(n, substream(5, n))
         assert np.array_equal(got, whole_fock_husimi(3, n, substream(5, n)))
 
     @pytest.mark.parametrize("state", [PhotonAddedCoherent(0.8, 2),
@@ -380,7 +379,7 @@ class TestHeterodyneStream:
                              ids=["real", "complex", "vacuum"])
     @pytest.mark.parametrize("n", STREAM_SIZES)
     def test_photon_added_husimi(self, state, n):
-        got = _sample_photon_added_husimi(state, n, substream(6, n))
+        got = state._husimi_draw(n, substream(6, n))
         assert np.array_equal(got, whole_photon_added_husimi(state, n, substream(6, n)))
 
     @pytest.mark.parametrize("state, whole", [
@@ -392,6 +391,45 @@ class TestHeterodyneStream:
     def test_sample_heterodyne(self, state, whole, n):
         got = sample_heterodyne(state, n, seed=7).points
         assert np.array_equal(got, whole(state, n, substream(7, TAG_HET)))
+
+
+# Whole-array homodyne draws: a normal draw for a Gaussian core, else
+# rejection testing every proposal of each batch at once, under the
+# envelope written out.  The samplers must reproduce them bit for bit.
+
+def whole_quadrature(state, theta, n, gen):
+    _, u1, u2, _, _, shift = mtlab.states._core_quadrature(state, theta).tolist()
+    if isinstance(state, Gaussian):
+        return gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n) + shift
+    pdf = lambda y: state._core_quadrature_pdf(theta, y)
+    var_env, half = 3.0 * u2, 6.0 * math.sqrt(u2) + abs(u1)
+    env = lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
+    grid = np.linspace(u1 - half, u1 + half, 2049)
+    c = float(np.max(pdf(grid) / env(grid))) * 1.10
+    blocks, filled = [], 0
+    while filled < n:
+        k = min(4_000_000, max(1024, int((n - filled) * c * 1.2)))
+        xs = gen.normal(u1, math.sqrt(var_env), size=k)
+        blocks.append(xs[gen.uniform(0.0, 1.0, size=k) * c * env(xs) < pdf(xs)])
+        filled += len(blocks[-1])
+    return np.concatenate(blocks)[:n] + shift
+
+
+class TestHomodyneStream:
+    """Every family's homodyne draw takes the values of the whole-array draw."""
+
+    @pytest.mark.parametrize("state", [
+        FAMILIES[0], Fock(3), DisplacedFock(1 + 0.5j, 2), PhotonAddedCoherent(0.8, 2),
+        EvenOddCoherent(1.0, "even"), EvenOddCoherent(1.5 + 0.5j, "odd"),
+        EvenOddCoherent(1e-5, "odd"),
+    ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat", "odd_cat",
+            "tiny_odd_cat"])
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    def test_sample_homodyne(self, state, n):
+        got = sample_homodyne(state, 3, 3 * n, seed=8)
+        for k, (th, xs) in enumerate(zip(got.phases, got.samples)):
+            ref = whole_quadrature(state, float(th), n, substream(8, TAG_PHASE, k))
+            assert np.array_equal(xs, ref)
 
 
 @pytest.mark.parametrize("state, mib", [

@@ -486,6 +486,15 @@ class TestSerialization:
             state_from_kv("family=fock")
         with pytest.raises(ValueError):
             state_from_kv("family=fock n=2 junk=1")
+        # a bool is an int, but a state of one would write "n=True", which does
+        # not parse back: no state takes a bool count
+        for text in ("family=fock n=True", "family=displaced_fock alpha0=1.0 m=True"):
+            with pytest.raises(ValueError):
+                state_from_kv(text)
+        for make in (lambda: Fock(True), lambda: DisplacedFock(1.0, True),
+                     lambda: PhotonAddedCoherent(0.5, False)):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                make()
 
 
 class TestValidation:
