@@ -149,7 +149,9 @@ def het_first_estimator(d: HeterodyneDataset) -> FirstMoments:
     """Sample mean of the phase-space scatter."""
     if len(d.points) < 1:
         raise EstimatorError("empty heterodyne dataset")
-    r = d.points.mean(axis=0)
+    # the sequential column sums of points.mean(axis=0), bit for bit, at a
+    # fraction of its cost
+    r = np.einsum("ij->j", d.points) / len(d.points)
     return FirstMoments(r[0], r[1])
 
 
@@ -160,8 +162,12 @@ def het_second_estimator(d: HeterodyneDataset) -> np.ndarray:
         raise EstimatorError("empty heterodyne dataset")
     x = d.points[:, 0]
     pp = d.points[:, 1]
-    xp = np.mean(x * pp)
-    return np.array([[np.mean(x * x), xp], [xp, np.mean(pp * pp)]])
+    # np.mean(x * x), np.mean(x * pp) and np.mean(pp * pp) bit for bit, the
+    # products made in turn in one buffer
+    buf = np.multiply(x, x)
+    xx = buf.mean()
+    xp = np.multiply(x, pp, out=buf).mean()
+    return np.array([[xx, xp], [xp, np.multiply(pp, pp, out=buf).mean()]])
 
 
 # ---------------------------------------------------------------------------

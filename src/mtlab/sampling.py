@@ -18,10 +18,12 @@ inputs it must keep at once: the Gamma variates (made radii in place) and
 the angles of the Fock and photon-added draws, whose Gamma shapes and von
 Mises concentrations share one buffer; the normals of the Gaussian draw;
 for the cat, one batch of proposal normals and a byte per proposal for its
-mixture component.  A rejection batch's uniforms are drawn one test chunk
-at a time.  The generator calls, their order and their sizes are those of
-whole-array draws, so the random stream and every drawn value are
-unchanged.
+mixture component.  A rejection batch's uniforms and the cat's component
+indices are drawn one test chunk at a time, so no batch-long temporary is
+made and freed: freeing one raises glibc's dynamic mmap threshold, and
+later draws then come from a heap that is kept, not returned.  A chunked
+call reads the random words of the whole-array call in the same order, so
+the random stream and every drawn value are those of whole-array draws.
 """
 
 from __future__ import annotations

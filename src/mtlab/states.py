@@ -277,7 +277,8 @@ class _StateFamily:
     ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
     gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>; rejection unless
     overridden) and ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
-    ``_husimi_draw`` add the shift.
+    ``_husimi_draw`` add the shift.  ``_cutoff()`` is the state's Fock-space
+    cutoff (``default_cutoff``).
     """
 
     @cached_property
@@ -347,6 +348,13 @@ def _check_amplitude(alpha0) -> None:
         raise ValueError("amplitude must be finite")
 
 
+def _poisson_tail_cutoff(alpha0, m: int) -> int:
+    """Fock cutoff of an amplitude family, past the Poisson-like tail of
+    |alpha0|^2 + m photons: a truncation defect below ~1e-10."""
+    a2 = abs(complex(alpha0)) ** 2
+    return int(math.ceil(a2 + m + 10.0 * math.sqrt(a2 + m + 1.0) + 20.0))
+
+
 @dataclass(frozen=True)
 class Gaussian(_StateFamily):
     """Gaussian state with mean r0 and covariance matrix g (det g >= 1/4)."""
@@ -379,6 +387,9 @@ class Gaussian(_StateFamily):
     def _core_husimi_draw(self, n, gen):
         chol = np.linalg.cholesky(het_shift(self.g).as_array())
         return gen.normal(size=(n, 2)) @ chol.T
+
+    def _cutoff(self):
+        raise ValueError("a Gaussian state has no finite Fock cutoff")
 
 
 class _GaussianStack:
@@ -432,6 +443,9 @@ class Fock(_FockVector):
     def _core_husimi_draw(self, n, gen):
         return _number_husimi_draw(self.n, n, gen)
 
+    def _cutoff(self):
+        return self.n
+
 
 @dataclass(frozen=True)
 class EvenOddCoherent(_StateFamily):
@@ -444,6 +458,9 @@ class EvenOddCoherent(_StateFamily):
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
         _check_amplitude(self.alpha0)
+
+    def _cutoff(self):
+        return _poisson_tail_cutoff(self.alpha0, 0)
 
     @staticmethod
     def _rows(states):
@@ -509,8 +526,12 @@ class EvenOddCoherent(_StateFamily):
 
         def propose(g, k):  # the centre of each normal pair is added in place
             # another dtype would change the stream, so the int64 draw is
-            # narrowed to a byte per proposal afterwards
-            side = g.integers(0, 2, size=k).astype(np.uint8)
+            # narrowed to a byte per proposal one test chunk at a time; a
+            # range-2 draw takes one 32-bit word per value, so the chunks
+            # read the words of one whole call
+            side = np.empty(k, dtype=np.uint8)
+            for lo in range(0, k, _TEST_CHUNK):
+                side[lo:lo + _TEST_CHUNK] = g.integers(0, 2, size=min(_TEST_CHUNK, k - lo))
             pts = g.normal(0.0, sd, size=(k, 2))
             for lo in range(0, k, _TEST_CHUNK):
                 pts[lo:lo + _TEST_CHUNK] += centers[side[lo:lo + _TEST_CHUNK]]
@@ -539,6 +560,9 @@ class _DisplacedCore(_FockVector):
         a = np.array([complex(s.alpha0) for s in states])
         return _rows_of(cls._tables(a, np.array([s.m for s in states])),
                      _SQ2 * a.real, _SQ2 * a.imag)
+
+    def _cutoff(self):
+        return _poisson_tail_cutoff(self.alpha0, self.m)
 
 
 class DisplacedFock(_DisplacedCore):
@@ -768,12 +792,10 @@ def second_moment_matrix(state: StateModel) -> CovarianceMatrix:
 
 
 def default_cutoff(state: StateModel) -> int:
-    """Poisson-tail cutoff keeping the truncation defect below ~1e-10."""
-    if isinstance(state, Fock):
-        return state.n
-    a2 = abs(complex(state.alpha0)) ** 2
-    m = getattr(state, "m", 0)
-    return int(math.ceil(a2 + m + 10.0 * math.sqrt(a2 + m + 1.0) + 20.0))
+    """Fock-space cutoff of a state: n for |n>, else past the Poisson-like
+    photon tail (a truncation defect below ~1e-10).  A Gaussian state has no
+    finite cutoff and raises ValueError."""
+    return state._cutoff()
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ class TestHeterodyneEstimators:
         d2 = (ghet - 0.5 * np.eye(2)) - g2
         assert np.sum(d1 * d1) == np.sum(d2 * d2)
 
+    @pytest.mark.parametrize("n", [1, 8_193, 10**6])
+    def test_estimates_are_the_numpy_means_bit_for_bit(self, rng, n):
+        pts = rng.normal(size=(n, 2)) * [1.3, 0.7] + [0.4, -2.1]
+        x, p = pts[:, 0], pts[:, 1]
+        d = HeterodyneDataset(pts)
+        assert np.array_equal(het_first_estimator(d).as_array(), pts.mean(axis=0))
+        xp = np.mean(x * p)
+        assert np.array_equal(het_second_estimator(d),
+                              [[np.mean(x * x), xp], [xp, np.mean(p * p)]])
+
 
 class TestMonteCarlo:
     def test_argument_validation(self):

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -362,6 +365,20 @@ def whole_cat_heterodyne(state, n, gen):
     return np.concatenate(blocks)[:n] + state._moments.shift[0]
 
 
+class RecordingGenerator:
+    """A generator that passes every call on and records the sizes asked of integers."""
+
+    def __init__(self, gen):
+        self.gen, self.integer_sizes = gen, []
+
+    def integers(self, *args, size=None, **kwargs):
+        self.integer_sizes.append(size)
+        return self.gen.integers(*args, size=size, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
 STREAM_SIZES = (1, 12_345, 100_000)
 
 
@@ -387,10 +404,18 @@ class TestHeterodyneStream:
         (EvenOddCoherent(1.0, "even"), whole_cat_heterodyne),
         (EvenOddCoherent(1.5 + 0.5j, "odd"), whole_cat_heterodyne),
     ], ids=["gaussian", "even_cat", "odd_cat"])
-    @pytest.mark.parametrize("n", STREAM_SIZES)
+    @pytest.mark.parametrize("n", STREAM_SIZES + (_TEST_CHUNK, _TEST_CHUNK + 1))
     def test_sample_heterodyne(self, state, whole, n):
         got = sample_heterodyne(state, n, seed=7).points
         assert np.array_equal(got, whole(state, n, substream(7, TAG_HET)))
+
+    def test_cat_component_index_drawn_one_chunk_at_a_time(self):
+        state = EvenOddCoherent(1.0, "even")
+        gen = RecordingGenerator(substream(7, TAG_HET))
+        got = state._core_husimi_draw(100_000, gen)
+        assert len(gen.integer_sizes) > 1
+        assert max(gen.integer_sizes) <= _TEST_CHUNK
+        assert np.array_equal(got, whole_cat_heterodyne(state, 100_000, substream(7, TAG_HET)))
 
 
 # Whole-array homodyne draws: a normal draw for a Gaussian core, else
@@ -441,7 +466,10 @@ class TestHomodyneStream:
 ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat"])
 def test_heterodyne_draw_peak_memory(state, mib):
     # 10^6 draws hold their (n, 2) output (15.3 MiB) and, for the cat, one
-    # batch of proposals: two normals and a byte of component index each
+    # batch of proposals: two normals and a byte of component index each.
+    # tracemalloc cannot see a large block freed before the traced peak,
+    # such as a whole batch's int64 component index: the resident heap that
+    # glibc keeps after it is checked below
     sample_heterodyne(state, 100, seed=1)  # warm-up: the state's cached tables
     tracemalloc.start()
     try:
@@ -450,3 +478,32 @@ def test_heterodyne_draw_peak_memory(state, mib):
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+# Two 10^6 cat draws in a fresh process, after a warm-up; prints how far
+# the second raised the resident peak, in KiB
+_CAT_RSS_PROBE = """
+import resource
+from mtlab import EvenOddCoherent, sample_heterodyne
+state = EvenOddCoherent(1.0, "even")
+sample_heterodyne(state, 100, seed=1)
+peaks = []
+for seed in (2, 3):
+    sample_heterodyne(state, 10**6, seed=seed)
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peaks[1] - peaks[0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux, and the heap is glibc's")
+def test_cat_heterodyne_draw_resident_peak_does_not_grow():
+    # a k-long int64 block made and freed raises glibc's mmap threshold, and
+    # the next draw's arrays then come from a heap that is never trimmed
+    src = os.path.dirname(os.path.dirname(mtlab.states.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CAT_RSS_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    grown = int(proc.stdout) / 1024
+    assert grown < 10, f"the second draw raised the resident peak by {grown:.1f} MiB"

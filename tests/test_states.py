@@ -26,7 +26,8 @@ from mtlab import (
 )
 from mtlab.special import log_factorial, oscillator_eigenfunction_sum
 from mtlab.oracle import CutoffError, fock_expansion, hyp1f1, hyp1f1_log
-from mtlab.states import _core_rows, _photon_added_log_mass, quadrature_x2_variance
+from mtlab.states import (_core_rows, _photon_added_log_mass, default_cutoff,
+                          quadrature_x2_variance)
 from conftest import random_state, rotated_cov, rotated_mean
 
 SQ2 = math.sqrt(2.0)
@@ -324,6 +325,17 @@ class TestFockExpansion:
     def test_cutoff_error(self):
         with pytest.raises(CutoffError):
             fock_expansion(EvenOddCoherent(2.0, "even"), cutoff=3)
+
+    def test_default_cutoff_of_each_family(self):
+        assert default_cutoff(Fock(3)) == 3
+        # ceil(|alpha0|^2 + m + 10 sqrt(|alpha0|^2 + m + 1) + 20)
+        assert default_cutoff(EvenOddCoherent(1.0, "odd")) == 36
+        assert default_cutoff(DisplacedFock(1j, 2)) == 43
+        assert default_cutoff(PhotonAddedCoherent(-1.0, 2)) == 43
+
+    def test_default_cutoff_of_gaussian_raises(self):
+        with pytest.raises(ValueError, match="no finite Fock cutoff"):
+            default_cutoff(VACUUM)
 
     def test_mean_photon_number_matches_moments(self, rng):
         # sum n |c_n|^2 must equal (Tr G2 - 1)/2 for every pure family
