@@ -5,20 +5,21 @@ Usage:
           [--seed S] [--out PATH] [--format csv|json] [--workers W]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Each of
-these bad inputs exits 2 before anything is evaluated or drawn: a key in
-[state], [search], [mc], [sweep] or [experiment] that the experiment does
-not read, a value that does not parse or makes no state, a search family
-without its m or with one it does not take, a [search] bracket_hi that is
-not finite and positive (the searches run over alpha0 in [0, bracket_hi],
-by default [0, 20] for crossover and [0, max(5, 3 sqrt(m))] for the
-minima), or [mc] trials < 2, n_theta < 3, or N below n_theta (homodyne) or
-1 (heterodyne).
+these bad inputs exits 2 before anything is evaluated or drawn: a section
+the experiment does not read, a key in [state], [search], [mc], [sweep],
+[experiment] or [output] that it does not read, a value that does not
+parse or makes no state, a search family without its m or with one it
+does not take, a [search] bracket_hi that is not finite and positive
+(the searches run over alpha0 in [0, bracket_hi], by default [0, 20] for
+crossover and [0, max(5, 3 sqrt(m))] for the minima), or [mc] trials < 2,
+n_theta < 3, or N below n_theta (homodyne) or 1 (heterodyne).
 
 State descriptors (the [state] config section and the state column of
 mc-verify reports) use one key=value vocabulary: `family=gaussian` with
 entries gxx/gxp/gpp or the spectral form mu/lam/phi plus optional x0/p0;
-`family=fock n=...`; `family=even_coherent|odd_coherent alpha0=...`;
-`family=displaced_fock` and `family=photon_added` with alpha0 and m.
+`family=fock n=...`; `family=coherent|even_coherent|odd_coherent
+alpha0=...`; `family=displaced_fock` and `family=photon_added` with alpha0
+and m.  The search families are the same amplitude families.
 Complex amplitudes parse with Python syntax (e.g. alpha0=0.5+0.5j).
 """
 

@@ -135,19 +135,15 @@ def _phase_sum(states, c: np.ndarray, todo: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _trapezoid(states, c: np.ndarray, nodes: int | None = None) -> np.ndarray:
+def _trapezoid(states, c: np.ndarray) -> np.ndarray:
     """Phase averages (S, 3, 3) of v v^T / Var(X_theta^2), v = (c^2, sqrt2 s c, s^2),
     for the variance harmonics c (S, 3) of the states.
 
     The integrand is pi-periodic and analytic, so the trapezoid rule converges
     geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The states share
     the node count n = 32, 64, ...; a state stops doubling once two successive
-    levels agree.  Given a node count, the sum at those nodes is returned as
-    it is: at n nodes it is the Fisher matrix per sample of n equally spaced
-    homodyne phases.
+    levels agree.
     """
-    if nodes is not None:
-        return _phase_sum(states, c, np.arange(len(c)), nodes)
     out = np.empty((len(c), 3, 3))
     todo = np.arange(len(c))
     prev = None
@@ -230,22 +226,15 @@ def crb_report(state: StateModel) -> CrbReport:
 # crossover and minimum searches over the displacement amplitude
 # ---------------------------------------------------------------------------
 
-# the amplitude families, and "coherent", search-only: displaced_fock at m = 0
-_SEARCH_FAMILIES = {
-    "coherent": (lambda a0, m: _AMPLITUDE_FAMILIES["displaced_fock"][0](a0, 0), False),
-    **_AMPLITUDE_FAMILIES,
-}
-
-
 def _family_builder(family: str, m: int | None, bracket_hi: float | None, tol: float):
     """alpha0 -> state of the search family; checks every input of one search
     job: the family, m, the bracket end bracket_hi (None takes the search's
     default) and tol."""
     try:
-        build, takes_m = _SEARCH_FAMILIES[family]
+        build, takes_m = _AMPLITUDE_FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from "
-                         f"{sorted(_SEARCH_FAMILIES)}") from None
+                         f"{sorted(_AMPLITUDE_FAMILIES)}") from None
     if takes_m and m is None:
         raise ValueError(f"family {family!r} requires the integer parameter m")
     if not takes_m and m is not None:

@@ -370,25 +370,35 @@ def _run_fig6(cfg: ExperimentConfig) -> list:
                         "fig6 family or m")
 
 
+#: each experiment's body and the sections it reads besides [experiment] and [output]
 _BODIES = {
-    "crb": _run_crb,
-    "gamma-sweep": _run_crb,
-    "crossover": _run_crossover,
-    "gamma2-min": _run_gamma2_min,
-    "mc-verify": _run_mc_verify,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
+    "crb": (_run_crb, ("state", "sweep")),
+    "gamma-sweep": (_run_crb, ("state", "sweep")),
+    "crossover": (_run_crossover, ("search",)),
+    "gamma2-min": (_run_gamma2_min, ("search",)),
+    "mc-verify": (_run_mc_verify, ("state", "mc")),
+    "fig2": (_run_fig2, ("sweep",)),
+    "fig3": (_run_fig3, ("sweep",)),
+    "fig4": (_run_fig4, ("sweep",)),
+    "fig5": (_run_fig5, ("sweep",)),
+    "fig6": (_run_fig6, ("sweep",)),
 }
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the configured experiment and assemble its report."""
+    """Execute the configured experiment and assemble its report.  A section
+    the experiment does not read, or an unknown [experiment] or [output] key,
+    is a ConfigError before anything is evaluated."""
+    body, reads = _BODIES[cfg.kind]
+    unread = sorted(set(cfg.sections) - {"experiment", "output", *reads})
+    if unread:
+        name = unread[0]
+        raise ConfigError(f"unknown [{name}] keys {sorted(cfg.sections[name])}: "
+                          f"{cfg.kind} reads no [{name}] section")
+    _section(cfg, "output", ("path", "format"))
     _section(cfg, "experiment", ("kind", "seed", "workers", "families")
              if cfg.kind == "fig6" else ("kind", "seed", "workers"))
-    rows = _BODIES[cfg.kind](cfg)
+    rows = body(cfg)
     if not rows:
         raise ConfigError("experiment produced an empty row set")
     echo = []

@@ -462,13 +462,25 @@ class FockExpansion:
         return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+def _poisson_tail_cutoff(alpha0, m: int) -> int:
+    """Fock cutoff of an amplitude family, past the Poisson-like tail of
+    |alpha0|^2 + m photons: a truncation defect below ~1e-10."""
+    a2 = abs(complex(alpha0)) ** 2
+    return int(math.ceil(a2 + m + 10.0 * math.sqrt(a2 + m + 1.0) + 20.0))
+
+
 def fock_expansion(state: StateModel, cutoff: int | None = None,
                    eps_trunc: float = 1e-10) -> FockExpansion:
-    """Normalized Fock-basis coefficients of a pure non-Gaussian state."""
+    """Normalized Fock-basis coefficients of a pure non-Gaussian state.
+
+    The cutoff defaults to n for |n>, and otherwise lies past the
+    Poisson-like photon tail (``_poisson_tail_cutoff``; m = 0 for the cat).
+    """
     if isinstance(state, st.Gaussian):
         raise TypeError("fock_expansion covers the pure non-Gaussian families only")
     if cutoff is None:
-        cutoff = st.default_cutoff(state)
+        cutoff = (state.n if isinstance(state, st.Fock)
+                  else _poisson_tail_cutoff(state.alpha0, getattr(state, "m", 0)))
     n = np.arange(cutoff + 1)
     if isinstance(state, st.Fock):
         if cutoff < state.n:

@@ -14,9 +14,10 @@ draw is exact or raises SamplingError, and there is no approximate
 fallback; ``_polar_rows`` turns a radial draw into rows.
 
 A heterodyne draw of n points holds its (n, 2) output plus the random
-inputs it must keep at once: the Gamma variates (made radii in place) and
-the angles of the Fock and photon-added draws, whose Gamma shapes and von
-Mises concentrations share one buffer; the normals of the Gaussian draw;
+inputs it must keep at once: the radial variates (made radii in place)
+and the angles of the Fock and photon-added draws, the photon-added degrees
+of freedom and von Mises concentrations sharing one buffer; the normals of
+the Gaussian draw;
 for the cat, one batch of proposal normals and a byte per proposal for its
 mixture component.  A rejection batch's uniforms and the cat's component
 indices are drawn one test chunk at a time, so no batch-long temporary is

@@ -48,9 +48,10 @@ the others come by rejection under a Gaussian envelope about the core's own
 <Y_theta>, with variance three times its <Y_theta^2>, so a large
 displacement does not widen it.  Husimi draws are exact for Gaussian states
 (covariance transform of G + I/2), Fock and displaced Fock states
-(Gamma-distributed radius) and photon-added states (a Poisson-like mixture
-of Gamma radii with a von Mises phase); even/odd cats use rejection against
-a two-Gaussian mixture.
+(Gamma-distributed radius) and photon-added states (a finite mixture of
+m + 1 noncentral chi-square radii, weighted by the terms of the
+normalization, with a von Mises phase); even/odd cats use rejection against
+a two-Gaussian mixture.  No draw or moment truncates a Fock space.
 
 Everything here is validated against the brute-force routes in
 :mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
@@ -74,8 +75,8 @@ from .phasespace import (
     gaussian_cov_from_shape,
     het_shift,
 )
-from .sampling import _TEST_CHUNK, SamplingError, _polar_rows, _rejection
-from .special import log_factorial, oscillator_eigenfunction_sum
+from .sampling import _TEST_CHUNK, _polar_rows, _rejection
+from .special import oscillator_eigenfunction_sum
 
 __all__ = [
     "Gaussian",
@@ -91,7 +92,6 @@ __all__ = [
     "first_moments",
     "covariance",
     "second_moment_matrix",
-    "default_cutoff",
     "quadrature_pdf",
     "husimi_pdf",
     "state_to_kv",
@@ -265,7 +265,6 @@ def _moment_data(states) -> _MomentData:
 _ENVELOPE_INFLATION = 3.0  # quadrature envelope variance over the core's <Y_theta^2>
 _SCAN_NODES = 2049
 _SCAN_NODES_2D = 257
-_MIXTURE_DEFECT = 1e-12
 
 
 class _StateFamily:
@@ -277,8 +276,7 @@ class _StateFamily:
     ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
     gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>; rejection unless
     overridden) and ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
-    ``_husimi_draw`` add the shift.  ``_cutoff()`` is the state's Fock-space
-    cutoff (``default_cutoff``).
+    ``_husimi_draw`` add the shift.
     """
 
     @cached_property
@@ -348,13 +346,6 @@ def _check_amplitude(alpha0) -> None:
         raise ValueError("amplitude must be finite")
 
 
-def _poisson_tail_cutoff(alpha0, m: int) -> int:
-    """Fock cutoff of an amplitude family, past the Poisson-like tail of
-    |alpha0|^2 + m photons: a truncation defect below ~1e-10."""
-    a2 = abs(complex(alpha0)) ** 2
-    return int(math.ceil(a2 + m + 10.0 * math.sqrt(a2 + m + 1.0) + 20.0))
-
-
 @dataclass(frozen=True)
 class Gaussian(_StateFamily):
     """Gaussian state with mean r0 and covariance matrix g (det g >= 1/4)."""
@@ -387,9 +378,6 @@ class Gaussian(_StateFamily):
     def _core_husimi_draw(self, n, gen):
         chol = np.linalg.cholesky(het_shift(self.g).as_array())
         return gen.normal(size=(n, 2)) @ chol.T
-
-    def _cutoff(self):
-        raise ValueError("a Gaussian state has no finite Fock cutoff")
 
 
 class _GaussianStack:
@@ -443,9 +431,6 @@ class Fock(_FockVector):
     def _core_husimi_draw(self, n, gen):
         return _number_husimi_draw(self.n, n, gen)
 
-    def _cutoff(self):
-        return self.n
-
 
 @dataclass(frozen=True)
 class EvenOddCoherent(_StateFamily):
@@ -458,9 +443,6 @@ class EvenOddCoherent(_StateFamily):
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
         _check_amplitude(self.alpha0)
-
-    def _cutoff(self):
-        return _poisson_tail_cutoff(self.alpha0, 0)
 
     @staticmethod
     def _rows(states):
@@ -561,9 +543,6 @@ class _DisplacedCore(_FockVector):
         return _rows_of(cls._tables(a, np.array([s.m for s in states])),
                      _SQ2 * a.real, _SQ2 * a.imag)
 
-    def _cutoff(self):
-        return _poisson_tail_cutoff(self.alpha0, self.m)
-
 
 class DisplacedFock(_DisplacedCore):
     """Displaced Fock state D(alpha0)|m>."""
@@ -604,18 +583,6 @@ def _photon_added_mass(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.nda
     return w, below.sum(axis=1)
 
 
-def _photon_added_log_mass(z: float, m: int) -> float:
-    """log ||(B^dag + sqrt z)^m |0>||^2 from ``_photon_added_mass`` on a stack
-    of one: the log of the largest term, C(m, top)^2 top! z^(m - top), plus
-    the log of the sum of the terms over it."""
-    w, top = _photon_added_mass(np.array([z]), np.array([m]))
-    top = int(top[0])
-    log_top = 2.0 * math.log(math.comb(m, top)) + math.lgamma(top + 1.0)
-    if top < m:  # then z > 0
-        log_top += (m - top) * math.log(z)
-    return log_top + math.log(w.sum())
-
-
 def _photon_added_vectors(alpha0: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Normalized amplitudes (S, max m + 1) of (B^dag + conj a)^m |0> on
     |0>..|m>, zero past m, for a stack of (a, m), since (A^dag)^m |a> =
@@ -639,39 +606,31 @@ class PhotonAddedCoherent(_DisplacedCore):
     def _vector(self):
         return _photon_added_vectors(np.array([complex(self.alpha0)]), np.array([self.m]))[0]
 
-    def _husimi_draw(self, n, gen, cutoff: int | None = None):
+    def _husimi_draw(self, n, gen):
         """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2), shift included.
 
         In polar form s = |alpha|^2 is a mixture over k of Gamma(m + k + 1)
-        with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2, which sum to
-        m! 1F1(m+1; 1; z0); given s, arg(alpha) is von Mises about arg(alpha0)
-        with concentration 2 sqrt(s z0).  The k-mixture is truncated at the
-        Fock-space cutoff (default_cutoff of the state unless given) and the
-        lost weight is checked against the full sum, e^z0 times the state's
-        finite normalization mass (``_photon_added_log_mass``).
+        with weights z0^k (m+k)! / (k!)^2, z0 = |alpha0|^2.  These are the
+        Poisson(z0) weights times (k+1)...(k+m) = sum_j C(m, j) (m!/j!)
+        k!/(k-j)!, so the mixture is a finite one: component j = 0..m, with
+        weight C(m, j) (m!/j!) z0^j (the terms of ``_photon_added_mass`` read
+        in reverse), is the Poisson(z0) mixture of Gamma(m + 1 + j + K), that
+        is half a noncentral chi-square with 2 (m + 1 + j) degrees of freedom
+        and noncentrality 2 z0.  Given s, arg(alpha) is von Mises about
+        arg(alpha0) with concentration 2 sqrt(s z0); at alpha0 = 0 the draw is
+        a plain chi-square radius and a uniform phase.
         """
         alpha0, m = complex(self.alpha0), self.m
         z0 = abs(alpha0) ** 2
-        if z0 == 0.0:
-            return _number_husimi_draw(m, n, gen)
-        if cutoff is None:
-            cutoff = default_cutoff(self)
-        k = np.arange(cutoff + 1)
-        logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
-        top = float(np.max(logw))
-        cdf = np.cumsum(np.exp(logw - top))
-        log_ref = z0 + _photon_added_log_mass(z0, m)
-        defect = -math.expm1(top + math.log(cdf[-1]) - log_ref)
-        if defect > _MIXTURE_DEFECT:
-            raise SamplingError(
-                f"photon-added Husimi mixture cutoff {cutoff} leaves weight "
-                f"{defect:.3e} > {_MIXTURE_DEFECT:.1e}"
-            )
-        # one buffer holds the uniforms, then the Gamma shapes m + k + 1, then the
-        # von Mises concentrations 2 sqrt(s z0), each written over the last
+        w, _ = _photon_added_mass(np.array([z0]), np.array([m]))
+        cdf = np.cumsum(w[0, m::-1])
+        # one buffer holds the uniforms, then the degrees of freedom 2 (m + 1 + j),
+        # then the von Mises concentrations 2 sqrt(s z0), each written over the last
         buf = gen.random(n)
         np.add(np.searchsorted(cdf / cdf[-1], buf, side="right"), m + 1.0, out=buf)
-        s = gen.gamma(shape=buf, scale=1.0)
+        buf *= 2.0
+        s = gen.noncentral_chisquare(buf, 2.0 * z0)
+        s *= 0.5
         np.sqrt(np.multiply(s, z0, out=buf), out=buf)
         buf *= 2.0
         ang = gen.vonmises(cmath.phase(alpha0), buf)
@@ -681,8 +640,10 @@ class PhotonAddedCoherent(_DisplacedCore):
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]
 
-#: the families of an amplitude alpha0: name -> ((alpha0, m) -> state, takes m)
+#: the families of an amplitude alpha0: name -> ((alpha0, m) -> state, takes m);
+#: a coherent state is the displaced Fock state at m = 0
 _AMPLITUDE_FAMILIES = {
+    "coherent": (lambda a0, m: DisplacedFock(a0, 0), False),
     "even_coherent": (lambda a0, m: EvenOddCoherent(a0, "even"), False),
     "odd_coherent": (lambda a0, m: EvenOddCoherent(a0, "odd"), False),
     "displaced_fock": (DisplacedFock, True),
@@ -789,13 +750,6 @@ def second_moment_matrix(state: StateModel) -> CovarianceMatrix:
     """Uncentered second-moment matrix G2 = Re<R R^T> = G + r r^T."""
     g, r = covariance(state), first_moments(state)
     return CovarianceMatrix(g.gxx + r.rx * r.rx, g.gxp + r.rx * r.rp, g.gpp + r.rp * r.rp)
-
-
-def default_cutoff(state: StateModel) -> int:
-    """Fock-space cutoff of a state: n for |n>, else past the Poisson-like
-    photon tail (a truncation defect below ~1e-10).  A Gaussian state has no
-    finite cutoff and raises ValueError."""
-    return state._cutoff()
 
 
 # ---------------------------------------------------------------------------

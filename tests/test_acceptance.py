@@ -28,7 +28,7 @@ from mtlab import (
     minimize_gamma2,
     quadrature_moments,
 )
-from mtlab.crb import _grid, _trapezoid, _variance_harmonics
+from mtlab.crb import _grid, _phase_sum, _variance_harmonics
 from mtlab.estimators import monte_carlo_mse
 from mtlab.states import _moment_data
 from mtlab.oracle import (
@@ -251,7 +251,7 @@ def test_criterion_6_expected_ratio_at_24_phases():
     for state in MC_STATES.values():
         rep = crb_report(state)
         c = _variance_harmonics([state], _moment_data([state]).harmonics)
-        h2 = np.trace(np.linalg.inv(_trapezoid([state], c, n_theta)[0]))
+        h2 = np.trace(np.linalg.inv(_phase_sum([state], c, np.arange(len(c)), n_theta)[0]))
         g = covariance(state).as_array()
         fisher1 = (u / np.einsum("ik,ij,jk->k", u, g, u)) @ u.T / n_theta
         h1 = np.trace(np.linalg.inv(fisher1))

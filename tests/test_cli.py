@@ -395,6 +395,11 @@ class TestCliEndToEnd:
         (["fig6", "--set", "experiment.family=photon_added"], "[experiment]"),
         (["fig5", "--set", "experiment.families=displaced_fock"], "[experiment]"),
         (_MC_FOCK + ["--set", "trials=5"], "[experiment]"),
+        (["fig4", "--set", "output.fromat=json"], "[output]"),
+        (["fig4", "--set", "state.family=bogus"], "[state]"),
+        (_MC_FOCK + ["--set", "mc.N=600", "--set", "mc.trials=2", "--set", "mc.n_theta=6",
+                     "--set", "mc.scheme=het", "--set", "m.N=5"], "[m]"),
+        (["crossover", "--set", "search.family=coherent", "--set", "serach.m=3"], "[serach]"),
     ])
     def test_unknown_figure_or_experiment_key_exit_code(self, capsys, argv, section):
         assert self.run_cli(argv) == 2

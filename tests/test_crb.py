@@ -28,6 +28,9 @@ from conftest import random_gaussian, random_state
 
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 
+#: descriptors whose state prints under another family
+CANONICAL = {"family=coherent alpha0={}": "family=displaced_fock alpha0={} m=0"}
+
 
 def gaussian_from_shape(mu, lam, phi=0.0, x0=0.0, p0=0.0):
     return Gaussian(FirstMoments(x0, p0),
@@ -318,6 +321,7 @@ class TestSearches:
                 find_crossover(family, m=3)
 
     @pytest.mark.parametrize("family, m, kv", [
+        ("coherent", None, "family=coherent alpha0={}"),
         ("coherent", None, "family=displaced_fock alpha0={} m=0"),
         ("even_coherent", None, "family=even_coherent alpha0={}"),
         ("odd_coherent", None, "family=odd_coherent alpha0={}"),
@@ -331,7 +335,8 @@ class TestSearches:
         for a0 in (0.0, 0.35, 2.5):
             state = build(a0)
             assert state == state_from_kv(kv.format(a0))
-            assert state_to_kv(state) == kv.format(a0)
+            # a coherent state's canonical descriptor is the displaced Fock state at m = 0
+            assert state_to_kv(state) == CANONICAL.get(kv, kv).format(a0)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NumericalFailure):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import mtlab.states
@@ -37,7 +38,7 @@ from mtlab.sampling import (
     substream,
 )
 from mtlab.oracle import fock_expansion
-from mtlab.special import log_factorial, oscillator_eigenfunction_sum
+from mtlab.special import oscillator_eigenfunction_sum
 
 SQ2 = math.sqrt(2.0)
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
@@ -273,10 +274,27 @@ class TestHeterodyne:
         ks = scipy.stats.kstest(s, "gamma", args=(m + 1.0,))
         assert ks.pvalue > 1e-3
 
-    def test_photon_added_mixture_defect_raises(self):
-        gen = substream(1, 2)
-        with pytest.raises(SamplingError):
-            PhotonAddedCoherent(1.5 + 0.5j, 2)._husimi_draw(100, gen, cutoff=3)
+    @pytest.mark.parametrize("state", [PhotonAddedCoherent(1.3 + 0.7j, 3),
+                                       PhotonAddedCoherent(2.5j, 6)],
+                             ids=lambda s: f"m{s.m}")
+    def test_photon_added_radial_law(self, state):
+        # s = |alpha|^2 is the Gamma(m + k + 1) mixture over k >= 0 with weights
+        # z0^k (m + k)! / (k!)^2, summed here until the weights vanish
+        m, z0 = state.m, abs(complex(state.alpha0)) ** 2
+        pts = sample_heterodyne(state, 400_000, seed=5).points
+        s = 0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+        k = np.arange(200.0)
+        gammaln = scipy.special.gammaln
+        logw = k * math.log(z0) + gammaln(m + k + 1.0) - 2.0 * gammaln(k + 1.0)
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        live = w > 1e-18
+
+        def cdf(x):
+            return sum(wk * scipy.special.gammainc(m + kk + 1.0, x)
+                       for kk, wk in zip(k[live], w[live]))
+
+        assert scipy.stats.kstest(s, cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("state", FAMILIES,
                              ids=lambda s: type(s).__name__)
@@ -317,15 +335,14 @@ def whole_fock_husimi(n_photon, n, gen):
 
 
 def whole_photon_added_husimi(state, n, gen):
+    # component j = 0..m has weight C(m, j) (m!/j!) z0^j and the radius
+    # s ~ Gamma(m + 1 + j + Poisson(z0)), half a noncentral chi-square
     alpha0, m = complex(state.alpha0), state.m
     z0 = abs(alpha0) ** 2
-    if z0 == 0.0:
-        return whole_fock_husimi(m, n, gen)
-    k = np.arange(mtlab.states.default_cutoff(state) + 1)
-    logw = k * math.log(z0) + log_factorial(k + m) - 2.0 * log_factorial(k)
-    cdf = np.cumsum(np.exp(logw - float(np.max(logw))))
-    ks = np.searchsorted(cdf / cdf[-1], gen.random(n), side="right")
-    s = gen.gamma(shape=m + 1.0 + ks, scale=1.0)
+    cdf = np.cumsum([math.comb(m, j) * math.factorial(m) / math.factorial(j) * z0 ** j
+                     for j in range(m + 1)])
+    js = np.searchsorted(cdf / cdf[-1], gen.random(n), side="right")
+    s = 0.5 * gen.noncentral_chisquare(2.0 * (m + 1.0 + js), 2.0 * z0)
     ang = gen.vonmises(cmath.phase(alpha0), 2.0 * np.sqrt(s * z0))
     r = np.sqrt(2.0 * s)
     return np.column_stack([r * np.cos(ang), r * np.sin(ang)])

@@ -26,8 +26,7 @@ from mtlab import (
 )
 from mtlab.special import log_factorial, oscillator_eigenfunction_sum
 from mtlab.oracle import CutoffError, fock_expansion, hyp1f1, hyp1f1_log
-from mtlab.states import (_core_rows, _photon_added_log_mass, default_cutoff,
-                          quadrature_x2_variance)
+from mtlab.states import _core_rows, _photon_added_mass, quadrature_x2_variance
 from conftest import random_state, rotated_cov, rotated_mean
 
 SQ2 = math.sqrt(2.0)
@@ -327,15 +326,15 @@ class TestFockExpansion:
             fock_expansion(EvenOddCoherent(2.0, "even"), cutoff=3)
 
     def test_default_cutoff_of_each_family(self):
-        assert default_cutoff(Fock(3)) == 3
+        assert fock_expansion(Fock(3)).cutoff == 3
         # ceil(|alpha0|^2 + m + 10 sqrt(|alpha0|^2 + m + 1) + 20)
-        assert default_cutoff(EvenOddCoherent(1.0, "odd")) == 36
-        assert default_cutoff(DisplacedFock(1j, 2)) == 43
-        assert default_cutoff(PhotonAddedCoherent(-1.0, 2)) == 43
+        assert fock_expansion(EvenOddCoherent(1.0, "odd")).cutoff == 36
+        assert fock_expansion(DisplacedFock(1j, 2)).cutoff == 43
+        assert fock_expansion(PhotonAddedCoherent(-1.0, 2)).cutoff == 43
 
     def test_default_cutoff_of_gaussian_raises(self):
-        with pytest.raises(ValueError, match="no finite Fock cutoff"):
-            default_cutoff(VACUUM)
+        with pytest.raises(TypeError, match="non-Gaussian families only"):
+            fock_expansion(VACUUM)
 
     def test_mean_photon_number_matches_moments(self, rng):
         # sum n |c_n|^2 must equal (Tr G2 - 1)/2 for every pure family
@@ -454,11 +453,16 @@ class TestPhotonAddedDensity:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), (s, theta)
 
     def test_mass_is_kummer_sum(self):
-        # m! 1F1(m+1; 1; z) = e^z sum_j C(m, j)^2 j! z^(m-j), to 1e-12 relative
+        # m! 1F1(m+1; 1; z) = e^z sum_j C(m, j)^2 j! z^(m-j), to 1e-12 relative:
+        # the finite mixture of the photon-added Husimi draw rests on it
         for m in (*range(0, 120, 7), 120):
             for z in (0.0, 1e-6, 0.3, 2.0, 15.0, 60.0, 150.0, 400.0):
+                w, top = _photon_added_mass(np.array([z]), np.array([m]))
+                top = int(top[0])  # the largest term, C(m, top)^2 top! z^(m - top)
+                log_mass = (2.0 * math.log(math.comb(m, top)) + math.lgamma(top + 1.0)
+                            + (m - top) * (math.log(z) if top < m else 0.0) + math.log(w.sum()))
                 ref = log_factorial(m) + hyp1f1_log(m + 1, 1, z)
-                assert z + _photon_added_log_mass(z, m) == pytest.approx(ref, abs=1e-12), (m, z)
+                assert z + log_mass == pytest.approx(ref, abs=1e-12), (m, z)
 
     def test_zero_amplitude_is_fock_exactly(self):
         x = np.linspace(-8.0, 8.0, 1601)
