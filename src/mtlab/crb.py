@@ -9,31 +9,41 @@ The homodyne Fisher matrices are phase averages of M_theta / Var.  For the
 first moments Var = u^T G u, the average is (G + sqrt(det G) I)^-1 and the
 bound, the trace of its inverse, is Tr G + 2 sqrt(det G).  For the second
 moments Var(X_theta^2) is, for every state, a trigonometric polynomial with
-the harmonics {0, 2 theta, 4 theta}: eight phase samples fix it, and the
-trapezoid rule on the rebuilt variance gives the average.
+the harmonics {0, 2 theta, 4 theta}: eight phase samples fix it.  With
+v = (1 + C, sqrt2 S, 1 - C)/2 (C = cos 2 theta, S = sin 2 theta), every
+entry of v v^T / Var is a fixed combination of B/Var, B = (1, C, S,
+cos 4 theta, sin 4 theta), so the average is five harmonic sums of B/Var
+over the trapezoid nodes, and the matrix is filled from its six distinct
+entries, symmetric by construction.
 
 The second-moment bounds have one route, ``crb_grid``, an array computation
 over a sequence of states taken in blocks of ``_BLOCK`` = 256: each block's
 core rows are built as stacks, one array pass per family (a grid of
 Gaussian states may come as arrays, with no object per point), and go
 through the moment map at once; one DFT over the eight phases gives every
-variance, and the trapezoid rule runs at a node count the block's
-unconverged states share.  ``crb_report`` is that route on a grid of one;
-the two are the only ways to get a bound.  Every step treats each state on
-its own, so a state's bounds do not depend on the grid it is in.
+variance as five coefficients of B, and the trapezoid rule runs on nested
+levels of 32, 64, ... nodes: each unconverged state keeps its five running
+sums, and a level adds only the odd nodes the one before lacks.  The
+doubling stops for a state once the Fisher entries of two successive
+levels agree.  ``crb_report`` is that route on a grid of one; the two are
+the only ways to get a bound.  Every step treats each state on its own
+(products go through BLAS one state at a time), so a state's bounds do not
+depend on the grid it is in.
 
 The searches over the displacement amplitude are coroutines that yield the
 alpha0 values they need, and one driver, ``_lockstep``, runs any number of
 them together with one ``crb_grid`` call per step.  ``minimize_gamma2_grid``
-runs many golden-section searches on it (``minimize_gamma2`` is one job),
-and ``find_crossover`` one bisection (five levels of midpoints per step: a
-default search takes 7 calls, not 28).  Both search alpha0 in [0, bracket_hi]
-and check every input of every job in ``_family_builder`` before their
-first evaluation.
+runs many minimum searches on it (``minimize_gamma2`` is one job), each a
+65-point scan and then 15 interior points per step (a default search takes
+8 calls); ``find_crossover`` runs one bisection (five levels of midpoints
+per step: a default search takes 7 calls, not 28).  Both search alpha0 in
+[0, bracket_hi] and check every input of every job in ``_family_builder``
+before their first evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,17 +74,12 @@ _SQ2 = math.sqrt(2.0)
 class NumericalFailure(ArithmeticError):
     """A phase average failed: the variance vanished, had harmonics beyond
     4 theta, the quadrature did not converge, or the Fisher matrix it gave is
-    not symmetric positive definite."""
+    not positive definite."""
 
 
 def _check_fisher(states, m: np.ndarray) -> None:
     """Raise NumericalFailure naming the first of the states whose Fisher
-    matrix in the stack m (S, k, k) is not symmetric and positive definite."""
-    mt = np.swapaxes(m, -1, -2)
-    asym = ~np.all(np.abs(m - mt) <= 1e-12 + 1e-10 * np.abs(mt), axis=(1, 2))
-    if asym.any():
-        raise NumericalFailure("Fisher matrix is not symmetric: "
-                               + state_to_kv(states[np.argmax(asym)]))
+    matrix in the stack m (S, k, k) is not positive definite."""
     indef = np.any(np.linalg.eigvalsh(m) <= 0, axis=1)
     if indef.any():
         raise NumericalFailure("Fisher matrix is not positive definite: "
@@ -92,9 +97,31 @@ def _trace_inv(m: np.ndarray) -> np.ndarray:
 
 _HARMONIC_TOL = 1e-10
 _TRAPEZOID_TOL = 1e-13
+_FIRST_NODES = 32
 _MAX_NODES = 2 ** 20
 _BLOCK = 256       # states per array pass
 _CHUNK = 1 << 12   # floats per (states x nodes) temporary of the trapezoid rule
+
+# The six distinct entries (F00, F01, F02, F11, F12, F22) of v v^T as
+# combinations of B = (1, C, S, cos 4 theta, sin 4 theta), C = cos 2 theta,
+# S = sin 2 theta: v = (1 + C, sqrt2 S, 1 - C)/2, C^2 = (1 + cos 4 theta)/2,
+# S^2 = (1 - cos 4 theta)/2 and S C = sin 4 theta/2.  Shape (5, 6).
+_ENTRIES = np.array([
+    [1.5, 2.0, 0.0, 0.5, 0.0],
+    [0.0, 0.0, _SQ2, 0.0, 0.5 * _SQ2],
+    [0.5, 0.0, 0.0, -0.5, 0.0],
+    [1.0, 0.0, 0.0, -1.0, 0.0],
+    [0.0, 0.0, _SQ2, 0.0, -0.5 * _SQ2],
+    [1.5, -2.0, 0.0, 0.5, 0.0],
+]).T / 4.0
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3 x 3 matrix, row by row, from the six entries
+
+
+def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x (S, k) @ m (k, j) as one BLAS call per row, so that a row's result
+    does not depend on the other rows (a whole-matrix product's can: the
+    BLAS kernel, and its order of summation, depends on the shape)."""
+    return np.matmul(x[:, None, :], m)[:, 0]
 
 
 def _variance_harmonics(states, harmonics: np.ndarray) -> np.ndarray:
@@ -112,27 +139,67 @@ def _variance_harmonics(states, harmonics: np.ndarray) -> np.ndarray:
     return c[:, :3]
 
 
-def _phase_sum(states, c: np.ndarray, todo: np.ndarray, n: int) -> np.ndarray:
-    """The n-node trapezoid sums (len(todo), 3, 3) of ``_trapezoid`` for the
-    states todo, at the phases theta = k pi/n.  The states go through in
-    groups small enough that a (states x nodes) temporary stays within
-    _CHUNK floats, or one at a time."""
-    th = np.arange(n) * (math.pi / n)
-    z = np.exp(2j * th)
-    cs, sn = np.cos(th), np.sin(th)
-    v = np.array([cs * cs, _SQ2 * sn * cs, sn * sn])
-    c0, c1, c2 = c[todo].T[..., None]  # each (states, 1)
-    out = np.empty((todo.size, 3, 3))
-    step = max(1, _CHUNK // n)
+def _node_basis(theta: np.ndarray) -> np.ndarray:
+    """B = (1, cos 2 theta, sin 2 theta, cos 4 theta, sin 4 theta) (5, n) at the nodes."""
+    return np.stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta),
+                     np.cos(4.0 * theta), np.sin(4.0 * theta)])
+
+
+@functools.cache
+def _level_basis(n: int) -> np.ndarray:
+    """Node basis of the nodes that level n of the trapezoid rule adds: every
+    k pi/n at the first level, the odd nodes (2k+1) pi/n after it.  Built
+    once per level (n is a power of 2 up to _MAX_NODES) and shared, so
+    read-only."""
+    k = np.arange(n) if n == _FIRST_NODES else np.arange(1, n, 2)
+    basis = _node_basis(k * (math.pi / n))
+    basis.flags.writeable = False
+    return basis
+
+
+def _coefficients(c: np.ndarray) -> np.ndarray:
+    """The coefficients a = (c0, 2 Re c1, -2 Im c1, 2 Re c2, -2 Im c2) (S, 5)
+    of Var(X_theta^2) = a . B, from its DFT bins c (S, 3)."""
+    c1, c2 = c[:, 1], c[:, 2]
+    return np.stack([c[:, 0].real, 2.0 * c1.real, -2.0 * c1.imag, 2.0 * c2.real, -2.0 * c2.imag],
+                    axis=1)
+
+
+def _harmonic_sums(states, a: np.ndarray, todo: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Sums (len(todo), 5) of B/Var(X_theta^2) over the nodes of basis (5, n)
+    for the states todo, Var = a . B with the coefficients a (S, 5).
+
+    Var must be positive at every node.  The states go through in groups
+    small enough that a (states x nodes) temporary stays within _CHUNK
+    floats, or one at a time.
+    """
+    out = np.empty((todo.size, 5))
+    step = max(1, _CHUNK // basis.shape[1])
     for lo in range(0, todo.size, step):
-        g = slice(lo, lo + step)
-        var = c0[g].real + 2.0 * np.real(c1[g] * z + c2[g] * z * z)
+        var = _rowwise(a[todo[lo:lo + step]], basis)
         bad = ~(var > 0).all(axis=1)
         if bad.any():
             raise NumericalFailure("vanishing moment variance in the Fisher integrand: "
                                    + state_to_kv(states[todo[lo + np.argmax(bad)]]))
-        out[g] = (v / var[:, None]) @ v.T / n
+        out[lo:lo + step] = _rowwise(1.0 / var, basis.T)
     return out
+
+
+def _entries(sums: np.ndarray, n: int) -> np.ndarray:
+    """The six distinct Fisher entries (S, 6) from the harmonic sums (S, 5) over n nodes."""
+    return _rowwise(sums / n, _ENTRIES)
+
+
+def _matrices(entries: np.ndarray) -> np.ndarray:
+    """The symmetric 3 x 3 matrices (S, 3, 3) of the six distinct entries (S, 6)."""
+    return entries[:, _FULL].reshape(-1, 3, 3)
+
+
+def _phase_sum(states, c: np.ndarray, todo: np.ndarray, n: int) -> np.ndarray:
+    """The n-node trapezoid averages (len(todo), 3, 3) of v v^T / Var(X_theta^2)
+    at the phases theta = k pi/n, for the states todo."""
+    basis = _node_basis(np.arange(n) * (math.pi / n))
+    return _matrices(_entries(_harmonic_sums(states, _coefficients(c), todo, basis), n))
 
 
 def _trapezoid(states, c: np.ndarray) -> np.ndarray:
@@ -140,25 +207,26 @@ def _trapezoid(states, c: np.ndarray) -> np.ndarray:
     for the variance harmonics c (S, 3) of the states.
 
     The integrand is pi-periodic and analytic, so the trapezoid rule converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The states share
-    the node count n = 32, 64, ...; a state stops doubling once two successive
-    levels agree.
+    geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The levels are
+    nested, n = 32, 64, ...: each state keeps its five harmonic sums, and a
+    level adds only the nodes the level before lacks.  A state stops doubling
+    once the Fisher entries of two successive levels agree.
     """
-    out = np.empty((len(c), 3, 3))
+    a = _coefficients(c)
+    out = np.empty((len(c), 6))
     todo = np.arange(len(c))
-    prev = None
-    n = 32
-    while n <= _MAX_NODES:
-        curr = _phase_sum(states, c, todo, n)
-        if prev is not None:
-            done = (abs(curr - prev).max(axis=(1, 2))
-                    <= _TRAPEZOID_TOL * abs(curr).max(axis=(1, 2)))
-            out[todo[done]] = curr[done]
-            todo, curr = todo[~done], curr[~done]
-            if not todo.size:
-                return out
-        prev = curr
+    n = _FIRST_NODES
+    sums = _harmonic_sums(states, a, todo, _level_basis(n))
+    prev = _entries(sums, n)
+    while n < _MAX_NODES:
         n *= 2
+        sums += _harmonic_sums(states, a, todo, _level_basis(n))
+        curr = _entries(sums, n)
+        done = abs(curr - prev).max(axis=1) <= _TRAPEZOID_TOL * abs(curr).max(axis=1)
+        out[todo[done]] = curr[done]
+        todo, sums, prev = todo[~done], sums[~done], curr[~done]
+        if not todo.size:
+            return _matrices(out)
     raise NumericalFailure("phase quadrature did not converge: " + state_to_kv(states[todo[0]]))
 
 
@@ -331,33 +399,27 @@ def find_crossover(family: str, m: int | None = None, bracket_hi: float | None =
     return root, crb_report(state_at(root)).h2_het
 
 
-def _golden_section(grid: np.ndarray, tol: float):
+_POINTS = 15       # interior points per step of a minimum search: an 8x shrink
+
+
+def _minimum_search(grid: np.ndarray, tol: float):
     """One minimum search as a coroutine: it yields the alpha0 values it needs
     and is sent gamma2 at them, and returns (alpha0_min, gamma2_min).
 
     The grid scan brackets the global minimum first, so that mild
-    non-unimodality near the endpoints cannot trap the golden section.
+    non-unimodality near the endpoints cannot trap the search.  Each step
+    then asks for _POINTS evenly spaced interior points of the bracket and
+    keeps the neighbours of the lowest one.
     """
     k = int(np.argmin((yield grid)))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1, f2 = yield x1, x2
     while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            if x1 in (lo, hi):  # the bracket is down to adjacent floats
-                break
-            f1, = yield (x1,)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            if x2 in (lo, hi):
-                break
-            f2, = yield (x2,)
+        x = np.linspace(lo, hi, _POINTS + 2)
+        if x[1] == lo or x[-2] == hi:  # the bracket is down to adjacent floats
+            break
+        k = int(np.argmin((yield x[1:-1]))) + 1
+        lo, hi = x[k - 1], x[k + 1]
     xmin = 0.5 * (lo + hi)
     g2, = yield (xmin,)
     return float(xmin), g2
@@ -365,14 +427,15 @@ def _golden_section(grid: np.ndarray, tol: float):
 
 def minimize_gamma2_grid(jobs, bracket_hi: float | None = None,
                          tol: float = 1e-6) -> list[tuple[float, float]]:
-    """Golden-section minima of gamma2 over alpha0 in [0, bracket_hi], one
-    (alpha0_min, gamma2_min) per (family, m) job, the searches run in lockstep.
+    """Minima of gamma2 over alpha0 in [0, bracket_hi], one (alpha0_min,
+    gamma2_min) per (family, m) job, the searches run in lockstep.
 
     Every input of every job is checked before any evaluation.  Each round
     is one ``crb_grid`` call over the points the open searches need: first
-    every job's 65-point scan, then the two inner points, then one point per
-    golden step; a search leaves once its bracket is within tol and its
-    minimum is evaluated.  The default bracket_hi is max(5, 3 sqrt(m)).
+    every job's 65-point scan, then 15 interior points of the bracket per
+    step, which shrink it 8x; a search leaves once its bracket is within tol
+    and its midpoint is evaluated (8 calls for a default search).  The
+    default bracket_hi is max(5, 3 sqrt(m)).
     """
     builders, searches = [], []
     for family, m in jobs:
@@ -380,13 +443,13 @@ def minimize_gamma2_grid(jobs, bracket_hi: float | None = None,
         hi = bracket_hi
         if hi is None:
             hi = max(5.0, 3.0 * math.sqrt(m)) if m else 5.0
-        searches.append(_golden_section(np.linspace(0.0, hi, 65), tol))
+        searches.append(_minimum_search(np.linspace(0.0, hi, 65), tol))
     return _lockstep(builders, searches)
 
 
 def minimize_gamma2(family: str, m: int | None = None,
                     bracket_hi: float | None = None,
                     tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section minimum of gamma2 over alpha0 in [0, bracket_hi]:
+    """Minimum of gamma2 over alpha0 in [0, bracket_hi]:
     ``minimize_gamma2_grid`` on one job.  Returns (alpha0_min, gamma2_min)."""
     return minimize_gamma2_grid([(family, m)], bracket_hi, tol)[0]

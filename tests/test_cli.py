@@ -440,6 +440,16 @@ class TestCliEndToEnd:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "family=fock n=1" in err
 
+    def test_unconverged_phase_quadrature_exit_code(self, monkeypatch, capsys):
+        # with the node cap at the first level, no two levels can agree
+        monkeypatch.setattr(crb, "_MAX_NODES", 32)
+        code = self.run_cli(["crb", "--set", "state.family=photon_added",
+                             "--set", "state.alpha0=0.5", "--set", "state.m=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("numerical failure" in err and "phase quadrature did not converge" in err
+                and state_to_kv(PhotonAddedCoherent(0.5, 1)) in err)
+
     def test_gaussian_grid_failure_names_its_point(self, monkeypatch, capsys):
         # a failure at a point of fig2's array grid, in its second block,
         # names the point's state; exit code 3
