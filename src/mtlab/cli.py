@@ -11,8 +11,9 @@ the experiment does not read, a key in [state], [search], [mc], [sweep],
 parse or makes no state, a search family without its m or with one it
 does not take, a [search] bracket_hi that is not finite and positive
 (the searches run over alpha0 in [0, bracket_hi], by default [0, 20] for
-crossover and [0, max(5, 3 sqrt(m))] for the minima), or [mc] trials < 2,
-n_theta < 3, or N below n_theta (homodyne) or 1 (heterodyne).
+crossover and [0, max(5, 3 sqrt(m))] for the minima), --workers or
+[experiment] workers below 1, or [mc] trials < 2, n_theta < 3, or N below
+n_theta (homodyne) or 1 (heterodyne).
 
 State descriptors (the [state] config section and the state column of
 mc-verify reports) use one key=value vocabulary: `family=gaussian` with

@@ -13,8 +13,9 @@ the harmonics {0, 2 theta, 4 theta}: eight phase samples fix it.  With
 v = (1 + C, sqrt2 S, 1 - C)/2 (C = cos 2 theta, S = sin 2 theta), every
 entry of v v^T / Var is a fixed combination of B/Var, B = (1, C, S,
 cos 4 theta, sin 4 theta), so the average is five harmonic sums of B/Var
-over the trapezoid nodes, and the matrix is filled from its six distinct
-entries, symmetric by construction.
+over the trapezoid nodes, and its six distinct entries carry it to the
+bound: Tr F^-1 comes from the pivots of F = L D L^T, whose signs are
+Sylvester's test that F is positive definite.
 
 The second-moment bounds have one route, ``crb_grid``, an array computation
 over a sequence of states taken in blocks of ``_BLOCK`` = 256: each block's
@@ -77,20 +78,6 @@ class NumericalFailure(ArithmeticError):
     not positive definite."""
 
 
-def _check_fisher(states, m: np.ndarray) -> None:
-    """Raise NumericalFailure naming the first of the states whose Fisher
-    matrix in the stack m (S, k, k) is not positive definite."""
-    indef = np.any(np.linalg.eigvalsh(m) <= 0, axis=1)
-    if indef.any():
-        raise NumericalFailure("Fisher matrix is not positive definite: "
-                               + state_to_kv(states[np.argmax(indef)]))
-
-
-def _trace_inv(m: np.ndarray) -> np.ndarray:
-    """Trace of the inverse of each matrix of the stack m (..., k, k)."""
-    return np.trace(np.linalg.inv(m), axis1=-2, axis2=-1)
-
-
 # ---------------------------------------------------------------------------
 # one array route over a sequence of states
 # ---------------------------------------------------------------------------
@@ -114,7 +101,6 @@ _ENTRIES = np.array([
     [0.0, 0.0, _SQ2, 0.0, -0.5 * _SQ2],
     [1.5, -2.0, 0.0, 0.5, 0.0],
 ]).T / 4.0
-_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3 x 3 matrix, row by row, from the six entries
 
 
 def _rowwise(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -139,20 +125,15 @@ def _variance_harmonics(states, harmonics: np.ndarray) -> np.ndarray:
     return c[:, :3]
 
 
-def _node_basis(theta: np.ndarray) -> np.ndarray:
-    """B = (1, cos 2 theta, sin 2 theta, cos 4 theta, sin 4 theta) (5, n) at the nodes."""
-    return np.stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta),
-                     np.cos(4.0 * theta), np.sin(4.0 * theta)])
-
-
 @functools.cache
 def _level_basis(n: int) -> np.ndarray:
-    """Node basis of the nodes that level n of the trapezoid rule adds: every
-    k pi/n at the first level, the odd nodes (2k+1) pi/n after it.  Built
-    once per level (n is a power of 2 up to _MAX_NODES) and shared, so
-    read-only."""
-    k = np.arange(n) if n == _FIRST_NODES else np.arange(1, n, 2)
-    basis = _node_basis(k * (math.pi / n))
+    """B = (1, cos 2 theta, sin 2 theta, cos 4 theta, sin 4 theta) (5, k) at
+    the nodes that level n of the trapezoid rule adds: every k pi/n at the
+    first level, the odd nodes (2k+1) pi/n after it.  Built once per level
+    (n is a power of 2 up to _MAX_NODES) and shared, so read-only."""
+    theta = (np.arange(n) if n == _FIRST_NODES else np.arange(1, n, 2)) * (math.pi / n)
+    basis = np.stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta),
+                      np.cos(4.0 * theta), np.sin(4.0 * theta)])
     basis.flags.writeable = False
     return basis
 
@@ -190,21 +171,10 @@ def _entries(sums: np.ndarray, n: int) -> np.ndarray:
     return _rowwise(sums / n, _ENTRIES)
 
 
-def _matrices(entries: np.ndarray) -> np.ndarray:
-    """The symmetric 3 x 3 matrices (S, 3, 3) of the six distinct entries (S, 6)."""
-    return entries[:, _FULL].reshape(-1, 3, 3)
-
-
-def _phase_sum(states, c: np.ndarray, todo: np.ndarray, n: int) -> np.ndarray:
-    """The n-node trapezoid averages (len(todo), 3, 3) of v v^T / Var(X_theta^2)
-    at the phases theta = k pi/n, for the states todo."""
-    basis = _node_basis(np.arange(n) * (math.pi / n))
-    return _matrices(_entries(_harmonic_sums(states, _coefficients(c), todo, basis), n))
-
-
 def _trapezoid(states, c: np.ndarray) -> np.ndarray:
-    """Phase averages (S, 3, 3) of v v^T / Var(X_theta^2), v = (c^2, sqrt2 s c, s^2),
-    for the variance harmonics c (S, 3) of the states.
+    """The six distinct entries (S, 6) of the phase averages of
+    v v^T / Var(X_theta^2), v = (c^2, sqrt2 s c, s^2), for the variance
+    harmonics c (S, 3) of the states.
 
     The integrand is pi-periodic and analytic, so the trapezoid rule converges
     geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  The levels are
@@ -226,7 +196,7 @@ def _trapezoid(states, c: np.ndarray) -> np.ndarray:
         out[todo[done]] = curr[done]
         todo, sums, prev = todo[~done], sums[~done], curr[~done]
         if not todo.size:
-            return _matrices(out)
+            return out
     raise NumericalFailure("phase quadrature did not converge: " + state_to_kv(states[todo[0]]))
 
 
@@ -243,23 +213,37 @@ def _h2_het(h: HusimiMomentSet):
     return (h.mx4 - h.mxx ** 2) + (h.mp4 - h.mpp ** 2) + 2.0 * (h.mx2p2 - h.mxp ** 2)
 
 
-def _block(states) -> tuple[np.ndarray, np.ndarray]:
-    """Second-moment Fisher matrices (S, 3, 3) and the bounds h1_hom, h1_het,
-    h2_hom and h2_het (4, S) of at most _BLOCK states."""
+def _h2_hom(states, f: np.ndarray) -> np.ndarray:
+    """h2_hom = Tr F^-1 (S,) of the Fisher matrices given by their six
+    distinct entries f (S, 6), elementwise, from F = L D L^T with L unit
+    lower triangular: Tr F^-1 = sum_k |row k of L^-1|^2 / d_k, a sum of
+    positive terms.
+
+    The pivots d_k are the ratios of successive leading minors F00,
+    F00 F11 - F01^2 and det F, so a pivot that is not positive is Sylvester's
+    test failing: NumericalFailure names the first state whose F is not
+    positive definite.
+    """
+    f00, f01, f02, f11, f12, f22 = f.T
+    l10, l20 = f01 / f00, f02 / f00
+    d1 = f11 - l10 * f01
+    e = f12 - l20 * f01
+    l21 = e / d1
+    d2 = f22 - l20 * f02 - l21 * e
+    bad = ~((f00 > 0) & (d1 > 0) & (d2 > 0))
+    if bad.any():
+        raise NumericalFailure("Fisher matrix is not positive definite: "
+                               + state_to_kv(states[np.argmax(bad)]))
+    m = l10 * l21 - l20
+    return 1.0 / f00 + (1.0 + l10 * l10) / d1 + (1.0 + l21 * l21 + m * m) / d2
+
+
+def _block(states) -> np.ndarray:
+    """The bounds h1_hom, h1_het, h2_hom and h2_het (4, S) of at most _BLOCK states."""
     md = _moment_data(states)
     fisher = _trapezoid(states, _variance_harmonics(states, md.harmonics))
-    _check_fisher(states, fisher)
-    return fisher, np.stack([*_first_bounds(*md.covariance.T), _trace_inv(fisher),
-                             _h2_het(md.husimi)])
-
-
-def _grid(states) -> tuple[np.ndarray, CrbReport]:
-    """Second-moment Fisher matrices (S, 3, 3) and the report, with array
-    fields, of a sequence of states, block by block."""
-    blocks = [_block(states[lo:lo + _BLOCK]) for lo in range(0, len(states), _BLOCK)]
-    h1hom, h1het, h2hom, h2het = np.concatenate([b for _, b in blocks], axis=1)
-    return (np.concatenate([f for f, _ in blocks]),
-            CrbReport(h1hom, h1het, h2hom, h2het, h1het / h1hom, h2het / h2hom))
+    return np.stack([*_first_bounds(*md.covariance.T), _h2_hom(states, fisher),
+                     _h2_het(md.husimi)])
 
 
 @dataclass(frozen=True)
@@ -280,9 +264,12 @@ def crb_grid(states) -> CrbReport:
 
     A state that fails a check of the second-moment route (harmonics beyond
     4 theta, a variance that is not positive, no convergence) raises
-    NumericalFailure naming it.
+    NumericalFailure naming it, as does a Fisher matrix that is not positive
+    definite.
     """
-    return _grid(states)[1]
+    h1hom, h1het, h2hom, h2het = np.concatenate(
+        [_block(states[lo:lo + _BLOCK]) for lo in range(0, len(states), _BLOCK)], axis=1)
+    return CrbReport(h1hom, h1het, h2hom, h2het, h1het / h1hom, h2het / h2hom)
 
 
 def crb_report(state: StateModel) -> CrbReport:

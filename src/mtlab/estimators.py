@@ -246,6 +246,8 @@ def monte_carlo_mse(state: StateModel, scheme: str, orders: tuple, n_samples: in
                          f"got {orders!r}")
     if trials < 2:
         raise ValueError("trials >= 2 required")
+    if workers < 1:
+        raise ValueError(f"workers >= 1 required, got {workers}")
 
     g2 = second_moment_matrix(state).as_array()
     truth = {"first": first_moments(state).as_array(),

@@ -387,8 +387,8 @@ _BODIES = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured experiment and assemble its report.  A section
-    the experiment does not read, or an unknown [experiment] or [output] key,
-    is a ConfigError before anything is evaluated."""
+    the experiment does not read, an unknown [experiment] or [output] key, or
+    workers < 1, is a ConfigError before anything is evaluated."""
     body, reads = _BODIES[cfg.kind]
     unread = sorted(set(cfg.sections) - {"experiment", "output", *reads})
     if unread:
@@ -398,6 +398,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     _section(cfg, "output", ("path", "format"))
     _section(cfg, "experiment", ("kind", "seed", "workers", "families")
              if cfg.kind == "fig6" else ("kind", "seed", "workers"))
+    if cfg.workers < 1:
+        raise ConfigError(f"bad workers={cfg.workers}: at least 1 is required")
     rows = body(cfg)
     if not rows:
         raise ConfigError("experiment produced an empty row set")

@@ -428,7 +428,8 @@ def numeric_fisher(state: StateModel, order: str,
         th = np.linspace(0.0, math.pi, nodes)
         c, s = np.cos(th), np.sin(th)
         if order == "first":
-            var = st.quadrature_variance(state, th)
+            g = st.covariance(state)
+            var = g.gxx * c * c + 2.0 * g.gxp * s * c + g.gpp * s * s  # u^T G u
             basis = np.stack([c * c, s * c, s * c, s * s]).reshape(2, 2, -1)
         else:
             var = st.quadrature_x2_variance(state, th)

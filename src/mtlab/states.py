@@ -698,12 +698,6 @@ def quadrature_x2_variance(state: StateModel, theta) -> np.ndarray:
     return _x2_variance(state._moments.harmonics, theta)[0]
 
 
-def quadrature_variance(state: StateModel, theta) -> np.ndarray:
-    """<X_theta^2> - <X_theta>^2, vectorized over theta."""
-    _, u1, u2, _, _, _ = _core_quadrature(state, theta)
-    return u2 - u1 * u1
-
-
 # ---------------------------------------------------------------------------
 # Husimi moments up to total degree 4
 # ---------------------------------------------------------------------------

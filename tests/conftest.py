@@ -12,7 +12,12 @@ from mtlab import (
     PhotonAddedCoherent,
     gaussian_cov_from_shape,
 )
+from mtlab.crb import _trapezoid, _variance_harmonics
 from mtlab.phasespace import rotation_matrix
+from mtlab.states import _moment_data
+
+#: the symmetric 3 x 3 Fisher matrix, row by row, from its six distinct entries
+FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def rotated_mean(r, phi):
@@ -24,6 +29,18 @@ def rotated_cov(g, phi):
     """The covariance (or second-moment) matrix g rotated by the angle phi: R g R^T."""
     r = rotation_matrix(phi)
     return CovarianceMatrix.from_array(r @ g.as_array() @ r.T)
+
+
+def fisher_entries(states):
+    """The six distinct entries (S, 6) of the scaled second-moment homodyne
+    Fisher matrices of the states, as crb computes them."""
+    return _trapezoid(states, _variance_harmonics(states, _moment_data(states).harmonics))
+
+
+def fisher_matrices(states):
+    """The scaled 3x3 second-moment homodyne Fisher matrices (S, 3, 3) of the
+    states, expanded from their six distinct entries."""
+    return fisher_entries(states)[:, FULL].reshape(-1, 3, 3)
 
 
 def random_gaussian(rng, central=False):

@@ -28,7 +28,7 @@ from mtlab import (
     minimize_gamma2,
     quadrature_moments,
 )
-from mtlab.crb import _grid, _phase_sum, _variance_harmonics
+from mtlab.crb import _coefficients, _entries, _harmonic_sums, _variance_harmonics
 from mtlab.estimators import monte_carlo_mse
 from mtlab.states import _moment_data
 from mtlab.oracle import (
@@ -38,7 +38,7 @@ from mtlab.oracle import (
     numeric_husimi_moment_set,
     numeric_quadrature_moment_table,
 )
-from conftest import random_gaussian, random_state
+from conftest import FULL, fisher_matrices, random_gaussian, random_state
 
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 
@@ -144,7 +144,7 @@ def test_criterion_4_gaussian_closed_form_vs_quadrature():
     worst = 0.0
     for _ in range(100):
         s = random_gaussian(rng)
-        fc = _grid([s])[0][0]
+        fc = fisher_matrices([s])[0]
         fq = numeric_fisher(s, "second")
         worst = max(worst, float(np.max(np.abs(fc - fq)) / np.max(np.abs(fq))))
     _report(4, "noncentral-Gaussian Fisher vs the Simpson oracle",
@@ -247,11 +247,14 @@ def test_criterion_6_expected_ratio_at_24_phases():
     n_theta = 24
     theta = np.arange(n_theta) * (math.pi / n_theta)
     u = np.stack([np.cos(theta), np.sin(theta)])
+    basis = np.stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta),
+                      np.cos(4.0 * theta), np.sin(4.0 * theta)])
     worst = 0.0
     for state in MC_STATES.values():
         rep = crb_report(state)
         c = _variance_harmonics([state], _moment_data([state]).harmonics)
-        h2 = np.trace(np.linalg.inv(_phase_sum([state], c, np.arange(len(c)), n_theta)[0]))
+        sums = _harmonic_sums([state], _coefficients(c), np.arange(1), basis)
+        h2 = np.trace(np.linalg.inv(_entries(sums, n_theta)[0, FULL].reshape(3, 3)))
         g = covariance(state).as_array()
         fisher1 = (u / np.einsum("ik,ij,jk->k", u, g, u)) @ u.T / n_theta
         h1 = np.trace(np.linalg.inv(fisher1))

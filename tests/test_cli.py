@@ -484,7 +484,11 @@ class TestCliEndToEnd:
            "--set", f"search.bracket_hi={hi}"] for hi in ("0", "nan")),
         ["crossover", "--set", "search.family=coherent", "--set", "search.tol=1e-9"],
         *(_MC_FOCK + ["--set", item]
-          for item in ("mc.trials=1", "mc.N=0", "mc.N=10", "mc.n_theta=2", "mc.n=1000")),
+          for item in ("mc.trials=1", "mc.N=0", "mc.N=10", "mc.n_theta=2", "mc.n=1000",
+                       "experiment.workers=0")),
+        _MC_FOCK + ["--workers", "0"],
+        _MC_FOCK + ["--workers", "-3"],
+        ["fig4", "--workers", "-1"],
     ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
     def test_bad_search_or_mc_value_exit_code(self, capsys, argv):
         assert self.run_cli(argv) == 2

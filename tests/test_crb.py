@@ -24,7 +24,7 @@ import mtlab.crb
 from mtlab.crb import NumericalFailure
 from mtlab.states import state_from_kv, state_to_kv
 from mtlab.oracle import hyp1f1, numeric_fisher
-from conftest import random_gaussian, random_state
+from conftest import FULL, fisher_entries, fisher_matrices, random_gaussian, random_state
 
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 
@@ -39,27 +39,32 @@ def gaussian_from_shape(mu, lam, phi=0.0, x0=0.0, p0=0.0):
 
 def fisher_second(s):
     """The scaled 3x3 second-moment homodyne Fisher matrix of one state."""
-    return mtlab.crb._grid([s])[0][0]
+    return fisher_matrices([s])[0]
 
 
 def trace_inv(f):
     return float(np.trace(np.linalg.inv(f)))
 
 
-class TestFisherCheck:
-    def test_grid_fisher_matrices_are_bitwise_symmetric(self):
-        # the matrices are filled from their six distinct entries
-        m = mtlab.crb._grid(_mixed_grid())[0]
-        assert np.array_equal(m, m.swapaxes(1, 2))
+def six_entries(m):
+    """The six distinct entries (F00, F01, F02, F11, F12, F22) of a symmetric 3x3 matrix."""
+    return m[np.triu_indices(3)]
 
+
+class TestFisherCheck:
     def test_not_positive_definite_raises_naming_the_state(self):
         good = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
         indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # eigenvalue -1
+        # F00 > 0 and F00 F11 - F01^2 = 1 > 0, but det = -1: only the determinant rejects it
+        det_only = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        assert np.linalg.det(det_only) < 0 < np.linalg.det(det_only[:2, :2])
         states = [Fock(0), Fock(1)]
-        mtlab.crb._check_fisher(states, np.stack([good, good]))
-        with pytest.raises(NumericalFailure,
-                           match="not positive definite: " + state_to_kv(Fock(1))):
-            mtlab.crb._check_fisher(states, np.stack([good, indefinite]))
+        h2 = mtlab.crb._h2_hom(states, np.stack([six_entries(good)] * 2))
+        assert h2 == pytest.approx([trace_inv(good)] * 2, rel=1e-15)
+        for bad in (indefinite, det_only):
+            with pytest.raises(NumericalFailure,
+                               match="not positive definite: " + state_to_kv(Fock(1))):
+                mtlab.crb._h2_hom(states, np.stack([six_entries(good), six_entries(bad)]))
 
 
 class TestFirstMoment:
@@ -403,6 +408,23 @@ class TestHomodyneFisherRoute:
             f = fisher_second(s)
             assert np.max(np.abs(f - fo)) <= 1e-12 * np.max(np.abs(fo)), s
 
+    def test_h2_hom_matches_mpmath_trace_inverse(self):
+        # Tr F^-1 from cofactors in double precision against a 40-digit
+        # inverse of the same six entries, small to large amplitudes
+        import mpmath
+
+        states = _near_degenerate_states()
+        for a0 in (0.5, 2.0, 5.0, 10.0, 20.0, 20.0 * np.exp(0.7j)):
+            states += [DisplacedFock(a0, 2), PhotonAddedCoherent(a0, 3),
+                       EvenOddCoherent(a0, "even"), EvenOddCoherent(a0, "odd")]
+        states += [EvenOddCoherent(1e-3, "even"), EvenOddCoherent(1e-3, "odd")]
+        h2 = crb_grid(states).h2_hom
+        with mpmath.workdps(40):
+            for s, f, value in zip(states, fisher_entries(states), h2.tolist()):
+                inv = mpmath.matrix(f[FULL].reshape(3, 3).tolist()) ** -1
+                exact = inv[0, 0] + inv[1, 1] + inv[2, 2]
+                assert abs(value - exact) <= 1e-14 * abs(exact), s
+
     def test_harmonics_beyond_4theta_raise(self, monkeypatch):
         base = mtlab.crb._x2_variance
         monkeypatch.setattr(mtlab.crb, "_x2_variance",
@@ -466,7 +488,7 @@ class TestGrid:
 
     def test_grid_fisher_matches_oracle(self):
         states = _mixed_grid()
-        fisher = mtlab.crb._grid(states)[0]
+        fisher = fisher_matrices(states)
         for k in range(0, len(states), 15):
             fq = numeric_fisher(states[k], "second")
             assert np.max(np.abs(fisher[k] - fq)) < 1e-8 * np.max(np.abs(fq)), states[k]

@@ -167,6 +167,9 @@ class TestMonteCarlo:
         for orders in ((), ("third",), "first"):
             with pytest.raises(ValueError, match="orders"):
                 monte_carlo_mse(VACUUM, "het", orders, 100, 10)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                monte_carlo_mse(VACUUM, "het", ("first",), 100, 10, workers=workers)
 
     def test_vacuum_het_first(self):
         res, = monte_carlo_mse(VACUUM, "het", ("first",), 10_000, 400, seed=1)

@@ -11,7 +11,6 @@ from mtlab import (
     husimi_moments,
     quadrature_moments,
 )
-from mtlab.crb import _grid
 from mtlab.oracle import (
     OracleConfig,
     OracleFailure,
@@ -22,7 +21,7 @@ from mtlab.oracle import (
     numeric_quadrature_moment,
     numeric_quadrature_moment_table,
 )
-from conftest import random_state
+from conftest import fisher_matrices, random_state
 
 HUSIMI_KEYS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
@@ -107,7 +106,7 @@ class TestNumericFisher:
         for _ in range(5):
             s = random_state(rng)
             f2 = numeric_fisher(s, "second")
-            assert np.allclose(f2, _grid([s])[0][0], rtol=1e-8, atol=1e-10)
+            assert np.allclose(f2, fisher_matrices([s])[0], rtol=1e-8, atol=1e-10)
             # crb keeps no first-moment matrix: compare the bound, Tr F^-1
             f1 = numeric_fisher(s, "first")
             assert np.trace(np.linalg.inv(f1)) == pytest.approx(crb_report(s).h1_hom, rel=1e-8)
@@ -117,6 +116,6 @@ class TestNumericFisher:
 
         for _ in range(5):
             s = random_gaussian(rng)
-            fc = _grid([s])[0][0]
+            fc = fisher_matrices([s])[0]
             fn = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fn)) < 1e-8 * np.max(np.abs(fn))
