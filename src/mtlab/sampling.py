@@ -11,20 +11,26 @@ Each state family states its own draws next to its densities in
 or scheme its substream.  The draws share the routines below: rejection,
 ``_rejection``, checks every tested point against its envelope, so each
 draw is exact or raises SamplingError, and there is no approximate
-fallback; ``_polar_rows`` turns a radial draw into rows.
+fallback.  It tests a point through a bracket of the density, which
+decides most tests of the cat densities without their interference
+cosine (``_cos_bracket``) and takes the same decisions as the density
+itself.  ``_polar_rows`` turns a radial draw into rows.
 
 A heterodyne draw of n points holds its (n, 2) output plus the random
 inputs it must keep at once: the radial variates (made radii in place)
 and the angles of the Fock and photon-added draws, the photon-added degrees
 of freedom and von Mises concentrations sharing one buffer; the normals of
 the Gaussian draw;
-for the cat, one batch of proposal normals and a byte per proposal for its
-mixture component.  A rejection batch's uniforms and the cat's component
-indices are drawn one test chunk at a time, so no batch-long temporary is
-made and freed: freeing one raises glibc's dynamic mmap threshold, and
-later draws then come from a heap that is kept, not returned.  A chunked
-call reads the random words of the whole-array call in the same order, so
-the random stream and every drawn value are those of whole-array draws.
+for the cat, a byte per proposal of a batch for its mixture component and
+one test chunk of proposal normals.  A rejection batch's uniforms and the
+cat's component indices are drawn one test chunk at a time, so no
+batch-long temporary is made and freed: freeing one raises glibc's dynamic
+mmap threshold, and later draws then come from a heap that is kept, not
+returned.  The cat's generator skips a batch's normals into one reused
+test-chunk buffer, and a copy of it taken before them draws them again,
+one test chunk at a time, for the chunks that are tested.  A chunked call
+reads the random words of the whole-array call in the same order, so the
+random stream and every drawn value are those of whole-array draws.
 """
 
 from __future__ import annotations
@@ -125,42 +131,93 @@ _TEST_CHUNK = 1 << 13
 def _accept_into(out, filled, props, gen, accept):
     """Copy the proposals that pass accept(chunk, u) into out[filled:], in order.
 
-    A batch is tested in cache-sized chunks, each with its uniforms u drawn
-    from gen just before it is tested, and testing stops once out is full.
-    The uniforms are a batch's last draws and nothing is drawn after the
-    batch that fills out, so the stream is that of drawing all of a batch's
-    uniforms at once; the surplus proposals are still drawn, but neither
-    their uniforms nor their density are.
+    props is a batch: an array, tested in cache-sized chunks, or an iterator
+    of such chunks.  Each chunk's uniforms u are drawn from gen just before
+    it is tested, and testing stops once out is full.  The uniforms are a
+    batch's last draws and nothing is drawn after the batch that fills out,
+    so the stream is that of drawing all of a batch's uniforms at once; the
+    surplus proposals are still drawn, but neither their uniforms nor their
+    density are, and an iterator is not asked for them.
     """
     n = len(out)
-    for lo in range(0, len(props), _TEST_CHUNK):
-        if filled == n:
-            break
-        chunk = props[lo:lo + _TEST_CHUNK]
-        take = chunk[accept(chunk, gen.uniform(0.0, 1.0, size=len(chunk)))][: n - filled]
+    chunks = props
+    if isinstance(props, np.ndarray):
+        chunks = (props[lo:lo + _TEST_CHUNK] for lo in range(0, len(props), _TEST_CHUNK))
+    for chunk in chunks:
+        # random() reads the words and takes the values of uniform(0.0, 1.0)
+        take = np.compress(accept(chunk, gen.random(len(chunk))), chunk, axis=0)[: n - filled]
         out[filled:filled + len(take)] = take
         filled += len(take)
+        if filled == n:
+            break
     return filled
 
 
-def _rejection(pdf, env, propose, grid, n, gen):
-    """n exact draws from pdf by rejection under the majorant c * env.
+def _exact_bracket(f):
+    """The bracket (lo, hi, rest) of a density f with no bounded term: f itself."""
+    return f, f, f.__getitem__
 
-    propose(gen, k) draws k points from the normalized density env; points
-    are scalars or rows, like those of grid.  The constant c is the largest
-    pdf/env over the grid points times _SAFETY.  Every tested point is
-    checked against the majorant, and one with pdf > c * env (a peak the
-    grid missed) raises SamplingError instead of returning inexact draws.
+
+def _cos_bracket(s, t, w, d):
+    """The bracket (lo, hi, rest) of the density f = (s + t cos w)/d, d > 0.
+
+    rest(i) computes f at the points i in that order, fl(fl(s + fl(t cos w))/d).
+    Under round-to-nearest, rounding is monotone, and |np.cos| <= 1 gives
+    |fl(t cos w)| <= |t|; so lo = fl(fl(s - |t|)/d) <= f <= fl(fl(s + |t|)/d)
+    = hi, with no cosine taken.  The density must be computed by rest, or in
+    the same order, for the bracket to hold.
     """
-    c = float(np.max(pdf(grid) / env(grid))) * _SAFETY
+    a = np.abs(t)
+    return (s - a) / d, (s + a) / d, lambda i: (s[i] + t[i] * np.cos(w[i])) / d
+
+
+def _density(bracket):
+    """The density of a bracket at all of its points."""
+    return bracket[2](())
+
+
+def _accepted(bracket, u, c, e):
+    """The rejection test u c e < f at points with envelope e, as a mask; f
+    is the density that bracket = (lo, hi, rest) bounds.
+
+    The bracket decides the test without f for points below lo (accept) and
+    at or above hi (reject), a squeeze (Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. II).  f is computed for the points left over and
+    for every point with hi > c e, so the mask is that of testing u c e < f
+    everywhere, and every point with f > c e (a peak the envelope scan
+    missed) raises SamplingError instead of returning inexact draws.
+    """
+    lo, hi, rest = bracket
+    x, ce = u * c * e, c * e
+    keep = x < lo
+    todo = (x >= lo) & (x < hi)
+    todo |= hi > ce
+    if todo.any():
+        i = np.flatnonzero(todo)
+        f = rest(i)
+        if np.any(f > ce[i]):
+            raise SamplingError(f"density exceeds the rejection envelope (c = {c:.6g})")
+        keep[i] = x[i] < f
+    return keep
+
+
+def _rejection(bracket, env, propose, grid, n, gen):
+    """n exact draws by rejection under the majorant c * env.
+
+    bracket(pts) gives (lo, hi, rest): bounds lo <= f <= hi on the computed
+    density f at the points, and rest(i), f at the points i; a density with
+    no cheaper bounds is its own bracket (``_exact_bracket``).
+    propose(gen, k) draws a batch of k points from the normalized density
+    env (see ``_accept_into``); points are scalars or rows, like those of
+    grid.  The constant c is the largest f/env over the grid points times
+    _SAFETY, and each point is tested by ``_accepted``.
+    """
+    c = float(np.max(_density(bracket(grid)) / env(grid))) * _SAFETY
     if not math.isfinite(c) or c <= 0:
         raise SamplingError("rejection envelope scan failed")
 
     def accept(pts, u):
-        e, f = env(pts), pdf(pts)
-        if np.any(f > c * e):
-            raise SamplingError(f"density exceeds the rejection envelope (c = {c:.6g})")
-        return u * c * e < f
+        return _accepted(bracket(pts), u, c, env(pts))
 
     out = np.empty((n,) + grid.shape[1:])
     filled = 0

@@ -51,7 +51,9 @@ displacement does not widen it.  Husimi draws are exact for Gaussian states
 (Gamma-distributed radius) and photon-added states (a finite mixture of
 m + 1 noncentral chi-square radii, weighted by the terms of the
 normalization, with a von Mises phase); even/odd cats use rejection against
-a two-Gaussian mixture.  No draw or moment truncates a Fock space.
+a two-Gaussian mixture.  Both cat densities are (s + t cos w)/d, and their
+draws take the cosine only for the points that the bounds from |cos w| <= 1
+leave undecided.  No draw or moment truncates a Fock space.
 
 Everything here is validated against the brute-force routes in
 :mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
@@ -60,6 +62,7 @@ Everything here is validated against the brute-force routes in
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,7 +78,14 @@ from .phasespace import (
     gaussian_cov_from_shape,
     het_shift,
 )
-from .sampling import _TEST_CHUNK, _polar_rows, _rejection
+from .sampling import (
+    _TEST_CHUNK,
+    _cos_bracket,
+    _density,
+    _exact_bracket,
+    _polar_rows,
+    _rejection,
+)
 from .special import oscillator_eigenfunction_sum
 
 __all__ = [
@@ -275,7 +285,9 @@ class _StateFamily:
     ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta,
     ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
     gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>; rejection unless
-    overridden) and ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
+    overridden, which tests points through ``_core_quadrature_bracket``,
+    the density itself unless a family bounds it more cheaply) and
+    ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
     ``_husimi_draw`` add the shift.
     """
 
@@ -287,11 +299,14 @@ class _StateFamily:
         _, u1, u2, _, _, shift = _core_quadrature(self, theta).tolist()
         return self._core_quadrature_draw(theta, u1, u2, n, gen) + shift
 
+    def _core_quadrature_bracket(self, theta, y):
+        return _exact_bracket(self._core_quadrature_pdf(theta, y))
+
     def _core_quadrature_draw(self, theta, u1, u2, n, gen):
         var_env = _ENVELOPE_INFLATION * u2
         sd, half = math.sqrt(var_env), 6.0 * math.sqrt(u2) + abs(u1)
         return _rejection(
-            lambda y: self._core_quadrature_pdf(theta, y),
+            lambda y: self._core_quadrature_bracket(theta, y),
             lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env),
             lambda g, k: g.normal(u1, sd, size=k),
             np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen)
@@ -458,28 +473,34 @@ class EvenOddCoherent(_StateFamily):
         aa = a * a
         return _rows_of(_even_tables(w, aa, a2 * a2, w * a * a, aa * aa), 0.0, 0.0)
 
-    def _core_quadrature_pdf(self, theta, y):
+    # Both cat densities are (s + t cos w)/d: the two components and their
+    # interference.  Each is computed from its bracket (``_cos_bracket``), so
+    # the squeeze of the draws bounds the very values the density takes.
+
+    def _core_quadrature_bracket(self, theta, y):
         a0 = complex(self.alpha0)
         # below |alpha0|^2 ~ 1e-8 the odd-state interference cancellation
         # loses more accuracy than the O(|alpha0|^2) limit error
         if abs(a0) ** 2 < 1e-8:
-            return Fock(0 if self.parity == "even" else 1)._core_quadrature_pdf(theta, y)
+            return _exact_bracket(
+                Fock(0 if self.parity == "even" else 1)._core_quadrature_pdf(theta, y))
         sgn = 1.0 if self.parity == "even" else -1.0
         beta = a0 * cmath.exp(-1j * theta)
         br, bi = beta.real, beta.imag
         a2 = abs(a0) ** 2
         den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
-        body = (
-            np.exp(-((y - _SQ2 * br) ** 2))
-            + np.exp(-((y + _SQ2 * br) ** 2))
-            + sgn * 2.0 * np.exp(-y * y - 2.0 * br * br) * np.cos(2.0 * _SQ2 * bi * y)
-        )
-        return body / (den * math.sqrt(math.pi))
+        return _cos_bracket(
+            np.exp(-((y - _SQ2 * br) ** 2)) + np.exp(-((y + _SQ2 * br) ** 2)),
+            sgn * 2.0 * np.exp(-y * y - 2.0 * br * br), 2.0 * _SQ2 * bi * y,
+            den * math.sqrt(math.pi))
 
-    def _core_husimi_pdf(self, x, p):
+    def _core_quadrature_pdf(self, theta, y):
+        return _density(self._core_quadrature_bracket(theta, y))
+
+    def _core_husimi_bracket(self, x, p):
         a0 = complex(self.alpha0)
         if abs(a0) ** 2 < 1e-8:
-            return Fock(0 if self.parity == "even" else 1)._core_husimi_pdf(x, p)
+            return _exact_bracket(Fock(0 if self.parity == "even" else 1)._core_husimi_pdf(x, p))
         sgn = 1.0 if self.parity == "even" else -1.0
         a2 = abs(a0) ** 2
         # w = conj(alpha) alpha0 with alpha = (x + ip)/sqrt2, in real arithmetic
@@ -487,9 +508,12 @@ class EvenOddCoherent(_StateFamily):
         wi2 = _SQ2 * (a0.imag * x - a0.real * p)
         g = -0.5 * (x * x + p * p) - a2
         # |e^w + s e^{-w}|^2 = e^{2 Re w} + e^{-2 Re w} + 2 s cos(2 Im w)
-        body = np.exp(g + wr2) + np.exp(g - wr2) + sgn * 2.0 * np.exp(g) * np.cos(wi2)
         den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
-        return body / (2 * math.pi * den)
+        return _cos_bracket(np.exp(g + wr2) + np.exp(g - wr2), sgn * 2.0 * np.exp(g), wi2,
+                            2 * math.pi * den)
+
+    def _core_husimi_pdf(self, x, p):
+        return _density(self._core_husimi_bracket(x, p))
 
     def _core_husimi_draw(self, n, gen):
         ghet = het_shift(covariance(self)).as_array()
@@ -506,7 +530,7 @@ class EvenOddCoherent(_StateFamily):
 
         sd = math.sqrt(var_env)
 
-        def propose(g, k):  # the centre of each normal pair is added in place
+        def propose(g, k):  # k component indices, then k pairs of normals
             # another dtype would change the stream, so the int64 draw is
             # narrowed to a byte per proposal one test chunk at a time; a
             # range-2 draw takes one 32-bit word per value, so the chunks
@@ -514,15 +538,27 @@ class EvenOddCoherent(_StateFamily):
             side = np.empty(k, dtype=np.uint8)
             for lo in range(0, k, _TEST_CHUNK):
                 side[lo:lo + _TEST_CHUNK] = g.integers(0, 2, size=min(_TEST_CHUNK, k - lo))
-            pts = g.normal(0.0, sd, size=(k, 2))
-            for lo in range(0, k, _TEST_CHUNK):
-                pts[lo:lo + _TEST_CHUNK] += centers[side[lo:lo + _TEST_CHUNK]]
-            return pts
+            # no batch of normals is kept: g skips them into one reused buffer
+            # (standard_normal reads the words of normal(0, sd)), and a copy
+            # of g draws them again one test chunk at a time, only for the
+            # chunks that are tested
+            again = np.random.Generator(copy.deepcopy(g.bit_generator))
+            skip = np.empty(_TEST_CHUNK)
+            for lo in range(0, 2 * k, _TEST_CHUNK):
+                g.standard_normal(out=skip[:min(_TEST_CHUNK, 2 * k - lo)])
+
+            def chunks():
+                for lo in range(0, k, _TEST_CHUNK):
+                    pts = again.normal(0.0, sd, size=(min(_TEST_CHUNK, k - lo), 2))
+                    pts += np.take(centers, side[lo:lo + _TEST_CHUNK], axis=0)
+                    yield pts
+
+            return chunks()
 
         half = 6.0 * sd + float(np.hypot(*r0))
         xs = np.linspace(-half, half, _SCAN_NODES_2D)
         return _rejection(
-            lambda pts: self._core_husimi_pdf(pts[:, 0], pts[:, 1]), env, propose,
+            lambda pts: self._core_husimi_bracket(pts[:, 0], pts[:, 1]), env, propose,
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
 
 

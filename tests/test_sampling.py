@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import os
 import subprocess
@@ -33,6 +34,8 @@ from mtlab.sampling import (
     SamplingError,
     _TEST_CHUNK,
     _accept_into,
+    _accepted,
+    _exact_bracket,
     _rejection,
     derive_key,
     substream,
@@ -184,7 +187,8 @@ class TestRejection:
         var_env, half = 3.0 * 3.5, 6.0 * math.sqrt(3.5)
         env = lambda x: np.exp(-0.5 * x ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
         grid = np.linspace(-half, half, 2049)
-        got = _rejection(pdf, env, lambda g, k: g.normal(0.0, math.sqrt(var_env), size=k),
+        got = _rejection(lambda x: _exact_bracket(pdf(x)), env,
+                         lambda g, k: g.normal(0.0, math.sqrt(var_env), size=k),
                          grid, 200_000, substream(9, 1))
         # the reference tests every proposal of each batch at once
         c = float(np.max(pdf(grid) / env(grid))) * 1.10
@@ -209,7 +213,8 @@ class TestRejection:
 
         xs = np.linspace(-9.0, 9.0, 257)
         gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
-        got = _rejection(lambda pts: qpdf(pts[:, 0], pts[:, 1]),
+        # the cat's bracket decides most points without their cosine
+        got = _rejection(lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
                          lambda pts: env(pts[:, 0], pts[:, 1]), propose,
                          np.column_stack([gx, gp]), 150_000, substream(9, 2))
         c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * 1.10
@@ -230,14 +235,95 @@ class TestRejection:
             return 0.5 * scipy.stats.norm.pdf(x) + 0.5 * spike
 
         with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
-            _rejection(pdf, scipy.stats.norm.pdf, lambda g, k: g.normal(size=k),
-                       np.linspace(-4.0, 4.0, 9), 1000, substream(9, 3))
+            _rejection(lambda x: _exact_bracket(pdf(x)), scipy.stats.norm.pdf,
+                       lambda g, k: g.normal(size=k), np.linspace(-4.0, 4.0, 9), 1000,
+                       substream(9, 3))
 
     def test_far_cat_heterodyne_raises_instead_of_inexact_draws(self):
         # at alpha0 = 10 the 257^2 scan misses the Husimi peaks by more than
         # the safety factor; the draw must fail rather than be silently wrong
         with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
             sample_heterodyne(EvenOddCoherent(10.0, "even"), 1000, seed=1)
+
+
+def cat_quadrature_reference(state, theta, y):
+    """The cat's quadrature density written out as one expression."""
+    a0, sgn = complex(state.alpha0), 1.0 if state.parity == "even" else -1.0
+    beta = a0 * cmath.exp(-1j * theta)
+    br, bi, a2 = beta.real, beta.imag, abs(a0) ** 2
+    den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
+    body = (np.exp(-((y - SQ2 * br) ** 2)) + np.exp(-((y + SQ2 * br) ** 2))
+            + sgn * 2.0 * np.exp(-y * y - 2.0 * br * br) * np.cos(2.0 * SQ2 * bi * y))
+    return body / (den * math.sqrt(math.pi))
+
+
+def cat_husimi_reference(state, x, p):
+    """The cat's Husimi density written out as one expression."""
+    a0, sgn = complex(state.alpha0), 1.0 if state.parity == "even" else -1.0
+    a2 = abs(a0) ** 2
+    wr2, wi2 = SQ2 * (a0.real * x + a0.imag * p), SQ2 * (a0.imag * x - a0.real * p)
+    g = -0.5 * (x * x + p * p) - a2
+    body = np.exp(g + wr2) + np.exp(g - wr2) + sgn * 2.0 * np.exp(g) * np.cos(wi2)
+    den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
+    return body / (2 * math.pi * den)
+
+
+def cat_densities(state, rng):
+    """(bracket, reference density, points) of the cat's quadrature density at
+    three phases and of its Husimi density.  Besides random points, each has
+    points on the lines where the interference phase w is a multiple of pi,
+    so that cos w rounds to +-1 and the density meets an end of its bracket."""
+    a0, k = complex(state.alpha0), np.arange(-3.0, 4.0)
+    spread = 1.0 + abs(a0)
+    cases = []
+    for theta in (0.0, 0.7, math.pi / 2):
+        bi = (a0 * cmath.exp(-1j * theta)).imag
+        lines = k * math.pi / (2.0 * SQ2 * bi) if bi else rng.normal(0.0, spread, 50)
+        y = np.concatenate([rng.normal(0.0, spread, 2000), lines, [0.0]])
+        cases.append((lambda y, th=theta: state._core_quadrature_bracket(th, y),
+                      lambda y, th=theta: cat_quadrature_reference(state, th, y), y))
+    # w = sqrt2 (Im a0 x - Re a0 p) = k pi on these lines
+    xl = np.repeat(rng.normal(0.0, spread, 40), k.size)
+    pl = (a0.imag * xl - np.tile(k, 40) * math.pi / SQ2) / a0.real
+    pts = np.column_stack([np.concatenate([rng.normal(0.0, spread, 2000), xl, [0.0]]),
+                           np.concatenate([rng.normal(0.0, spread, 2000), pl, [0.0]])])
+    cases.append((lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
+                  lambda pts: cat_husimi_reference(state, pts[:, 0], pts[:, 1]), pts))
+    return cases
+
+
+@pytest.mark.parametrize("state", [
+    EvenOddCoherent(a0, parity) for parity in ("even", "odd") for a0 in (1.0, 1.5 + 0.5j, 6.0)
+], ids=lambda st: f"{st.parity}-{st.alpha0}")
+def test_cat_bracket_holds_and_decides_as_the_density(state):
+    """Both cat densities are (s + t cos w)/d, bracketed without the cosine by
+    [fl(fl(s - |t|)/d), fl(fl(s + |t|)/d)]; the squeeze must take the same
+    decisions as comparing with the density itself, at the ends of the
+    bracket and at their neighbouring floats too."""
+    at_ends = 0
+    for bracket, reference, pts in cat_densities(state, np.random.default_rng(17)):
+        lo, hi, rest = bracket(pts)
+        f = reference(pts)
+        assert np.array_equal(rest(()), f)  # the density, in the same order
+        assert np.all(lo <= f) and np.all(f <= hi)
+        assert f.max() < 2.0  # so c e = 2 below is a majorant, though hi may exceed it
+        at_ends += np.count_nonzero((f == lo) | (f == hi))
+        # u c e with c = 1, e = 2 at the ends of the bracket, their
+        # neighbours and in between
+        x = np.concatenate([lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                            hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                            lo + (hi - lo) * np.random.default_rng(5).random(len(f))])
+        u, e = x / 2.0, np.full(len(x), 2.0)
+        keep = _accepted(bracket(np.concatenate([pts] * 7)), u, 1.0, e)
+        assert np.array_equal(keep, u * 1.0 * e < np.tile(f, 7))
+        # an envelope c e at the density itself is not exceeded; one below it is
+        u = np.random.default_rng(6).random(len(f))
+        assert np.array_equal(_accepted(bracket(pts), u, 1.0, f), u * f < f)
+        low = f.copy()
+        low[np.argmax(f)] = np.nextafter(f.max(), 0.0)
+        with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
+            _accepted(bracket(pts), u, 1.0, low)
+    assert at_ends > 0
 
 
 class TestHeterodyne:
@@ -416,12 +502,19 @@ class TestHeterodyneStream:
         got = state._husimi_draw(n, substream(6, n))
         assert np.array_equal(got, whole_photon_added_husimi(state, n, substream(6, n)))
 
-    @pytest.mark.parametrize("state, whole", [
-        (FAMILIES[0], whole_gaussian_heterodyne),
-        (EvenOddCoherent(1.0, "even"), whole_cat_heterodyne),
-        (EvenOddCoherent(1.5 + 0.5j, "odd"), whole_cat_heterodyne),
-    ], ids=["gaussian", "even_cat", "odd_cat"])
-    @pytest.mark.parametrize("n", STREAM_SIZES + (_TEST_CHUNK, _TEST_CHUNK + 1))
+    # at n = 10^6 the even cat's first batch is capped at _MAX_BATCH rows,
+    # drawn again from a copy of the generator as it is tested, and a
+    # second batch follows
+    @pytest.mark.parametrize("state, whole, n", [
+        pytest.param(state, whole, n, id=f"{n}-{name}")
+        for n in STREAM_SIZES + (_TEST_CHUNK, _TEST_CHUNK + 1)
+        for state, whole, name in [
+            (FAMILIES[0], whole_gaussian_heterodyne, "gaussian"),
+            (EvenOddCoherent(1.0, "even"), whole_cat_heterodyne, "even_cat"),
+            (EvenOddCoherent(1.5 + 0.5j, "odd"), whole_cat_heterodyne, "odd_cat"),
+        ]
+    ] + [pytest.param(EvenOddCoherent(1.0, "even"), whole_cat_heterodyne, 10**6,
+                      id="1000000-even_cat")])
     def test_sample_heterodyne(self, state, whole, n):
         got = sample_heterodyne(state, n, seed=7).points
         assert np.array_equal(got, whole(state, n, substream(7, TAG_HET)))
@@ -479,11 +572,12 @@ class TestHomodyneStream:
     (Fock(3), 32),
     (DisplacedFock(1 + 0.5j, 2), 32),
     (PhotonAddedCoherent(0.8, 2), 32),
-    (EvenOddCoherent(1.0, "even"), 90),
+    (EvenOddCoherent(1.0, "even"), 32),
 ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat"])
 def test_heterodyne_draw_peak_memory(state, mib):
-    # 10^6 draws hold their (n, 2) output (15.3 MiB) and, for the cat, one
-    # batch of proposals: two normals and a byte of component index each.
+    # 10^6 draws hold their (n, 2) output (15.3 MiB) and, for the cat, a
+    # byte of component index per proposal of a batch and one test chunk
+    # of its normals.
     # tracemalloc cannot see a large block freed before the traced peak,
     # such as a whole batch's int64 component index: the resident heap that
     # glibc keeps after it is checked below
@@ -497,30 +591,47 @@ def test_heterodyne_draw_peak_memory(state, mib):
     assert peak <= mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-# Two 10^6 cat draws in a fresh process, after a warm-up; prints how far
-# the second raised the resident peak, in KiB
+# A warm-up and two 10^6 cat draws in a fresh process; prints the resident
+# peak after each, in KiB
 _CAT_RSS_PROBE = """
 import resource
 from mtlab import EvenOddCoherent, sample_heterodyne
 state = EvenOddCoherent(1.0, "even")
-sample_heterodyne(state, 100, seed=1)
 peaks = []
-for seed in (2, 3):
-    sample_heterodyne(state, 10**6, seed=seed)
+for n, seed in ((100, 1), (10**6, 2), (10**6, 3)):
+    sample_heterodyne(state, n, seed=seed)
     peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-print(peaks[1] - peaks[0])
+print(*peaks)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux, and the heap is glibc's")
-def test_cat_heterodyne_draw_resident_peak_does_not_grow():
-    # a k-long int64 block made and freed raises glibc's mmap threshold, and
-    # the next draw's arrays then come from a heap that is never trimmed
+@functools.cache
+def cat_rss_peaks_mib():
     src = os.path.dirname(os.path.dirname(mtlab.states.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _CAT_RSS_PROBE], env=env,
                           capture_output=True, text=True, check=True)
-    grown = int(proc.stdout) / 1024
+    return [int(kib) / 1024 for kib in proc.stdout.split()]
+
+
+linux_rss = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                               reason="ru_maxrss is in KiB on Linux, and the heap is glibc's")
+
+
+@linux_rss
+def test_cat_heterodyne_draw_resident_peak_does_not_grow():
+    # a k-long int64 block made and freed raises glibc's mmap threshold, and
+    # the next draw's arrays then come from a heap that is never trimmed
+    _, first, second = cat_rss_peaks_mib()
+    grown = second - first
     assert grown < 10, f"the second draw raised the resident peak by {grown:.1f} MiB"
+
+
+@linux_rss
+def test_cat_heterodyne_first_draw_resident_peak():
+    # the output (15.3 MiB) and a byte per proposal of the first 4M-row
+    # batch; a batch of normals held whole would add 61 MiB more
+    warm, first, _ = cat_rss_peaks_mib()
+    grown = first - warm
+    assert grown < 45, f"the first draw raised the resident peak by {grown:.1f} MiB"
