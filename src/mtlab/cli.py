@@ -4,6 +4,10 @@ Usage:
     mtlab <experiment> [--config FILE] [--set section.key=value]...
           [--seed S] [--out PATH] [--format csv|json] [--workers W]
 
+Each flag is the --set override it stands for (--seed experiment.seed,
+--out output.path, --format output.format, --workers experiment.workers),
+applied after every --set, so a flag wins over a --set or config entry.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Each of
 these bad inputs exits 2 before anything is evaluated or drawn: a section
 the experiment does not read, a key in [state], [search], [mc], [sweep],
@@ -13,7 +17,9 @@ does not take, a [search] bracket_hi that is not finite and positive
 (the searches run over alpha0 in [0, bracket_hi], by default [0, 20] for
 crossover and [0, max(5, 3 sqrt(m))] for the minima), --workers or
 [experiment] workers below 1, or [mc] trials < 2, n_theta < 3, or N below
-n_theta (homodyne) or 1 (heterodyne).
+n_theta (homodyne) or 1 (heterodyne).  Exit 3 is a crb.NumericalFailure,
+an estimator or sampling error, or another ArithmeticError; the CLI never
+calls the oracle, so no oracle.OracleFailure reaches it.
 
 State descriptors (the [state] config section and the state column of
 mc-verify reports) use one key=value vocabulary: `family=gaussian` with
@@ -50,35 +56,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         dest="overrides", help="override a config entry "
                         "(section.key=value; bare keys go to [experiment])")
-    parser.add_argument("--seed", type=int, help="override the experiment seed")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--seed", type=int, help="--set experiment.seed=S")
+    parser.add_argument("--out", help="--set output.path=PATH")
+    parser.add_argument("--format", choices=("csv", "json"), help="--set output.format=F")
     parser.add_argument("--workers", type=int,
-                        help="worker threads for mc-verify trials; every other "
-                             "experiment is one array pass (the fig6 and gamma2-min "
-                             "searches run in lockstep)")
+                        help="--set experiment.workers=W: worker threads for mc-verify "
+                             "trials; every other experiment is one array pass (the fig6 "
+                             "and gamma2-min searches run in lockstep)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = experiments.load_config(path=args.config, overrides=args.overrides,
+        # each flag is the --set override it stands for, after the user's own so that it wins
+        flags = {"experiment.seed": args.seed, "output.path": args.out,
+                 "output.format": args.format, "experiment.workers": args.workers}
+        overrides = args.overrides + [f"{k}={v}" for k, v in flags.items() if v is not None]
+        cfg = experiments.load_config(path=args.config, overrides=overrides,
                                       kind=args.experiment)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
-        if args.format is not None:
-            cfg.format = args.format
-        if args.workers is not None:
-            cfg.workers = args.workers
         report = experiments.run(cfg)
     except experiments.ConfigError as exc:
         print(f"mtlab: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EstimatorError, SamplingError, ArithmeticError) as exc:
-        # ArithmeticError covers crb.NumericalFailure and oracle.OracleFailure
+        # ArithmeticError covers crb.NumericalFailure; the CLI never calls the oracle
         print(f"mtlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     text = experiments.emit_report(report, cfg.format, cfg.out)

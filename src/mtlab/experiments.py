@@ -48,9 +48,10 @@ class ConfigError(ValueError):
     """Unusable experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description: sections of string key=value pairs."""
+    """Parsed experiment description: sections of string key=value pairs,
+    and the settings that ``load_config`` read from them, checked here."""
 
     kind: str
     sections: dict = field(default_factory=dict)
@@ -59,8 +60,11 @@ class ExperimentConfig:
     format: str = "csv"
     workers: int = 1
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        return self.sections.get(section, {}).get(key, default)
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"unknown output format {self.format!r}")
+        if self.workers < 1:
+            raise ConfigError(f"bad workers={self.workers}: at least 1 is required")
 
     def section(self, name: str) -> dict:
         return dict(self.sections.get(name, {}))
@@ -77,7 +81,8 @@ class ExperimentReport:
 def load_config(path: str | None = None, text: str | None = None,
                 overrides: list[str] | None = None,
                 kind: str | None = None) -> ExperimentConfig:
-    """Read a config file and apply --set section.key=value overrides."""
+    """Read a config file and apply --set section.key=value overrides in
+    order (a later one wins): the one place where a setting is read."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     if path is not None:
@@ -104,7 +109,7 @@ def load_config(path: str | None = None, text: str | None = None,
         raise ConfigError(f"unknown experiment {resolved_kind!r}; choose from {EXPERIMENTS}")
     out = sections.get("output", {})
     try:
-        cfg = ExperimentConfig(
+        return ExperimentConfig(
             kind=resolved_kind,
             sections=sections,
             seed=int(exp.get("seed", 0)),
@@ -114,9 +119,6 @@ def load_config(path: str | None = None, text: str | None = None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {cfg.format!r}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +276,10 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
               ("hom", "second"): rep.h2_hom, ("het", "second"): rep.h2_het}
     rows = []
     for scheme in schemes:
-        # one draw per trial feeds every order; the call takes the first order's cell seed
+        # one draw per trial feeds every order, on one seed per scheme whatever the orders
         results = estimators.monte_carlo_mse(
             state, scheme, orders, n_samples, trials, n_theta=n_theta,
-            seed=_mc_cell_seed(cfg.seed, scheme, orders[0]),
+            seed=derive_key(cfg.seed, {"hom": 11, "het": 21}[scheme]),
             workers=cfg.workers,
         )
         for order, res in zip(orders, results):
@@ -291,13 +293,6 @@ def _run_mc_verify(cfg: ExperimentConfig) -> list:
                 "failures": res.failures,
             })
     return rows
-
-
-def _mc_cell_seed(seed: int, scheme: str, order: str) -> int:
-    """Distinct reproducible seed per (scheme, order) cell of an MC table; the
-    draws of a scheme are seeded by the cell of the first order asked for."""
-    tag = {"hom": 1, "het": 2}[scheme] * 10 + {"first": 1, "second": 2}[order]
-    return derive_key(seed, tag)
 
 
 def _gaussian_rows(columns: tuple, points, x0, p0, mu, lam) -> list:
@@ -365,8 +360,8 @@ def _run_fig5(cfg: ExperimentConfig) -> list:
 def _run_fig6(cfg: ExperimentConfig) -> list:
     sweep = _section(cfg, "sweep", ("m",))
     ms = _parse_sweep(sweep.get("m", "0:12:13"), "m")
-    families = cfg.get("experiment", "families", "displaced_fock,photon_added").split(",")
-    return _minima_rows([(f.strip(), m) for f in families for m in ms], None,
+    families = cfg.section("experiment").get("families", "displaced_fock,photon_added")
+    return _minima_rows([(f.strip(), m) for f in families.split(",") for m in ms], None,
                         "fig6 family or m")
 
 
@@ -387,8 +382,10 @@ _BODIES = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured experiment and assemble its report.  A section
-    the experiment does not read, an unknown [experiment] or [output] key, or
-    workers < 1, is a ConfigError before anything is evaluated."""
+    the experiment does not read, or an unknown [experiment] or [output] key,
+    is a ConfigError before anything is evaluated.  The config echo holds
+    only the entries that decide the numbers: no [output] entry, and no
+    experiment kind, seed or workers (kind and seed have their own lines)."""
     body, reads = _BODIES[cfg.kind]
     unread = sorted(set(cfg.sections) - {"experiment", "output", *reads})
     if unread:
@@ -398,15 +395,13 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     _section(cfg, "output", ("path", "format"))
     _section(cfg, "experiment", ("kind", "seed", "workers", "families")
              if cfg.kind == "fig6" else ("kind", "seed", "workers"))
-    if cfg.workers < 1:
-        raise ConfigError(f"bad workers={cfg.workers}: at least 1 is required")
     rows = body(cfg)
     if not rows:
         raise ConfigError("experiment produced an empty row set")
-    echo = []
-    for sec in sorted(cfg.sections):
-        for key in sorted(cfg.sections[sec]):
-            echo.append(f"{sec}.{key}={cfg.sections[sec][key]}")
+    # kind and seed have their own lines; workers and [output] change no number
+    echo = [f"{sec}.{key}={value}" for sec in sorted(cfg.sections) if sec != "output"
+            for key, value in sorted(cfg.sections[sec].items())
+            if sec != "experiment" or key not in ("kind", "seed", "workers")]
     meta = {
         "schema_version": SCHEMA_VERSION,
         "tool": f"mtlab {__version__}",

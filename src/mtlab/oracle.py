@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import log_factorial
 from . import states as st
 from .states import StateModel
 
@@ -463,6 +462,14 @@ class FockExpansion:
         return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
 
 
+def _log_factorial(n) -> float:
+    """log(n!) via lgamma; accepts scalars or arrays."""
+    if np.ndim(n) == 0:
+        return math.lgamma(float(n) + 1.0)
+    n = np.asarray(n, dtype=float)
+    return np.vectorize(math.lgamma)(n + 1.0)
+
+
 def _poisson_tail_cutoff(alpha0, m: int) -> int:
     """Fock cutoff of an amplitude family, past the Poisson-like tail of
     |alpha0|^2 + m photons: a truncation defect below ~1e-10."""
@@ -502,7 +509,7 @@ def fock_expansion(state: StateModel, cutoff: int | None = None,
             c[idx] = 1.0
         else:
             mask = (n % 2 == 0) if sgn > 0 else (n % 2 == 1)
-            logmag = n * math.log(abs(a0)) - 0.5 * log_factorial(n)
+            logmag = n * math.log(abs(a0)) - 0.5 * _log_factorial(n)
             phase = np.exp(1j * n * cmath.phase(a0))
             den = (1.0 + math.exp(-2 * a2)) if sgn > 0 else -math.expm1(-2 * a2)
             # |c_n|^2 = e^{-a2} a2^n / n! * 2 / den on the parity-allowed n
@@ -518,10 +525,10 @@ def fock_expansion(state: StateModel, cutoff: int | None = None,
             c[m] = 1.0
         else:
             z0 = abs(a0) ** 2
-            log_norm = 0.5 * (log_factorial(m) + hyp1f1_log(m + 1, 1, z0))
+            log_norm = 0.5 * (_log_factorial(m) + hyp1f1_log(m + 1, 1, z0))
             k = np.arange(cutoff + 1 - m)
-            logmag = (k * math.log(abs(a0)) + 0.5 * log_factorial(k + m)
-                      - log_factorial(k) - log_norm)
+            logmag = (k * math.log(abs(a0)) + 0.5 * _log_factorial(k + m)
+                      - _log_factorial(k) - log_norm)
             phase = np.exp(1j * k * cmath.phase(a0))
             c[m:] = np.exp(logmag) * phase
     else:
@@ -544,7 +551,7 @@ def _displacement_column(alpha: complex, m: int, cutoff: int) -> np.ndarray:
         return c
     la = math.log(abs(alpha))
     out = np.zeros(cutoff + 1, dtype=complex)
-    lf = log_factorial(np.arange(cutoff + m + 1))
+    lf = _log_factorial(np.arange(cutoff + m + 1))
     for n in range(cutoff + 1):
         acc = 0.0 + 0.0j
         for k in range(0, min(m, n) + 1):

@@ -1,9 +1,9 @@
-"""Log-factorials and Hermite-oscillator evaluation.
+"""Hermite-oscillator evaluation.
 
 Normalized harmonic-oscillator eigenfunctions, which the state densities
 sum, are evaluated by the stable recurrence on the functions themselves
-rather than the raw polynomials.  The Kummer and Laguerre series that only
-the oracle uses live in :mod:`mtlab.oracle`.
+rather than the raw polynomials.  The log-factorials, Kummer and Laguerre
+series that only the oracle uses live in :mod:`mtlab.oracle`.
 """
 
 from __future__ import annotations
@@ -12,17 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "oscillator_eigenfunction_sum",
-    "log_factorial",
-]
-
-def log_factorial(n) -> float:
-    """log(n!) via lgamma; accepts scalars or arrays."""
-    if np.ndim(n) == 0:
-        return math.lgamma(float(n) + 1.0)
-    n = np.asarray(n, dtype=float)
-    return np.vectorize(math.lgamma)(n + 1.0)
+__all__ = ["oscillator_eigenfunction_sum"]
 
 
 def oscillator_eigenfunction_sum(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:

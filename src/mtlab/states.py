@@ -477,18 +477,25 @@ class EvenOddCoherent(_StateFamily):
     # interference.  Each is computed from its bracket (``_cos_bracket``), so
     # the squeeze of the draws bounds the very values the density takes.
 
-    def _core_quadrature_bracket(self, theta, y):
+    def _constants(self):
+        """(limit, a0, sgn, a2, den) of both densities: the interference sign,
+        |alpha0|^2 and the normalization 2(1 + sgn e^{-2 a2}).  Below
+        |alpha0|^2 ~ 1e-8 the odd-state interference cancellation loses more
+        accuracy than the O(|alpha0|^2) limit error, so the limit Fock(0)
+        (even) or Fock(1) (odd) gives the densities there; else it is None."""
         a0 = complex(self.alpha0)
-        # below |alpha0|^2 ~ 1e-8 the odd-state interference cancellation
-        # loses more accuracy than the O(|alpha0|^2) limit error
-        if abs(a0) ** 2 < 1e-8:
-            return _exact_bracket(
-                Fock(0 if self.parity == "even" else 1)._core_quadrature_pdf(theta, y))
-        sgn = 1.0 if self.parity == "even" else -1.0
+        a2 = abs(a0) ** 2
+        even = self.parity == "even"
+        limit = Fock(0 if even else 1) if a2 < 1e-8 else None
+        den = 2.0 * (1.0 + math.exp(-2 * a2)) if even else -2.0 * math.expm1(-2 * a2)
+        return limit, a0, 1.0 if even else -1.0, a2, den
+
+    def _core_quadrature_bracket(self, theta, y):
+        limit, a0, sgn, _, den = self._constants()
+        if limit is not None:
+            return _exact_bracket(limit._core_quadrature_pdf(theta, y))
         beta = a0 * cmath.exp(-1j * theta)
         br, bi = beta.real, beta.imag
-        a2 = abs(a0) ** 2
-        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
         return _cos_bracket(
             np.exp(-((y - _SQ2 * br) ** 2)) + np.exp(-((y + _SQ2 * br) ** 2)),
             sgn * 2.0 * np.exp(-y * y - 2.0 * br * br), 2.0 * _SQ2 * bi * y,
@@ -498,17 +505,14 @@ class EvenOddCoherent(_StateFamily):
         return _density(self._core_quadrature_bracket(theta, y))
 
     def _core_husimi_bracket(self, x, p):
-        a0 = complex(self.alpha0)
-        if abs(a0) ** 2 < 1e-8:
-            return _exact_bracket(Fock(0 if self.parity == "even" else 1)._core_husimi_pdf(x, p))
-        sgn = 1.0 if self.parity == "even" else -1.0
-        a2 = abs(a0) ** 2
+        limit, a0, sgn, a2, den = self._constants()
+        if limit is not None:
+            return _exact_bracket(limit._core_husimi_pdf(x, p))
         # w = conj(alpha) alpha0 with alpha = (x + ip)/sqrt2, in real arithmetic
         wr2 = _SQ2 * (a0.real * x + a0.imag * p)
         wi2 = _SQ2 * (a0.imag * x - a0.real * p)
         g = -0.5 * (x * x + p * p) - a2
         # |e^w + s e^{-w}|^2 = e^{2 Re w} + e^{-2 Re w} + 2 s cos(2 Im w)
-        den = 2.0 * (1.0 + math.exp(-2 * a2)) if sgn > 0 else -2.0 * math.expm1(-2 * a2)
         return _cos_bracket(np.exp(g + wr2) + np.exp(g - wr2), sgn * 2.0 * np.exp(g), wi2,
                             2 * math.pi * den)
 

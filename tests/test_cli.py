@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,7 +62,12 @@ class TestConfig:
                           overrides=["sweep.n=0:4:5", "seed=7"])
         assert cfg.kind == "fig4"
         assert cfg.seed == 7
-        assert cfg.get("sweep", "n") == "0:4:5"
+        assert cfg.section("sweep")["n"] == "0:4:5"
+
+    def test_loaded_config_is_frozen(self):
+        cfg = load_config(text="[experiment]\nkind = fig4\n")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 5
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -406,20 +412,53 @@ class TestCliEndToEnd:
         err = capsys.readouterr().err
         assert "config error" in err and f"unknown {section} keys" in err
 
-    def test_both_orders_first_rows_equal_first_order_run(self, tmp_path):
-        # the first-order rows of an order = both run read the draws of an
-        # order = first run with the same seed
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_both_orders_rows_equal_single_order_run(self, tmp_path, order):
+        # the rows of an order = first or order = second run read the draws
+        # of that order's rows of an order = both run with the same seed
         rows = {}
-        for order in ("both", "first"):
-            out = tmp_path / f"{order}.csv"
+        for asked in ("both", order):
+            out = tmp_path / f"{asked}.csv"
             assert self.run_cli([*_MC_FOCK, "--seed", "9", "--out", str(out),
                                  "--set", "mc.N=3000", "--set", "mc.trials=5",
-                                 "--set", "mc.n_theta=6", "--set", f"mc.order={order}"]) == 0
-            rows[order] = [line for line in out.read_text().splitlines()
+                                 "--set", "mc.n_theta=6", "--set", f"mc.order={asked}"]) == 0
+            rows[asked] = [line for line in out.read_text().splitlines()
                            if not line.startswith("#")]
         header, *both = rows["both"]
-        assert rows["first"] == [header, both[0], both[2]]
+        index = ("first", "second").index(order)
+        assert rows[order] == [header, both[index], both[index + 2]]
         assert [line.split(",")[2] for line in both] == ["first", "second"] * 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--set", "sweep.n=0:3:4"],
+        [*_MC_FOCK, "--set", "mc.N=600", "--set", "mc.n_theta=6"],
+    ], ids=["fig4", "mc-verify"])
+    def test_report_depends_only_on_what_decides_its_numbers(self, tmp_path, argv):
+        # the same settings via flags, via --set and via a config file, written
+        # to different paths, give the same bytes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[experiment]\nseed = 3\nworkers = 2\n[output]\n"
+                       f"path = {tmp_path / 'c.csv'}\nformat = csv\n")
+        runs = {
+            "a.csv": ["--seed", "3", "--workers", "2", "--format", "csv"],
+            "b.csv": ["--set", "experiment.seed=3", "--set", "experiment.workers=2",
+                      "--set", "output.format=csv"],
+            "c.csv": ["--config", str(cfg)],
+            "d.csv": ["--config", str(cfg), "--workers", "1"],
+        }
+        for name, flags in runs.items():
+            assert self.run_cli([*argv, *flags, "--set", f"output.path={tmp_path / name}"]) == 0
+        texts = {(tmp_path / name).read_bytes() for name in runs}
+        assert len(texts) == 1
+        assert b"# seed=3\n" in texts.pop()
+
+    def test_seed_flag_leaves_no_contradicting_echo(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert self.run_cli(["fig4", "--set", "sweep.n=0:2:3", "--set", "experiment.seed=7",
+                             "--seed", "5", "--out", str(out)]) == 0
+        meta, _, _ = parse_csv(out.read_text())
+        assert meta["seed"] == "5"
+        assert "seed" not in meta["config"]
 
     @pytest.mark.parametrize("argv", [
         ["crossover", "--set", "search.family=coherent", "--set", "search.m=3"],

@@ -14,6 +14,7 @@ from mtlab import (
 from mtlab.oracle import (
     OracleConfig,
     OracleFailure,
+    _log_factorial,
     cf_husimi_moment,
     cf_quadrature_moment,
     numeric_fisher,
@@ -119,3 +120,12 @@ class TestNumericFisher:
             fc = fisher_matrices([s])[0]
             fn = numeric_fisher(s, "second")
             assert np.max(np.abs(fc - fn)) < 1e-8 * np.max(np.abs(fn))
+
+
+def test_log_factorial_scalar_matches_array_bitwise():
+    ns = np.arange(201)
+    arr = _log_factorial(ns)
+    for n in ns:
+        assert _log_factorial(int(n)) == arr[n]
+        assert _log_factorial(n) == arr[n]
+        assert isinstance(_log_factorial(int(n)), float)

@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from mtlab.oracle import hyp1f1, hyp1f1_log, laguerre
-from mtlab.special import log_factorial, oscillator_eigenfunction_sum
+from mtlab.special import oscillator_eigenfunction_sum
 
 
 class TestKummerIdentities:
@@ -91,12 +91,3 @@ class TestOscillatorFunctions:
             norm = 1.0 / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi))
             ref = sp.eval_hermite(n, x) * np.exp(-x * x / 2) * norm
             assert np.allclose(mine, ref, rtol=1e-10, atol=1e-12)
-
-
-def test_log_factorial_scalar_matches_array_bitwise():
-    ns = np.arange(201)
-    arr = log_factorial(ns)
-    for n in ns:
-        assert log_factorial(int(n)) == arr[n]
-        assert log_factorial(n) == arr[n]
-        assert isinstance(log_factorial(int(n)), float)
