@@ -9,8 +9,9 @@ Each flag is the --set override it stands for (--seed experiment.seed,
 applied after every --set, so a flag wins over a --set or config entry.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Each of
-these bad inputs exits 2 before anything is evaluated or drawn: a section
-the experiment does not read, a key in [state], [search], [mc], [sweep],
+these bad inputs exits 2 before anything is evaluated or drawn: an
+[experiment] kind other than the positional experiment, a section the
+experiment does not read, a key in [state], [search], [mc], [sweep],
 [experiment] or [output] that it does not read, a value that does not
 parse or makes no state, a search family without its m or with one it
 does not take, a [search] bracket_hi that is not finite and positive

@@ -33,13 +33,16 @@ depend on the grid it is in.
 
 The searches over the displacement amplitude are coroutines that yield the
 alpha0 values they need, and one driver, ``_lockstep``, runs any number of
-them together with one ``crb_grid`` call per step.  ``minimize_gamma2_grid``
-runs many minimum searches on it (``minimize_gamma2`` is one job), each a
-65-point scan and then 15 interior points per step (a default search takes
-8 calls); ``find_crossover`` runs one bisection (five levels of midpoints
-per step: a default search takes 7 calls, not 28).  Both search alpha0 in
-[0, bracket_hi] and check every input of every job in ``_family_builder``
-before their first evaluation.
+them together with one ``crb_grid`` call per step.  Both take one step,
+``_narrow``: 15 evenly spaced interior points of the bracket per call.
+``minimize_gamma2_grid`` runs many minimum searches on it
+(``minimize_gamma2`` is one job), each a 65-point scan and then steps that
+keep the neighbours of the lowest point (a default search takes 8 calls);
+``find_crossover`` runs one root search, alpha0 = 0 and bracket_hi each
+alone and then steps that keep the first interval over which gamma2 - 1
+falls to <= 0 (a default search takes 9 calls, and the report at the root
+one more).  Both search alpha0 in [0, bracket_hi] and check every input of
+every job in ``_family_builder`` before their first evaluation.
 """
 
 from __future__ import annotations
@@ -325,68 +328,67 @@ def _lockstep(builders, searches) -> list:
     return results
 
 
-_LEVELS = 5        # bisection levels evaluated ahead in one crb_grid call
+_POINTS = 15       # interior points per step of either search
 
 
-def _midpoints(lo: float, hi: float, levels: int) -> list:
-    """The 2^levels - 1 midpoints that the next levels of a bisection of
-    [lo, hi] can visit, in order: each is the 0.5*(lo + hi) of its bracket."""
-    if not levels:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [*_midpoints(lo, mid, levels - 1), mid, *_midpoints(mid, hi, levels - 1)]
+def _narrow(lo, hi, tol: float, keep):
+    """The step of both searches, to ``yield from``: while the bracket [lo, hi]
+    is wider than tol, it yields _POINTS evenly spaced interior points and
+    takes keep(x, gamma2 at x[1:-1]) as the next bracket, x being the points
+    with the two ends; it returns the last bracket."""
+    while hi - lo > tol:
+        x = np.linspace(lo, hi, _POINTS + 2)
+        if x[1] == lo or x[-2] == hi:  # the bracket is down to adjacent floats
+            break
+        lo, hi = keep(x, (yield x[1:-1]))
+    return lo, hi
 
 
-def _bisection(hi: float, tol: float, family: str):
+def _first_fall(x, g2):
+    """The first interval of x over which gamma2 - 1 falls to <= 0: the last
+    one if no interior point has fallen, since the bracket's top has."""
+    k = next((i for i, g in enumerate(g2, 1) if g - 1.0 <= 0.0), len(x) - 1)
+    return x[k - 1], x[k]
+
+
+def _root_search(hi: float, tol: float, family: str):
     """One crossover search over [0, hi] as a coroutine: it yields the alpha0
     values it needs and is sent gamma2 at them, and returns the root of
     gamma2 = 1, or None if gamma2 <= 1 already at 0 (hi is then never
-    evaluated).
-
-    It asks for the midpoints of the next _LEVELS levels at once, hi with the
-    first of them, and then steps through them as a one-point bisection
-    would: the same floats, so the same root.
-    """
+    evaluated).  Each step keeps the first of 16 intervals over which
+    gamma2 - 1 falls to <= 0: a 16x shrink."""
     lo = 0.0
     g_lo, = yield (lo,)
     if g_lo - 1.0 <= 0.0:
         return None
-    ahead = [hi, *_midpoints(lo, hi, _LEVELS)]
-    g = dict(zip(ahead, (yield ahead)))
-    if g[hi] - 1.0 > 0.0:
+    g_hi, = yield (hi,)
+    if g_hi - 1.0 > 0.0:
         raise NumericalFailure(f"no gamma2 = 1 sign change for {family} in [0, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the bracket is down to adjacent floats
-            break
-        if mid not in g:
-            ahead = _midpoints(lo, hi, _LEVELS)
-            g = dict(zip(ahead, (yield ahead)))
-        if g[mid] - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = yield from _narrow(lo, hi, tol, _first_fall)
+    return float(0.5 * (lo + hi))
 
 
 def find_crossover(family: str, m: int | None = None, bracket_hi: float | None = None,
                    tol: float = 1e-6) -> tuple[float, float] | None:
-    """Bisection root of gamma2(alpha0) = 1 over alpha0 in [0, bracket_hi]
-    (default 20), run by ``_lockstep`` as one search: (alpha0, h2_het) at the
-    root.  Every input is checked before any evaluation.
+    """Root of gamma2(alpha0) = 1 over alpha0 in [0, bracket_hi] (default 20),
+    run by ``_lockstep`` as one search: (alpha0, h2_het) at the root.  Every
+    input is checked before any evaluation.
 
     If gamma2 <= 1 already at alpha0 = 0 the family stays below unity for
     every displacement, and None is returned instead of a root.
     """
     state_at = _family_builder(family, m, bracket_hi, tol)
     hi = 20.0 if bracket_hi is None else bracket_hi
-    root, = _lockstep([state_at], [_bisection(hi, tol, family)])
+    root, = _lockstep([state_at], [_root_search(hi, tol, family)])
     if root is None:
         return None
     return root, crb_report(state_at(root)).h2_het
 
 
-_POINTS = 15       # interior points per step of a minimum search: an 8x shrink
+def _lowest(x, g2):
+    """The neighbours in x of the interior point with the lowest gamma2."""
+    k = int(np.argmin(g2)) + 1
+    return x[k - 1], x[k + 1]
 
 
 def _minimum_search(grid: np.ndarray, tol: float):
@@ -395,18 +397,12 @@ def _minimum_search(grid: np.ndarray, tol: float):
 
     The grid scan brackets the global minimum first, so that mild
     non-unimodality near the endpoints cannot trap the search.  Each step
-    then asks for _POINTS evenly spaced interior points of the bracket and
-    keeps the neighbours of the lowest one.
+    then keeps the neighbours of the lowest interior point: an 8x shrink.
     """
     k = int(np.argmin((yield grid)))
     lo = grid[max(0, k - 1)]
     hi = grid[min(len(grid) - 1, k + 1)]
-    while hi - lo > tol:
-        x = np.linspace(lo, hi, _POINTS + 2)
-        if x[1] == lo or x[-2] == hi:  # the bracket is down to adjacent floats
-            break
-        k = int(np.argmin((yield x[1:-1]))) + 1
-        lo, hi = x[k - 1], x[k + 1]
+    lo, hi = yield from _narrow(lo, hi, tol, _lowest)
     xmin = 0.5 * (lo + hi)
     g2, = yield (xmin,)
     return float(xmin), g2

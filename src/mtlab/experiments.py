@@ -102,6 +102,8 @@ def load_config(path: str | None = None, text: str | None = None,
             sec = "experiment"
         sections.setdefault(sec, {})[key.strip()] = value.strip()
     exp = sections.get("experiment", {})
+    if kind and exp.get("kind", kind) != kind:
+        raise ConfigError(f"[experiment] kind={exp['kind']!r} contradicts the experiment {kind!r}")
     resolved_kind = kind or exp.get("kind")
     if resolved_kind is None:
         raise ConfigError("no experiment kind given (positional or [experiment] kind=...)")

@@ -1,7 +1,9 @@
 """State families and their quadrature and Husimi moments.
 
 Five families are supported: Gaussian states, Fock states, even/odd coherent
-superpositions, displaced Fock states and photon-added coherent states.
+superpositions, displaced Fock states and photon-added coherent states.  A
+Fock state |n> is the displaced Fock state at alpha0 = 0 (``Fock`` is a
+``DisplacedFock``), so the two share every table, density and draw.
 Conventions: alpha = (x + i p)/sqrt(2), [X, P] = i, vacuum variance 1/2.
 
 Every moment up to fourth order comes from one table per state: a core
@@ -37,7 +39,7 @@ quadrature and Husimi densities of its core once, and ``quadrature_pdf``/
 core routes: a centred Gaussian, the even/odd cat, and a finite Fock vector
 c, whose quadrature density is |sum_j c_j e^{i(m-j) theta} psi_j(y)|^2 and
 whose Husimi density is e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 /
-(2 pi).  Fock and displaced Fock states have c = e_n; a photon-added state
+(2 pi).  A displaced Fock state D(alpha0)|m> has c = e_m; a photon-added state
 has the amplitudes of (B^dag + conj alpha0)^m |0> (Agarwal & Tara, PRA 43,
 492, 1991), normalized by their own finite sum of squares
 (``_photon_added_mass``).
@@ -317,35 +319,6 @@ class _StateFamily:
         return core
 
 
-class _FockVector(_StateFamily):
-    """Families whose core is a finite Fock vector ``_vector`` = (c_0, ..., c_m)."""
-
-    def _core_quadrature_pdf(self, theta, y):
-        # the core rotated by theta has amplitudes c_j e^{i (m - j) theta}
-        c = self._vector
-        w = c * np.exp(1j * theta * np.arange(c.size - 1, -1, -1))
-        re = oscillator_eigenfunction_sum(w.real, y)
-        if not w.imag.any():
-            return re * re
-        im = oscillator_eigenfunction_sum(w.imag, y)
-        return re * re + im * im
-
-    def _core_husimi_pdf(self, x, p):
-        # e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi), b = (x + ip)/sqrt2, by Horner
-        c = self._vector
-        bbar = (x - 1j * p) / _SQ2
-        amp = c[-1]
-        for j in range(c.size - 2, -1, -1):
-            amp = amp * bbar / math.sqrt(j + 1.0) + c[j]
-        return (amp.real ** 2 + amp.imag ** 2) * np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
-
-
-def _number_husimi_draw(n_photon, n, gen):
-    """Husimi draw of |n_photon>: |alpha|^2 ~ Gamma(n_photon + 1), uniform phase."""
-    s = gen.gamma(shape=n_photon + 1.0, scale=1.0, size=n)
-    return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
-
-
 # ---------------------------------------------------------------------------
 # state families
 # ---------------------------------------------------------------------------
@@ -424,27 +397,6 @@ class _GaussianStack:
 
     def _rows(self):
         return _gaussian_rows(*self.params)
-
-
-@dataclass(frozen=True)
-class Fock(_FockVector):
-    """Photon-number state |n>."""
-
-    n: int
-
-    def __post_init__(self):
-        _check_count(self.n, "photon number n")
-
-    @staticmethod
-    def _rows(states):
-        return _rows_of(_number_tables(np.array([s.n for s in states])), 0.0, 0.0)
-
-    @cached_property
-    def _vector(self):
-        return np.eye(1, self.n + 1, self.n, dtype=complex)[0]  # e_n
-
-    def _core_husimi_draw(self, n, gen):
-        return _number_husimi_draw(self.n, n, gen)
 
 
 @dataclass(frozen=True)
@@ -567,8 +519,9 @@ class EvenOddCoherent(_StateFamily):
 
 
 @dataclass(frozen=True)
-class _DisplacedCore(_FockVector):
-    """Families whose Fock-vector core, fixed by m, is displaced by alpha0."""
+class _DisplacedCore(_StateFamily):
+    """Families whose core is a finite Fock vector ``_vector`` = (c_0, ..., c_m),
+    fixed by m, displaced by alpha0."""
 
     alpha0: complex
     m: int
@@ -583,6 +536,25 @@ class _DisplacedCore(_FockVector):
         return _rows_of(cls._tables(a, np.array([s.m for s in states])),
                      _SQ2 * a.real, _SQ2 * a.imag)
 
+    def _core_quadrature_pdf(self, theta, y):
+        # the core rotated by theta has amplitudes c_j e^{i (m - j) theta}
+        c = self._vector
+        w = c * np.exp(1j * theta * np.arange(c.size - 1, -1, -1))
+        re = oscillator_eigenfunction_sum(w.real, y)
+        if not w.imag.any():
+            return re * re
+        im = oscillator_eigenfunction_sum(w.imag, y)
+        return re * re + im * im
+
+    def _core_husimi_pdf(self, x, p):
+        # e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi), b = (x + ip)/sqrt2, by Horner
+        c = self._vector
+        bbar = (x - 1j * p) / _SQ2
+        amp = c[-1]
+        for j in range(c.size - 2, -1, -1):
+            amp = amp * bbar / math.sqrt(j + 1.0) + c[j]
+        return (amp.real ** 2 + amp.imag ** 2) * np.exp(-0.5 * (x * x + p * p)) / (2 * math.pi)
+
 
 class DisplacedFock(_DisplacedCore):
     """Displaced Fock state D(alpha0)|m>."""
@@ -596,7 +568,21 @@ class DisplacedFock(_DisplacedCore):
         return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
 
     def _core_husimi_draw(self, n, gen):
-        return _number_husimi_draw(self.m, n, gen)
+        # |alpha|^2 ~ Gamma(m + 1), uniform phase
+        s = gen.gamma(shape=self.m + 1.0, scale=1.0, size=n)
+        return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
+
+
+class Fock(DisplacedFock):
+    """Photon-number state |n>: the displaced Fock state at alpha0 = 0."""
+
+    def __init__(self, n: int):
+        _check_count(n, "photon number n")
+        super().__init__(0.0, n)
+
+    @property
+    def n(self) -> int:
+        return self.m
 
 
 def _photon_added_mass(z: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

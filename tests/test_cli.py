@@ -73,6 +73,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(text="[experiment]\nkind = bogus\n")
 
+    def test_kind_that_contradicts_the_experiment(self):
+        with pytest.raises(ConfigError, match="contradicts"):
+            load_config(text="[experiment]\nkind = fig5\n", kind="fig4")
+        with pytest.raises(ConfigError, match="contradicts"):
+            load_config(overrides=["experiment.kind=fig5"], kind="fig4")
+        for text in ("[experiment]\nkind = fig4\n", "[experiment]\nseed = 3\n"):
+            assert load_config(text=text, kind="fig4").kind == "fig4"
+
     def test_missing_kind(self):
         with pytest.raises(ConfigError):
             load_config(text="[state]\nfamily = fock\n")
@@ -364,6 +372,15 @@ class TestCliEndToEnd:
                              "--set", "state.n=1", "--set", "mc.scheme=bogus"])
         assert code == 2
         assert "scheme" in capsys.readouterr().err
+
+    def test_contradicting_kind_exit_code(self, capsys, monkeypatch):
+        def never(states):
+            raise AssertionError("evaluated before the config was checked")
+
+        monkeypatch.setattr(crb, "crb_grid", never)
+        code = self.run_cli(["fig4", "--set", "experiment.kind=fig5", "--set", "sweep.n=0:1:2"])
+        assert code == 2
+        assert "contradicts" in capsys.readouterr().err
 
     def test_crossover_missing_m_exit_code(self, capsys):
         code = self.run_cli(["crossover", "--set", "search.family=photon_added"])

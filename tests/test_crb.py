@@ -646,23 +646,25 @@ class TestLockstepSearch:
             minimize_gamma2_grid(jobs, **kwargs)
 
 
-def scalar_bisection(family, m, tol=1e-6):
-    """Reference crossover: bisection of gamma2 = 1 over alpha0 in [0, 20],
-    gamma2 evaluated one state at a time.  Returns (alpha0, h2_het there)."""
+def scalar_crossover(family, m, tol=1e-6):
+    """Reference crossover: gamma2 = 1 over alpha0 in [0, 20], 15 evenly
+    spaced interior points per step, keeping the first interval over which
+    gamma2 - 1 falls to <= 0; gamma2 evaluated one state at a time.  Returns
+    (alpha0, h2_het there)."""
     def g2(a0):
         return crb_report(_SEARCH_STATES[family](float(a0), m)).gamma2
 
     lo, hi = 0.0, 20.0
     assert g2(lo) > 1.0 and g2(hi) <= 1.0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # the bracket is down to adjacent floats
+        x = np.linspace(lo, hi, 17)
+        if x[1] == lo or x[-2] == hi:  # the bracket is down to adjacent floats
             break
-        if g2(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+        k = 1
+        while k < 16 and g2(x[k]) > 1.0:
+            k += 1
+        lo, hi = x[k - 1], x[k]
+    root = float(0.5 * (lo + hi))
     return root, crb_report(_SEARCH_STATES[family](root, m)).h2_het
 
 
@@ -675,7 +677,15 @@ class TestCrossoverSearch:
     def test_equals_scalar_bisection(self, kwargs):
         for family, m in _CROSSOVER_JOBS:
             got = find_crossover(family, m, **kwargs)
-            assert got == scalar_bisection(family, m, **kwargs), family
+            assert got == scalar_crossover(family, m, **kwargs), family
+
+    def test_sign_change_within_tol_of_root(self):
+        tol = 1e-6
+        for family, m in _CROSSOVER_JOBS:
+            root, _ = find_crossover(family, m, tol=tol)
+            left, right = crb_grid([_SEARCH_STATES[family](a0, m)
+                                    for a0 in (root - tol, root + tol)]).gamma2 - 1.0
+            assert left > 0.0 >= right, family
 
     @pytest.mark.parametrize("kwargs", _BAD_SEARCH_KWARGS + [{"bracket_hi": math.inf}], ids=_id)
     def test_bad_input_raises_before_any_evaluation(self, monkeypatch, kwargs):
@@ -696,8 +706,6 @@ class TestCrossoverSearch:
         assert sizes == [1]  # gamma2 at alpha0 = 0 only
         sizes.clear()
         find_crossover("coherent")
-        # alpha0 = 0; the other end with the 31 midpoints of the first five
-        # levels; four more rounds of five levels, 25 halvings of [0, 20] down
-        # to 1e-6 in all; and the root
-        assert sizes == [1, 32, 31, 31, 31, 31, 1]
-        assert len(sizes) <= 7  # a one-point bisection takes 28
+        # alpha0 = 0; the other end; seven steps of 15 points, each a 16x
+        # shrink of [0, 20] down to 1e-6; and the report at the root
+        assert sizes == [1, 1, *[15] * 7, 1]

@@ -20,13 +20,16 @@ from mtlab import (
     husimi_pdf,
     quadrature_moments,
     quadrature_pdf,
+    sample_heterodyne,
+    sample_homodyne,
     second_moment_matrix,
     state_from_kv,
     state_to_kv,
 )
 from mtlab.special import oscillator_eigenfunction_sum
 from mtlab.oracle import CutoffError, _log_factorial, fock_expansion, hyp1f1, hyp1f1_log
-from mtlab.states import _core_rows, _photon_added_mass, quadrature_x2_variance
+from mtlab.states import (_core_rows, _moment_data, _photon_added_mass,
+                          quadrature_x2_variance)
 from conftest import random_state, rotated_cov, rotated_mean
 
 SQ2 = math.sqrt(2.0)
@@ -525,3 +528,38 @@ class TestValidation:
             EvenOddCoherent(1.0, "both")
         with pytest.raises(ValueError):
             DisplacedFock(1.0, -2)
+
+
+def _moment_arrays(state):
+    d = _moment_data([state])
+    return [d.shift, d.harmonics, d.covariance, *map(np.asarray, vars(d.husimi).values())]
+
+
+class TestFock:
+    """A Fock state is the displaced Fock state at alpha0 = 0, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_same_numbers_as_displaced_fock_at_zero(self, n):
+        fock, ref = Fock(n), DisplacedFock(0.0, n)
+        assert isinstance(fock, DisplacedFock)
+        for got, want in zip(_moment_arrays(fock), _moment_arrays(ref), strict=True):
+            assert np.array_equal(got, want)
+        y = np.linspace(-5.0, 5.0, 101)
+        for th in (0.0, 0.4, 2.0):
+            assert np.array_equal(quadrature_pdf(fock, th, y), quadrature_pdf(ref, th, y))
+        assert np.array_equal(husimi_pdf(fock, y, y[::-1]), husimi_pdf(ref, y, y[::-1]))
+        for got, want in zip(sample_homodyne(fock, 3, 3_000, seed=7).samples,
+                             sample_homodyne(ref, 3, 3_000, seed=7).samples, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(sample_heterodyne(fock, 2_000, seed=7).points,
+                              sample_heterodyne(ref, 2_000, seed=7).points)
+
+    def test_descriptor(self):
+        assert state_to_kv(Fock(3)) == "family=fock n=3"
+        assert state_from_kv(state_to_kv(Fock(3))) == Fock(3)
+        assert Fock(3).n == 3
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_bad_photon_number(self, n):
+        with pytest.raises(ValueError, match="photon number n"):
+            Fock(n)
