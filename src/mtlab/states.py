@@ -48,12 +48,22 @@ Each family draws its core, with the routines and streams of
 draw is of the whole state.  Gaussian quadrature samples are normal draws;
 the others come by rejection under a Gaussian envelope about the core's own
 <Y_theta>, with variance three times its <Y_theta^2>, so a large
-displacement does not widen it.  Husimi draws are exact for Gaussian states
+displacement does not widen it.  Cells of width 0.02 over the envelope's
+centre +- 5 standard deviations decide most of these tests without the
+density (``sampling._cells``), from each family's proven bounds
+(``_core_quadrature_taylor``): |f(x) - f(y)| <= |f'(y)| r + M2 r^2/2 for
+|x - y| <= r, plus a rounding margin.  For a Fock vector, f' is again a
+finite oscillator sum by the ladder relation psi_j' = sqrt(j/2) psi_{j-1} -
+sqrt((j+1)/2) psi_{j+1}, and M2 >= sup |f''| follows from Cramer's
+inequality |psi_j| <= 1.086435 pi^{-1/4}; the cat's M2 comes from the
+closed-form bounds of its Gaussian factors and its cosine.  Husimi draws
+are exact for Gaussian states
 (covariance transform of G + I/2), Fock and displaced Fock states
 (Gamma-distributed radius) and photon-added states (a finite mixture of
 m + 1 noncentral chi-square radii, weighted by the terms of the
-normalization, with a von Mises phase); even/odd cats use rejection against
-a two-Gaussian mixture.  Both cat densities are (s + t cos w)/d, and their
+normalization, with a von Mises phase), each written into its (n, 2)
+output one chunk at a time; even/odd cats use rejection against a
+two-Gaussian mixture.  Both cat densities are (s + t cos w)/d, and their
 draws take the cosine only for the points that the bounds from |cos w| <= 1
 leave undecided.  No draw or moment truncates a Fock space.
 
@@ -82,6 +92,8 @@ from .phasespace import (
 )
 from .sampling import (
     _TEST_CHUNK,
+    _cells,
+    _chunks,
     _cos_bracket,
     _density,
     _exact_bracket,
@@ -277,6 +289,13 @@ def _moment_data(states) -> _MomentData:
 _ENVELOPE_INFLATION = 3.0  # quadrature envelope variance over the core's <Y_theta^2>
 _SCAN_NODES = 2049
 _SCAN_NODES_2D = 257
+# the quadrature draw's cells: their width, and the half span of the table in
+# envelope standard deviations (a proposal falls outside it with probability
+# 5.7e-7, and is then tested without a cell)
+_CELL_WIDTH = 0.02
+_CELL_SPAN = 5.0
+# the cell bounds' rounding margins, relative to the scale of each density
+_CELL_ROUNDING = 1e-12
 
 
 class _StateFamily:
@@ -286,11 +305,17 @@ class _StateFamily:
     pass, ``_rows(states)``, and states the densities and draws of its core:
     ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta,
     ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
-    gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>; rejection unless
-    overridden, which tests points through ``_core_quadrature_bracket``,
-    the density itself unless a family bounds it more cheaply) and
+    gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>) and
     ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
     ``_husimi_draw`` add the shift.
+
+    Unless a family overrides it, the quadrature draw is rejection under a
+    Gaussian envelope about u1, with a table of proven cell bounds
+    (``sampling._cells``) from the family's ``_core_quadrature_taylor(theta,
+    y)``: the density, its derivative, a bound M2 >= sup |f''| and a rounding
+    margin.  A point the cells leave undecided is tested through
+    ``_core_quadrature_bracket``, the density itself unless a family bounds
+    it more cheaply.
     """
 
     @cached_property
@@ -307,11 +332,16 @@ class _StateFamily:
     def _core_quadrature_draw(self, theta, u1, u2, n, gen):
         var_env = _ENVELOPE_INFLATION * u2
         sd, half = math.sqrt(var_env), 6.0 * math.sqrt(u2) + abs(u1)
+
+        def env(y):
+            return np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
+
+        cells = _cells(lambda y: self._core_quadrature_taylor(theta, y), env, u1,
+                       _CELL_SPAN * sd, _CELL_WIDTH)
         return _rejection(
-            lambda y: self._core_quadrature_bracket(theta, y),
-            lambda y: np.exp(-0.5 * (y - u1) ** 2 / var_env) / math.sqrt(2 * math.pi * var_env),
+            lambda y: self._core_quadrature_bracket(theta, y), env,
             lambda g, k: g.normal(u1, sd, size=k),
-            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen)
+            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen, cells)
 
     def _husimi_draw(self, n, gen):
         core = self._core_husimi_draw(n, gen)
@@ -364,8 +394,12 @@ class Gaussian(_StateFamily):
         return gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
 
     def _core_husimi_draw(self, n, gen):
+        # the rows of normal(size=(n, 2)) @ chol.T, one test chunk at a time
         chol = np.linalg.cholesky(het_shift(self.g).as_array())
-        return gen.normal(size=(n, 2)) @ chol.T
+        out = np.empty((n, 2))
+        for sl in _chunks(n):
+            np.matmul(gen.normal(size=(sl.stop - sl.start, 2)), chol.T, out=out[sl])
+        return out
 
 
 class _GaussianStack:
@@ -456,6 +490,31 @@ class EvenOddCoherent(_StateFamily):
     def _core_quadrature_pdf(self, theta, y):
         return _density(self._core_quadrature_bracket(theta, y))
 
+    def _core_quadrature_taylor(self, theta, y):
+        """(f, f', M2, margin) of the core quadrature density at the points y.
+
+        f = (s + t cos w)/d with s = g(y - mu) + g(y + mu), t = sgn t0 g(y),
+        g(z) = e^{-z^2}, t0 = 2 e^{-2 br^2}, w = kappa y, mu = sqrt2 br and
+        kappa = 2 sqrt2 bi.  With |g'| <= sqrt(2/e) and |g''| <= 2,
+        |f''| <= M2 = (4 + t0 (2 + 2 sqrt(2/e) |kappa| + kappa^2))/d.  The
+        margin, 1e-12 (2 + t0 (1 + |kappa| (|y| + 1)))/d, covers the rounding
+        of the exponentials, of w (relative, so the cosine's error grows with
+        |w|) and of the sums.  Below |alpha0|^2 = 1e-8 the density is that of
+        the limit Fock state (``_constants``), and so are these.
+        """
+        limit, a0, sgn, _, den = self._constants()
+        if limit is not None:
+            return limit._core_quadrature_taylor(theta, y)
+        beta = a0 * cmath.exp(-1j * theta)
+        mu, kappa = _SQ2 * beta.real, 2.0 * _SQ2 * beta.imag
+        t0, d = 2.0 * math.exp(-2.0 * beta.real ** 2), den * math.sqrt(math.pi)
+        t = sgn * t0 * np.exp(-y * y)
+        fp = (-2.0 * ((y - mu) * np.exp(-((y - mu) ** 2)) + (y + mu) * np.exp(-((y + mu) ** 2)))
+              - t * (2.0 * y * np.cos(kappa * y) + kappa * np.sin(kappa * y))) / d
+        m2 = (4.0 + t0 * (2.0 + 2.0 * math.sqrt(2.0 / math.e) * abs(kappa) + kappa * kappa)) / d
+        margin = _CELL_ROUNDING * (2.0 + t0 * (1.0 + abs(kappa) * (np.abs(y) + 1.0))) / d
+        return self._core_quadrature_pdf(theta, y), fp, m2, margin
+
     def _core_husimi_bracket(self, x, p):
         limit, a0, sgn, a2, den = self._constants()
         if limit is not None:
@@ -492,21 +551,21 @@ class EvenOddCoherent(_StateFamily):
             # range-2 draw takes one 32-bit word per value, so the chunks
             # read the words of one whole call
             side = np.empty(k, dtype=np.uint8)
-            for lo in range(0, k, _TEST_CHUNK):
-                side[lo:lo + _TEST_CHUNK] = g.integers(0, 2, size=min(_TEST_CHUNK, k - lo))
+            for sl in _chunks(k):
+                side[sl] = g.integers(0, 2, size=sl.stop - sl.start)
             # no batch of normals is kept: g skips them into one reused buffer
             # (standard_normal reads the words of normal(0, sd)), and a copy
             # of g draws them again one test chunk at a time, only for the
             # chunks that are tested
             again = np.random.Generator(copy.deepcopy(g.bit_generator))
             skip = np.empty(_TEST_CHUNK)
-            for lo in range(0, 2 * k, _TEST_CHUNK):
-                g.standard_normal(out=skip[:min(_TEST_CHUNK, 2 * k - lo)])
+            for sl in _chunks(2 * k):
+                g.standard_normal(out=skip[:sl.stop - sl.start])
 
             def chunks():
-                for lo in range(0, k, _TEST_CHUNK):
-                    pts = again.normal(0.0, sd, size=(min(_TEST_CHUNK, k - lo), 2))
-                    pts += np.take(centers, side[lo:lo + _TEST_CHUNK], axis=0)
+                for sl in _chunks(k):
+                    pts = again.normal(0.0, sd, size=(sl.stop - sl.start, 2))
+                    pts += np.take(centers, side[sl], axis=0)
                     yield pts
 
             return chunks()
@@ -516,6 +575,20 @@ class EvenOddCoherent(_StateFamily):
         return _rejection(
             lambda pts: self._core_husimi_bracket(pts[:, 0], pts[:, 1]), env, propose,
             np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
+
+
+#: Cramer's bound on the oscillator eigenfunctions, |psi_j(x)| <= 1.086435 pi^{-1/4}
+_PSI_BOUND = 1.086435 * math.pi ** -0.25
+
+
+def _derivative_coefficients(a: np.ndarray) -> np.ndarray:
+    """The coefficients of (sum_j a_j psi_j)' on psi_0..psi_{len(a)}, by the
+    ladder relation psi_j' = sqrt(j/2) psi_{j-1} - sqrt((j+1)/2) psi_{j+1}."""
+    j = np.arange(a.size)
+    d = np.zeros(a.size + 1)
+    d[:-2] += a[1:] * np.sqrt(j[1:] / 2.0)
+    d[1:] -= a * np.sqrt((j + 1) / 2.0)
+    return d
 
 
 @dataclass(frozen=True)
@@ -536,15 +609,46 @@ class _DisplacedCore(_StateFamily):
         return _rows_of(cls._tables(a, np.array([s.m for s in states])),
                      _SQ2 * a.real, _SQ2 * a.imag)
 
-    def _core_quadrature_pdf(self, theta, y):
-        # the core rotated by theta has amplitudes c_j e^{i (m - j) theta}
+    def _rotated_parts(self, theta):
+        """The real and imaginary parts of the amplitudes c_j e^{i (m - j) theta}
+        of the core rotated by theta; the real part alone if the other is zero."""
         c = self._vector
         w = c * np.exp(1j * theta * np.arange(c.size - 1, -1, -1))
-        re = oscillator_eigenfunction_sum(w.real, y)
-        if not w.imag.any():
-            return re * re
-        im = oscillator_eigenfunction_sum(w.imag, y)
-        return re * re + im * im
+        return (w.real, w.imag) if w.imag.any() else (w.real,)
+
+    def _core_quadrature_pdf(self, theta, y):
+        # f = sum over the parts a of (sum_j a_j psi_j(y))^2
+        f = 0.0
+        for a in self._rotated_parts(theta):
+            s = oscillator_eigenfunction_sum(a, y)
+            f = f + s * s
+        return f
+
+    def _core_quadrature_taylor(self, theta, y):
+        """(f, f', M2, margin) of the core quadrature density at the points y.
+
+        Each part S = sum_j a_j psi_j has S' = sum_j a'_j psi_j, with the
+        coefficients a' of ``_derivative_coefficients``, and S'' likewise from
+        a''.  Cramer's inequality |psi_j(x)| <= B = 1.086435 pi^{-1/4}, for
+        every j and x (Abramowitz & Stegun 22.14.17), bounds |S| <= B |a|_1, so
+        f'' = 2 sum (S'^2 + S S'') gives |f''| <= M2 = 2 B^2 sum (|a'|_1^2 +
+        |a|_1 |a''|_1).  The margin, 1e-12 (m + 3) (B sum (|a|_1 + |a'|_1))^2,
+        covers the rounding of the recurrence, whose error in psi_j grows at
+        most linearly in j (forward recurrence, stable where psi_j oscillates
+        and dominant where it grows), and of the sums.
+        """
+        f = fp = 0.0
+        m2 = scale = 0.0
+        for a in self._rotated_parts(theta):
+            a1 = _derivative_coefficients(a)
+            a2 = _derivative_coefficients(a1)
+            s, s1 = oscillator_eigenfunction_sum(a, y), oscillator_eigenfunction_sum(a1, y)
+            f = f + s * s
+            fp = fp + 2.0 * s * s1
+            n0, n1, n2 = (float(np.abs(v).sum()) for v in (a, a1, a2))
+            m2 += 2.0 * _PSI_BOUND ** 2 * (n1 * n1 + n0 * n2)
+            scale += n0 + n1
+        return f, fp, m2, _CELL_ROUNDING * (self.m + 3) * (_PSI_BOUND * scale) ** 2
 
     def _core_husimi_pdf(self, x, p):
         # e^{-|b|^2} |sum_j c_j conj(b)^j / sqrt(j!)|^2 / (2 pi), b = (x + ip)/sqrt2, by Horner
@@ -568,9 +672,14 @@ class DisplacedFock(_DisplacedCore):
         return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
 
     def _core_husimi_draw(self, n, gen):
-        # |alpha|^2 ~ Gamma(m + 1), uniform phase
-        s = gen.gamma(shape=self.m + 1.0, scale=1.0, size=n)
-        return _polar_rows(s, gen.uniform(0.0, 2.0 * math.pi, size=n))
+        # |alpha|^2 ~ Gamma(m + 1) into column 0, then a uniform phase, one
+        # test chunk at a time
+        out = np.empty((n, 2))
+        for sl in _chunks(n):
+            out[sl, 0] = gen.gamma(shape=self.m + 1.0, scale=1.0, size=sl.stop - sl.start)
+        for sl in _chunks(n):
+            _polar_rows(out[sl], gen.uniform(0.0, 2.0 * math.pi, size=sl.stop - sl.start))
+        return out
 
 
 class Fock(DisplacedFock):
@@ -650,18 +759,21 @@ class PhotonAddedCoherent(_DisplacedCore):
         z0 = abs(alpha0) ** 2
         w, _ = _photon_added_mass(np.array([z0]), np.array([m]))
         cdf = np.cumsum(w[0, m::-1])
-        # one buffer holds the uniforms, then the degrees of freedom 2 (m + 1 + j),
-        # then the von Mises concentrations 2 sqrt(s z0), each written over the last
-        buf = gen.random(n)
-        np.add(np.searchsorted(cdf / cdf[-1], buf, side="right"), m + 1.0, out=buf)
-        buf *= 2.0
-        s = gen.noncentral_chisquare(buf, 2.0 * z0)
-        s *= 0.5
-        np.sqrt(np.multiply(s, z0, out=buf), out=buf)
-        buf *= 2.0
-        ang = gen.vonmises(cmath.phase(alpha0), buf)
-        del buf  # freed before the (n, 2) output is made
-        return _polar_rows(s, ang)
+        cdf /= cdf[-1]
+        # each pass draws all n values one test chunk at a time: the degrees
+        # of freedom 2 (m + 1 + j) from the uniforms into column 1, the radii
+        # s into column 0, then the phases, with the von Mises
+        # concentrations 2 sqrt(s z0)
+        out = np.empty((n, 2))
+        for sl in _chunks(n):
+            j = np.searchsorted(cdf, gen.random(sl.stop - sl.start), side="right")
+            out[sl, 1] = (j + (m + 1.0)) * 2.0
+        for sl in _chunks(n):
+            out[sl, 0] = gen.noncentral_chisquare(out[sl, 1], 2.0 * z0) * 0.5
+        for sl in _chunks(n):
+            kappa = np.sqrt(out[sl, 0] * z0) * 2.0
+            _polar_rows(out[sl], gen.vonmises(cmath.phase(alpha0), kappa))
+        return out
 
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]

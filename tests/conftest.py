@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from mtlab import (
     CovarianceMatrix,
@@ -18,6 +19,14 @@ from mtlab.states import _moment_data
 
 #: the symmetric 3 x 3 Fisher matrix, row by row, from its six distinct entries
 FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def band(sd, rate, comparisons=1):
+    """Half-width of a two-sided band about the expected value of a normal
+    estimate with standard deviation sd, such that the test fails with
+    probability at most rate when every one of its comparisons is drawn
+    correctly (a union bound over the comparisons)."""
+    return sd * scipy.stats.norm.isf(rate / (2.0 * comparisons))
 
 
 def rotated_mean(r, phi):

@@ -26,6 +26,8 @@ from mtlab import estimators
 from mtlab.estimators import EstimatorError, ProcessedMoments
 from mtlab.sampling import TAG_TRIAL, HeterodyneDataset, HomodyneDataset, derive_key
 
+from conftest import band
+
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
 SQUEEZED3 = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(1.0 / 6.0, 0.0, 1.5))
 
@@ -63,9 +65,13 @@ class TestProcessedMoments:
                 optimal_first_estimator(p)
 
     def test_vacuum_second_moments(self):
-        ds = sample_homodyne(VACUUM, 4, 1_000_000, seed=8)
-        p = processed_moments(ds)
-        assert np.allclose(p.m2, 0.5, atol=3e-3)
+        # each phase's mean of x^2 has SD sqrt(Var(x^2)/n) = sqrt(0.5/n) about
+        # 0.5: the band fails a correct draw with probability at most 1e-4,
+        # and misses a 2% error in any phase's variance (0.01) with
+        # probability below 1e-8 (5.8 SD past the band)
+        n = 500_000
+        p = processed_moments(sample_homodyne(VACUUM, 4, 4 * n, seed=8))
+        assert np.all(np.abs(p.m2 - 0.5) < band(math.sqrt(0.5 / n), 1e-4, comparisons=4))
 
 
 class TestLinearEstimator:

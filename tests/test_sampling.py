@@ -32,7 +32,9 @@ from mtlab.sampling import (
     TAG_HET,
     TAG_PHASE,
     SamplingError,
+    _CELL_SLACK,
     _TEST_CHUNK,
+    _accept_by_cells,
     _accept_into,
     _accepted,
     _exact_bracket,
@@ -42,6 +44,8 @@ from mtlab.sampling import (
 )
 from mtlab.oracle import fock_expansion
 from mtlab.special import oscillator_eigenfunction_sum
+
+from conftest import band
 
 SQ2 = math.sqrt(2.0)
 VACUUM = Gaussian(FirstMoments(0.0, 0.0), CovarianceMatrix(0.5, 0.0, 0.5))
@@ -90,9 +94,13 @@ class TestHomodyne:
             assert not all((a == b).all() for a, b in zip(d1.samples, d3.samples))
 
     def test_vacuum_variance(self):
-        d = sample_homodyne(VACUUM, 4, 400_000, seed=9)
-        for xs in d.samples:
-            assert np.var(xs) == pytest.approx(0.5, abs=5e-3)
+        # each phase's sample variance has SD sqrt(2/n) 0.5^2 about 0.5: the
+        # band fails a correct draw with probability at most 1e-4, and
+        # misses a 2% variance error (0.01) with probability below 1e-8
+        n = 500_000
+        d = sample_homodyne(VACUUM, 4, 4 * n, seed=9)
+        half = band(math.sqrt(0.5 / n), 1e-4, comparisons=4)
+        assert all(abs(np.var(xs) - 0.5) < half for xs in d.samples)
 
     def test_fock1_moments(self):
         d = sample_homodyne(Fock(1), 3, 3_000_000, seed=3)
@@ -239,11 +247,133 @@ class TestRejection:
                        lambda g, k: g.normal(size=k), np.linspace(-4.0, 4.0, 9), 1000,
                        substream(9, 3))
 
+    def test_accept_by_cells_matches_accept_into(self):
+        # the cells decide most points and the rest are tested later, in
+        # groups: the same proposals fill out, testing stops after the same
+        # chunk, and so the generator is left in the same state
+        state, theta = Fock(3), 0.4
+        cells, env, c = draw_cells(state, theta)
+        accept = lambda y, u: _accepted(state._core_quadrature_bracket(theta, y), u, c, env(y))
+        props = substream(3, 0).normal(0.0, math.sqrt(10.5), size=60_000)
+        for n, filled in [(1, 0), (5_000, 0), (9_000, 4_000), (15_000, 0), (20_000, 0)]:
+            got, ref = np.full(n, np.nan), np.full(n, np.nan)
+            gen, gen_ref = substream(3, 1), substream(3, 1)
+            k = _accept_by_cells(got, filled, props, gen, accept, cells, c)
+            assert k == _accept_into(ref, filled, props, gen_ref, accept)
+            assert k == min(n, filled + np.count_nonzero(ref[filled:] == ref[filled:]))
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(gen.random(4), gen_ref.random(4))
+
+    def test_too_small_constant_raises_through_the_cells(self, monkeypatch):
+        # with c below the density's peak ratio, the cells about the peak
+        # decide none of their points, and the tested points raise
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return _accept_by_cells(*args)
+
+        monkeypatch.setattr(mtlab.sampling, "_accept_by_cells", spy)
+        monkeypatch.setattr(mtlab.sampling, "_SAFETY", 0.5)
+        for state in (Fock(3), PhotonAddedCoherent(0.8, 2), EvenOddCoherent(1.0, "odd")):
+            with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
+                sample_homodyne(state, 3, 30_000, seed=5)
+        assert len(calls) == 3
+
     def test_far_cat_heterodyne_raises_instead_of_inexact_draws(self):
         # at alpha0 = 10 the 257^2 scan misses the Husimi peaks by more than
         # the safety factor; the draw must fail rather than be silently wrong
         with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
             sample_heterodyne(EvenOddCoherent(10.0, "even"), 1000, seed=1)
+
+
+def draw_cells(state, theta):
+    """(cells, envelope, constant) of the state's homodyne draw at theta: the
+    arguments that its rejection gets, and the constant it scans."""
+    seen = {}
+
+    def spy(bracket, env, propose, grid, n, gen, cells):
+        seen.update(cells=cells, env=env,
+                    c=float(np.max(bracket(grid)[2](()) / env(grid))) * 1.10)
+        return np.zeros(n)
+
+    _, u1, u2, _, _, _ = mtlab.states._core_quadrature(state, theta).tolist()
+    real = mtlab.states._rejection
+    mtlab.states._rejection = spy
+    try:
+        state._core_quadrature_draw(theta, u1, u2, 1, substream(0))
+    finally:
+        mtlab.states._rejection = real
+    return seen["cells"], seen["env"], seen["c"]
+
+
+CELL_STATES = [Fock(3), DisplacedFock(1 + 0.5j, 2), PhotonAddedCoherent(0.8, 2),
+               PhotonAddedCoherent(1.3 + 0.7j, 3),
+               *(EvenOddCoherent(a0, parity) for a0 in (1.0, 6.0) for parity in ("even", "odd")),
+               EvenOddCoherent(1e-5, "odd")]
+CELL_THETAS = (0.0, 0.7, math.pi / 2, 2.5)
+
+
+def cell_violations(state, theta, cells, env, per_cell=64):
+    """The cells whose bounds miss the computed density or the envelope at
+    per_cell points across each cell, ends included."""
+    k = len(cells.f_lo)
+    x = (cells.origin + cells.width * (np.arange(1, k + 1)[:, None]
+                                       + np.linspace(0.0, 1.0, per_cell)[None, :]))
+    f = state._core_quadrature_pdf(theta, x.ravel()).reshape(x.shape)
+    e = env(x.ravel()).reshape(x.shape)
+    tol = 1.0 + 1e-12
+    bad = ((f < cells.f_lo[:, None]) | (f > cells.f_hi[:, None])
+           | (e * tol < cells.e_lo[:, None]) | (e > cells.e_hi[:, None] * tol))
+    return np.flatnonzero(bad.any(axis=1))
+
+
+class TestCells:
+    """The cells' bounds are proven inequalities; the draws rest on them."""
+
+    @pytest.mark.parametrize("state", CELL_STATES, ids=repr)
+    def test_bounds_hold_across_every_cell(self, state):
+        for theta in CELL_THETAS:
+            cells, env, _ = draw_cells(state, theta)
+            assert len(cell_violations(state, theta, cells, env)) == 0, theta
+            # every point is put in a cell within the radius of the bounds
+            r = 0.5 * cells.width * (1.0 + _CELL_SLACK)
+            y = cells.origin + cells.width * np.random.default_rng(1).uniform(
+                1.0, len(cells.f_lo) + 1.0, 100_000)
+            k = ((y - cells.origin) * (1.0 / cells.width)).astype(np.intp)
+            assert np.all(np.abs(y - (cells.origin + (k + 0.5) * cells.width)) <= r)
+
+    @pytest.mark.parametrize("state", CELL_STATES, ids=repr)
+    def test_second_derivative_bound(self, state):
+        # M2 >= sup |f''|, with f'' from second differences on a fine grid
+        for theta in CELL_THETAS:
+            y = np.linspace(-30.0, 30.0, 300_001)
+            f, fp, m2, _ = state._core_quadrature_taylor(theta, y)
+            h = y[1] - y[0]
+            assert np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2]).max() / h ** 2 <= m2
+            # f' against central differences, whose error h^2 |f'''| / 6 is below 1e-6 M2 here
+            assert np.allclose((f[2:] - f[:-2]) / (2.0 * h), fp[1:-1], rtol=0.0, atol=1e-6 * m2)
+
+    @pytest.mark.parametrize("state, scale", [
+        *((state, 0.0) for state in CELL_STATES),
+        (EvenOddCoherent(6.0, "even"), 0.5), (EvenOddCoherent(6.0, "odd"), 0.5),
+    ], ids=lambda v: repr(v) if not isinstance(v, float) else f"M2x{v}")
+    def test_check_fails_once_the_bound_is_broken(self, state, scale, monkeypatch):
+        # with no margin and M2 scaled down, some cell's bounds miss the
+        # density: the check above has the power to see a broken bound
+        # (for the cats at alpha0 = 6, M2 is within 11% of sup |f''| at pi/2)
+        # the tiny cat takes the bounds of its limit Fock state
+        target = Fock if isinstance(state, EvenOddCoherent) and abs(state.alpha0) < 1e-4 \
+            else type(state)
+        real = target._core_quadrature_taylor
+
+        def broken(self, theta, y):
+            f, fp, m2, _ = real(self, theta, y)
+            return f, fp, scale * m2, 0.0
+
+        monkeypatch.setattr(target, "_core_quadrature_taylor", broken)
+        theta = math.pi / 2
+        assert len(cell_violations(state, theta, *draw_cells(state, theta)[:2])) > 0
 
 
 def cat_quadrature_reference(state, theta, y):
@@ -338,11 +468,19 @@ class TestHeterodyne:
             assert (a == b).all()
 
     def test_gaussian_covariance_matches_husimi(self):
+        # the Husimi covariance is G + I/2 = diag(0.75, 1.5); for normal data
+        # the sample (co)variances have SD sxx sqrt(2/n), sqrt(sxx spp / n) and
+        # spp sqrt(2/n), the means sqrt(sxx/n) and sqrt(spp/n).  The bands fail
+        # a correct draw with probability at most 1e-4 over the five, and
+        # miss a 2% error in either variance with probability below 1e-8
+        # (10 SD at this n, 5.7 past the band)
         s = Gaussian(FirstMoments(1.0, 0.0), CovarianceMatrix(0.25, 0.0, 1.0))
-        pts = sample_heterodyne(s, 500_000, seed=21).points
-        cov = np.cov(pts.T)
-        assert np.allclose(cov, s.g.as_array() + 0.5 * np.eye(2), atol=6e-3)
-        assert np.allclose(pts.mean(axis=0), [1.0, 0.0], atol=6e-3)
+        n, sxx, spp = 500_000, 0.75, 1.5
+        pts = sample_heterodyne(s, n, seed=21).points
+        cov, mean = np.cov(pts.T), pts.mean(axis=0)
+        got = np.array([cov[0, 0], cov[0, 1], cov[1, 1], mean[0], mean[1]])
+        sd = np.sqrt(np.array([2.0 * sxx * sxx, sxx * spp, 2.0 * spp * spp, sxx, spp]) / n)
+        assert np.all(np.abs(got - [sxx, 0.0, spp, 1.0, 0.0]) < band(sd, 1e-4, comparisons=5))
 
     def test_fock_radial_law(self):
         n = 3
@@ -555,10 +693,11 @@ class TestHomodyneStream:
 
     @pytest.mark.parametrize("state", [
         FAMILIES[0], Fock(3), DisplacedFock(1 + 0.5j, 2), PhotonAddedCoherent(0.8, 2),
-        EvenOddCoherent(1.0, "even"), EvenOddCoherent(1.5 + 0.5j, "odd"),
+        PhotonAddedCoherent(1.3 + 0.7j, 3), EvenOddCoherent(1.0, "even"),
+        EvenOddCoherent(1.5 + 0.5j, "odd"), EvenOddCoherent(6.0, "odd"),
         EvenOddCoherent(1e-5, "odd"),
-    ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat", "odd_cat",
-            "tiny_odd_cat"])
+    ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "photon_added_m3",
+            "even_cat", "odd_cat", "far_odd_cat", "tiny_odd_cat"])
     @pytest.mark.parametrize("n", STREAM_SIZES)
     def test_sample_homodyne(self, state, n):
         got = sample_homodyne(state, 3, 3 * n, seed=8)
@@ -568,16 +707,17 @@ class TestHomodyneStream:
 
 
 @pytest.mark.parametrize("state, mib", [
-    (FAMILIES[0], 32),
-    (Fock(3), 32),
-    (DisplacedFock(1 + 0.5j, 2), 32),
-    (PhotonAddedCoherent(0.8, 2), 32),
+    (FAMILIES[0], 17),
+    (Fock(3), 17),
+    (DisplacedFock(1 + 0.5j, 2), 17),
+    (PhotonAddedCoherent(0.8, 2), 17),
     (EvenOddCoherent(1.0, "even"), 32),
 ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat"])
 def test_heterodyne_draw_peak_memory(state, mib):
-    # 10^6 draws hold their (n, 2) output (15.3 MiB) and, for the cat, a
-    # byte of component index per proposal of a batch and one test chunk
-    # of its normals.
+    # 10^6 draws hold their (n, 2) output (15.3 MiB) and one test chunk of
+    # random inputs (a traced peak of 15.4-15.6 MiB; 1.5 MiB of slack), and,
+    # for the cat, a byte of component index per proposal of a batch and
+    # one test chunk of its normals (20.9 MiB).
     # tracemalloc cannot see a large block freed before the traced peak,
     # such as a whole batch's int64 component index: the resident heap that
     # glibc keeps after it is checked below
