@@ -4,6 +4,9 @@ Usage:
     mtlab <experiment> [--config FILE] [--set section.key=value]...
           [--seed S] [--out PATH] [--format csv|json] [--workers W]
 
+Experiments: crb (one state, or a [sweep] of one of its parameters, one row
+per value), crossover, gamma2-min, mc-verify and the datasets fig2 ... fig6.
+
 Each flag is the --set override it stands for (--seed experiment.seed,
 --out output.path, --format output.format, --workers experiment.workers),
 applied after every --set, so a flag wins over a --set or config entry.

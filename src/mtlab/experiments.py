@@ -39,7 +39,7 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 EXPERIMENTS = (
-    "crb", "gamma-sweep", "crossover", "gamma2-min", "mc-verify",
+    "crb", "crossover", "gamma2-min", "mc-verify",
     "fig2", "fig3", "fig4", "fig5", "fig6",
 )
 
@@ -196,8 +196,6 @@ def _run_crb(cfg: ExperimentConfig) -> list:
     if not state_kv:
         raise ConfigError("crb experiment needs a [state] section")
     sweeps = cfg.section("sweep")
-    if cfg.kind == "gamma-sweep" and not sweeps:
-        raise ConfigError("gamma-sweep requires a [sweep] section")
     if len(sweeps) > 1:
         raise ConfigError("crb sweeps cover exactly one parameter")
     # one row per sweep value, or one row without a sweep column
@@ -370,7 +368,6 @@ def _run_fig6(cfg: ExperimentConfig) -> list:
 #: each experiment's body and the sections it reads besides [experiment] and [output]
 _BODIES = {
     "crb": (_run_crb, ("state", "sweep")),
-    "gamma-sweep": (_run_crb, ("state", "sweep")),
     "crossover": (_run_crossover, ("search",)),
     "gamma2-min": (_run_gamma2_min, ("search",)),
     "mc-verify": (_run_mc_verify, ("state", "mc")),

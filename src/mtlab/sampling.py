@@ -11,10 +11,11 @@ Each state family states its own draws next to its densities in
 or scheme its substream.  The draws share the routines below: rejection,
 ``_rejection``, checks every tested point against its envelope, so each
 draw is exact or raises SamplingError, and there is no approximate
-fallback.  It tests a point through a bracket of the density, which
-decides most tests of the cat densities without their interference
-cosine (``_cos_bracket``) and takes the same decisions as the density
-itself.  ``_polar_rows`` turns a radial draw into rows.
+fallback.  It tests a point through a bracket of the density: the density
+itself (``_exact_bracket``), or for the cat's Husimi density bounds that
+decide most tests without its interference cosine (``_cos_bracket``),
+with the same decisions as the density itself.  ``_polar_rows`` turns a
+radial draw into rows.
 
 A homodyne rejection draw first puts each proposal in a cell of a table
 (``_cells``), built once per (state, phase) over the envelope centre +- 5
@@ -28,7 +29,8 @@ squeeze: Devroye, Non-Uniform Random Variate Generation, 1986, ch. II).
 Each decision is that of u c e < f, so the draws and the stream are those of
 testing every point.  The points left undecided, those outside the table,
 and every point of a cell whose f_hi may exceed c e_lo (where the density
-could pass its envelope and must raise) are tested by ``_accepted``.
+could pass its envelope and must raise) are tested by ``_accepted``, on
+the density itself.
 
 A homodyne draw of n points holds its output and one batch of proposals
 with a byte each for its decisions.  A heterodyne draw of n points holds
@@ -152,21 +154,18 @@ def _chunks(n: int):
     return (slice(lo, min(lo + _TEST_CHUNK, n)) for lo in range(0, n, _TEST_CHUNK))
 
 
-def _accept_into(out, filled, props, gen, accept):
+def _accept_into(out, filled, chunks, gen, accept):
     """Copy the proposals that pass accept(chunk, u) into out[filled:], in order.
 
-    props is a batch: an array, tested in cache-sized chunks, or an iterator
-    of such chunks.  Each chunk's uniforms u are drawn from gen just before
-    it is tested, and testing stops once out is full.  The uniforms are a
-    batch's last draws and nothing is drawn after the batch that fills out,
-    so the stream is that of drawing all of a batch's uniforms at once; the
-    surplus proposals are still drawn, but neither their uniforms nor their
-    density are, and an iterator is not asked for them.
+    chunks is a batch, as an iterator of cache-sized chunks of proposals.
+    Each chunk's uniforms u are drawn from gen just before it is tested, and
+    testing stops once out is full.  The uniforms are a batch's last draws
+    and nothing is drawn after the batch that fills out, so the stream is
+    that of drawing all of a batch's uniforms at once; the surplus proposals
+    are still drawn, but neither their uniforms nor their density are, and
+    the iterator is not asked for them.
     """
     n = len(out)
-    chunks = props
-    if isinstance(props, np.ndarray):
-        chunks = (props[sl] for sl in _chunks(len(props)))
     for chunk in chunks:
         # random() reads the words and takes the values of uniform(0.0, 1.0)
         take = np.compress(accept(chunk, gen.random(len(chunk))), chunk, axis=0)[: n - filled]
@@ -347,9 +346,10 @@ def _rejection(bracket, env, propose, grid, n, gen, cells=None):
     density f at the points, and rest(i), f at the points i; a density with
     no cheaper bounds is its own bracket (``_exact_bracket``).
     propose(gen, k) draws a batch of k points from the normalized density
-    env (see ``_accept_into``); points are scalars or rows, like those of
-    grid.  The constant c is the largest f/env over the grid points times
-    _SAFETY, and each point is tested by ``_accepted``, unless cells
+    env, as an iterator of chunks (``_accept_into``), or as an array of
+    scalar points when cells are given; points are scalars or rows, like
+    those of grid.  The constant c is the largest f/env over the grid points
+    times _SAFETY, and each point is tested by ``_accepted``, unless cells
     (``_Cells`` of scalar points) are given and decide it first
     (``_accept_by_cells``): the decisions and the stream are the same.
     """

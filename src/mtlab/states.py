@@ -26,12 +26,15 @@ coefficient maps that rest on three identities:
 
 The moment data of a sequence of states comes from one product of the map
 with their stacked core rows (``_moment_data``), each family's rows built in
-one pass.  Photon-added states of any m share one stack, padded with zero
-amplitudes to the largest m + 1; the padding adds exact zeros, so a state's
-rows do not depend on its stack.  A state's own moment data, built once per
-state object, is that of a stack of one, and so are its Fock vector and the
-sampler's photon-added normalization.  A grid of Gaussian states can also be
-held as arrays (``_GaussianStack``), so that no object is built per point.
+one pass.  A core that is a finite Fock vector c (displaced Fock, Fock and
+photon-added states) has one table route: T[j, k] = <a^j c, a^k c>, the
+Gram table of its ladder vectors (``_gram_tables``).  Such states of any m
+share one stack of vectors, padded with zero amplitudes to the largest
+m + 1; the padding adds exact zeros, so a state's rows do not depend on its
+stack.  A state's own moment data, built once per state object, is that of
+a stack of one, and so are its Fock vector and the sampler's photon-added
+normalization.  A grid of Gaussian states can also be held as arrays
+(``_GaussianStack``), so that no object is built per point.
 
 The densities and draws take the same split: each family states the
 quadrature and Husimi densities of its core once, and ``quadrature_pdf``/
@@ -63,9 +66,10 @@ are exact for Gaussian states
 m + 1 noncentral chi-square radii, weighted by the terms of the
 normalization, with a von Mises phase), each written into its (n, 2)
 output one chunk at a time; even/odd cats use rejection against a
-two-Gaussian mixture.  Both cat densities are (s + t cos w)/d, and their
-draws take the cosine only for the points that the bounds from |cos w| <= 1
-leave undecided.  No draw or moment truncates a Fock space.
+two-Gaussian mixture.  Both cat densities are (s + t cos w)/d; the cells
+decide most quadrature tests, and the Husimi draw takes the cosine only for
+the points that the bounds from |cos w| <= 1 leave undecided.  No draw or
+moment truncates a Fock space.
 
 Everything here is validated against the brute-force routes in
 :mod:`mtlab.oracle`, which also holds the Fock-basis expansions.
@@ -217,16 +221,6 @@ def _even_tables(t11, t02, t22, t13, t04) -> np.ndarray:
     return t
 
 
-def _number_tables(n: np.ndarray) -> np.ndarray:
-    """Tables (S, 25) of the number states |n>: <a^dag^k a^k> = n!/(n-k)!, zero
-    off the diagonal."""
-    t = np.zeros((len(n), 25), dtype=complex)
-    t[:, 0] = 1.0
-    for k in range(1, 5):
-        t[:, 6 * k] = t[:, 6 * k - 6] * (n - k + 1)
-    return t
-
-
 def _gram_tables(c: np.ndarray) -> np.ndarray:
     """Tables (S, 25) of the Fock vectors c (S, M): the Gram matrices of the
     ladder vectors a^k c, in one batched product.  Zeros that pad a vector
@@ -313,9 +307,8 @@ class _StateFamily:
     Gaussian envelope about u1, with a table of proven cell bounds
     (``sampling._cells``) from the family's ``_core_quadrature_taylor(theta,
     y)``: the density, its derivative, a bound M2 >= sup |f''| and a rounding
-    margin.  A point the cells leave undecided is tested through
-    ``_core_quadrature_bracket``, the density itself unless a family bounds
-    it more cheaply.
+    margin.  The cells are the one squeeze of these tests: a point they leave
+    undecided is tested on the density itself.
     """
 
     @cached_property
@@ -325,9 +318,6 @@ class _StateFamily:
     def _quadrature_draw(self, theta, n, gen):
         _, u1, u2, _, _, shift = _core_quadrature(self, theta).tolist()
         return self._core_quadrature_draw(theta, u1, u2, n, gen) + shift
-
-    def _core_quadrature_bracket(self, theta, y):
-        return _exact_bracket(self._core_quadrature_pdf(theta, y))
 
     def _core_quadrature_draw(self, theta, u1, u2, n, gen):
         var_env = _ENVELOPE_INFLATION * u2
@@ -339,7 +329,7 @@ class _StateFamily:
         cells = _cells(lambda y: self._core_quadrature_taylor(theta, y), env, u1,
                        _CELL_SPAN * sd, _CELL_WIDTH)
         return _rejection(
-            lambda y: self._core_quadrature_bracket(theta, y), env,
+            lambda y: _exact_bracket(self._core_quadrature_pdf(theta, y)), env,
             lambda g, k: g.normal(u1, sd, size=k),
             np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen, cells)
 
@@ -460,8 +450,9 @@ class EvenOddCoherent(_StateFamily):
         return _rows_of(_even_tables(w, aa, a2 * a2, w * a * a, aa * aa), 0.0, 0.0)
 
     # Both cat densities are (s + t cos w)/d: the two components and their
-    # interference.  Each is computed from its bracket (``_cos_bracket``), so
-    # the squeeze of the draws bounds the very values the density takes.
+    # interference.  The Husimi density is computed from its bracket
+    # (``_cos_bracket``), so the squeeze of its draw bounds the very values
+    # the density takes; the cells decide the quadrature draw's tests.
 
     def _constants(self):
         """(limit, a0, sgn, a2, den) of both densities: the interference sign,
@@ -476,19 +467,15 @@ class EvenOddCoherent(_StateFamily):
         den = 2.0 * (1.0 + math.exp(-2 * a2)) if even else -2.0 * math.expm1(-2 * a2)
         return limit, a0, 1.0 if even else -1.0, a2, den
 
-    def _core_quadrature_bracket(self, theta, y):
+    def _core_quadrature_pdf(self, theta, y):
         limit, a0, sgn, _, den = self._constants()
         if limit is not None:
-            return _exact_bracket(limit._core_quadrature_pdf(theta, y))
+            return limit._core_quadrature_pdf(theta, y)
         beta = a0 * cmath.exp(-1j * theta)
         br, bi = beta.real, beta.imag
-        return _cos_bracket(
-            np.exp(-((y - _SQ2 * br) ** 2)) + np.exp(-((y + _SQ2 * br) ** 2)),
-            sgn * 2.0 * np.exp(-y * y - 2.0 * br * br), 2.0 * _SQ2 * bi * y,
-            den * math.sqrt(math.pi))
-
-    def _core_quadrature_pdf(self, theta, y):
-        return _density(self._core_quadrature_bracket(theta, y))
+        s = np.exp(-((y - _SQ2 * br) ** 2)) + np.exp(-((y + _SQ2 * br) ** 2))
+        t = sgn * 2.0 * np.exp(-y * y - 2.0 * br * br)
+        return (s + t * np.cos(2.0 * _SQ2 * bi * y)) / (den * math.sqrt(math.pi))
 
     def _core_quadrature_taylor(self, theta, y):
         """(f, f', M2, margin) of the core quadrature density at the points y.
@@ -594,7 +581,13 @@ def _derivative_coefficients(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _DisplacedCore(_StateFamily):
     """Families whose core is a finite Fock vector ``_vector`` = (c_0, ..., c_m),
-    fixed by m, displaced by alpha0."""
+    fixed by m, displaced by alpha0.
+
+    Each family builds the vectors of a stack of its states in one array
+    pass, ``_vectors(alpha0, m)``, zero-padded to the largest m + 1; their
+    tables are the Gram tables of the vectors (``_gram_tables``), and a
+    state's own vector is that of a stack of one.
+    """
 
     alpha0: complex
     m: int
@@ -606,8 +599,12 @@ class _DisplacedCore(_StateFamily):
     @classmethod
     def _rows(cls, states):
         a = np.array([complex(s.alpha0) for s in states])
-        return _rows_of(cls._tables(a, np.array([s.m for s in states])),
-                     _SQ2 * a.real, _SQ2 * a.imag)
+        return _rows_of(_gram_tables(cls._vectors(a, np.array([s.m for s in states]))),
+                        _SQ2 * a.real, _SQ2 * a.imag)
+
+    @cached_property
+    def _vector(self):
+        return self._vectors(np.array([complex(self.alpha0)]), np.array([self.m]))[0]
 
     def _rotated_parts(self, theta):
         """The real and imaginary parts of the amplitudes c_j e^{i (m - j) theta}
@@ -664,12 +661,11 @@ class DisplacedFock(_DisplacedCore):
     """Displaced Fock state D(alpha0)|m>."""
 
     @staticmethod
-    def _tables(alpha0, m):
-        return _number_tables(m)
-
-    @cached_property
-    def _vector(self):
-        return np.eye(1, self.m + 1, self.m, dtype=complex)[0]  # e_m
+    def _vectors(alpha0, m):
+        """The rows e_m (S, max m + 1) of the number states |m>."""
+        c = np.zeros((len(m), int(np.max(m)) + 1), dtype=complex)
+        c[np.arange(len(m)), m] = 1.0
+        return c
 
     def _core_husimi_draw(self, n, gen):
         # |alpha|^2 ~ Gamma(m + 1) into column 0, then a uniform phase, one
@@ -733,13 +729,7 @@ def _photon_added_vectors(alpha0: np.ndarray, m: np.ndarray) -> np.ndarray:
 class PhotonAddedCoherent(_DisplacedCore):
     """Normalized (A^dag)^m |alpha0>."""
 
-    @staticmethod
-    def _tables(alpha0, m):
-        return _gram_tables(_photon_added_vectors(alpha0, m))
-
-    @cached_property
-    def _vector(self):
-        return _photon_added_vectors(np.array([complex(self.alpha0)]), np.array([self.m]))[0]
+    _vectors = staticmethod(_photon_added_vectors)
 
     def _husimi_draw(self, n, gen):
         """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2), shift included.

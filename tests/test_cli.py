@@ -100,14 +100,14 @@ class TestExperiments:
 
     def test_crb_sweep(self):
         cfg = load_config(
-            text="[experiment]\nkind = gamma-sweep\n[state]\nfamily = fock\nn = 0\n"
+            text="[experiment]\nkind = crb\n[state]\nfamily = fock\nn = 0\n"
                  "[sweep]\nn = 0:3:4\n")
         rep = run(cfg)
         assert [r["n"] for r in rep.rows] == [0, 1, 2, 3]
 
     def test_gamma_sweep_rows_equal_crb_report(self):
         cfg = load_config(
-            text="[experiment]\nkind = gamma-sweep\n[state]\nfamily = fock\nn = 0\n"
+            text="[experiment]\nkind = crb\n[state]\nfamily = fock\nn = 0\n"
                  "[sweep]\nn = 0:30:31\n")
         assert run(cfg).rows == [{"n": n, **vars(crb.crb_report(Fock(n)))}
                                  for n in range(31)]
@@ -119,7 +119,7 @@ class TestExperiments:
 
         monkeypatch.setattr(crb, "crb_grid", never)
         cfg = load_config(
-            text="[experiment]\nkind = gamma-sweep\n[state]\nfamily = gaussian\n"
+            text="[experiment]\nkind = crb\n[state]\nfamily = gaussian\n"
                  "mu = 2\nlam = 1.5\n[sweep]\nmu = 1.5:0.5:3\n")
         with pytest.raises(ConfigError, match="mu"):
             run(cfg)
@@ -133,12 +133,6 @@ class TestExperiments:
             expect.append({"family": "displaced_fock", "m": m,
                            "alpha0_min": a0, "gamma2_min": g2})
         assert run(cfg).rows == expect
-
-    def test_gamma_sweep_requires_sweep(self):
-        cfg = load_config(text="[experiment]\nkind = gamma-sweep\n"
-                               "[state]\nfamily = fock\nn = 0\n")
-        with pytest.raises(ConfigError):
-            run(cfg)
 
     def test_empty_sweep_is_config_error(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -37,6 +37,7 @@ from mtlab.sampling import (
     _accept_by_cells,
     _accept_into,
     _accepted,
+    _chunks,
     _exact_bracket,
     _rejection,
     derive_key,
@@ -171,6 +172,11 @@ class TestHomodyne:
         assert np.array_equal(het, ref + [r.rx, r.rp])
 
 
+def in_chunks(props):
+    """A batch array as the iterator of test chunks that ``_accept_into`` takes."""
+    return (props[sl] for sl in _chunks(len(props)))
+
+
 class TestRejection:
     """Chunked acceptance must take the same draws as testing a whole batch."""
 
@@ -184,7 +190,7 @@ class TestRejection:
 
         gen, ref = substream(9, 4), substream(9, 4)
         out = np.full(5, -1.0)
-        assert _accept_into(out, 2, props, gen, accept) == 5
+        assert _accept_into(out, 2, in_chunks(props), gen, accept) == 5
         assert list(out) == [-1.0, -1.0, 0.0, 3.0, 6.0]
         assert seen == [0.0]  # later chunks are never tested
         ref.uniform(0.0, 1.0, size=_TEST_CHUNK)  # nor are their uniforms drawn
@@ -196,7 +202,7 @@ class TestRejection:
         env = lambda x: np.exp(-0.5 * x ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
         grid = np.linspace(-half, half, 2049)
         got = _rejection(lambda x: _exact_bracket(pdf(x)), env,
-                         lambda g, k: g.normal(0.0, math.sqrt(var_env), size=k),
+                         lambda g, k: in_chunks(g.normal(0.0, math.sqrt(var_env), size=k)),
                          grid, 200_000, substream(9, 1))
         # the reference tests every proposal of each batch at once
         c = float(np.max(pdf(grid) / env(grid))) * 1.10
@@ -223,7 +229,8 @@ class TestRejection:
         gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
         # the cat's bracket decides most points without their cosine
         got = _rejection(lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
-                         lambda pts: env(pts[:, 0], pts[:, 1]), propose,
+                         lambda pts: env(pts[:, 0], pts[:, 1]),
+                         lambda g, k: in_chunks(propose(g, k)),
                          np.column_stack([gx, gp]), 150_000, substream(9, 2))
         c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * 1.10
         gen, ref = substream(9, 2), []
@@ -244,7 +251,7 @@ class TestRejection:
 
         with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
             _rejection(lambda x: _exact_bracket(pdf(x)), scipy.stats.norm.pdf,
-                       lambda g, k: g.normal(size=k), np.linspace(-4.0, 4.0, 9), 1000,
+                       lambda g, k: in_chunks(g.normal(size=k)), np.linspace(-4.0, 4.0, 9), 1000,
                        substream(9, 3))
 
     def test_accept_by_cells_matches_accept_into(self):
@@ -253,13 +260,14 @@ class TestRejection:
         # chunk, and so the generator is left in the same state
         state, theta = Fock(3), 0.4
         cells, env, c = draw_cells(state, theta)
-        accept = lambda y, u: _accepted(state._core_quadrature_bracket(theta, y), u, c, env(y))
+        accept = lambda y, u: _accepted(_exact_bracket(state._core_quadrature_pdf(theta, y)), u, c,
+                                        env(y))
         props = substream(3, 0).normal(0.0, math.sqrt(10.5), size=60_000)
         for n, filled in [(1, 0), (5_000, 0), (9_000, 4_000), (15_000, 0), (20_000, 0)]:
             got, ref = np.full(n, np.nan), np.full(n, np.nan)
             gen, gen_ref = substream(3, 1), substream(3, 1)
             k = _accept_by_cells(got, filled, props, gen, accept, cells, c)
-            assert k == _accept_into(ref, filled, props, gen_ref, accept)
+            assert k == _accept_into(ref, filled, in_chunks(props), gen_ref, accept)
             assert k == min(n, filled + np.count_nonzero(ref[filled:] == ref[filled:]))
             assert np.array_equal(got, ref, equal_nan=True)
             assert np.array_equal(gen.random(4), gen_ref.random(4))
@@ -398,62 +406,59 @@ def cat_husimi_reference(state, x, p):
     return body / (2 * math.pi * den)
 
 
-def cat_densities(state, rng):
-    """(bracket, reference density, points) of the cat's quadrature density at
-    three phases and of its Husimi density.  Besides random points, each has
+def cat_points(state, rng):
+    """(phase, points) of the cat's quadrature density at three phases, and
+    points of its Husimi density: random points and, for the Husimi density,
     points on the lines where the interference phase w is a multiple of pi,
     so that cos w rounds to +-1 and the density meets an end of its bracket."""
     a0, k = complex(state.alpha0), np.arange(-3.0, 4.0)
     spread = 1.0 + abs(a0)
-    cases = []
-    for theta in (0.0, 0.7, math.pi / 2):
-        bi = (a0 * cmath.exp(-1j * theta)).imag
-        lines = k * math.pi / (2.0 * SQ2 * bi) if bi else rng.normal(0.0, spread, 50)
-        y = np.concatenate([rng.normal(0.0, spread, 2000), lines, [0.0]])
-        cases.append((lambda y, th=theta: state._core_quadrature_bracket(th, y),
-                      lambda y, th=theta: cat_quadrature_reference(state, th, y), y))
+    quadrature = [(theta, np.append(rng.normal(0.0, spread, 2000), 0.0))
+                  for theta in (0.0, 0.7, math.pi / 2)]
     # w = sqrt2 (Im a0 x - Re a0 p) = k pi on these lines
     xl = np.repeat(rng.normal(0.0, spread, 40), k.size)
     pl = (a0.imag * xl - np.tile(k, 40) * math.pi / SQ2) / a0.real
     pts = np.column_stack([np.concatenate([rng.normal(0.0, spread, 2000), xl, [0.0]]),
                            np.concatenate([rng.normal(0.0, spread, 2000), pl, [0.0]])])
-    cases.append((lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
-                  lambda pts: cat_husimi_reference(state, pts[:, 0], pts[:, 1]), pts))
-    return cases
+    return quadrature, pts
 
 
 @pytest.mark.parametrize("state", [
     EvenOddCoherent(a0, parity) for parity in ("even", "odd") for a0 in (1.0, 1.5 + 0.5j, 6.0)
 ], ids=lambda st: f"{st.parity}-{st.alpha0}")
 def test_cat_bracket_holds_and_decides_as_the_density(state):
-    """Both cat densities are (s + t cos w)/d, bracketed without the cosine by
-    [fl(fl(s - |t|)/d), fl(fl(s + |t|)/d)]; the squeeze must take the same
-    decisions as comparing with the density itself, at the ends of the
-    bracket and at their neighbouring floats too."""
-    at_ends = 0
-    for bracket, reference, pts in cat_densities(state, np.random.default_rng(17)):
-        lo, hi, rest = bracket(pts)
-        f = reference(pts)
-        assert np.array_equal(rest(()), f)  # the density, in the same order
-        assert np.all(lo <= f) and np.all(f <= hi)
-        assert f.max() < 2.0  # so c e = 2 below is a majorant, though hi may exceed it
-        at_ends += np.count_nonzero((f == lo) | (f == hi))
-        # u c e with c = 1, e = 2 at the ends of the bracket, their
-        # neighbours and in between
-        x = np.concatenate([lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
-                            hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
-                            lo + (hi - lo) * np.random.default_rng(5).random(len(f))])
-        u, e = x / 2.0, np.full(len(x), 2.0)
-        keep = _accepted(bracket(np.concatenate([pts] * 7)), u, 1.0, e)
-        assert np.array_equal(keep, u * 1.0 * e < np.tile(f, 7))
-        # an envelope c e at the density itself is not exceeded; one below it is
-        u = np.random.default_rng(6).random(len(f))
-        assert np.array_equal(_accepted(bracket(pts), u, 1.0, f), u * f < f)
-        low = f.copy()
-        low[np.argmax(f)] = np.nextafter(f.max(), 0.0)
-        with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
-            _accepted(bracket(pts), u, 1.0, low)
-    assert at_ends > 0
+    """Both cat densities are (s + t cos w)/d.  The quadrature density, which
+    the cells squeeze, is the one expression written out below, bit for bit.
+    The Husimi density is bracketed without the cosine by [fl(fl(s - |t|)/d),
+    fl(fl(s + |t|)/d)]; the squeeze must take the same decisions as
+    comparing with the density itself, at the ends of the bracket and at
+    their neighbouring floats too."""
+    quadrature, pts = cat_points(state, np.random.default_rng(17))
+    for theta, y in quadrature:
+        assert np.array_equal(state._core_quadrature_pdf(theta, y),
+                              cat_quadrature_reference(state, theta, y)), theta
+    bracket = lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1])
+    lo, hi, rest = bracket(pts)
+    f = cat_husimi_reference(state, pts[:, 0], pts[:, 1])
+    assert np.array_equal(rest(()), f)  # the density, in the same order
+    assert np.all(lo <= f) and np.all(f <= hi)
+    assert f.max() < 2.0  # so c e = 2 below is a majorant, though hi may exceed it
+    assert np.count_nonzero((f == lo) | (f == hi)) > 0
+    # u c e with c = 1, e = 2 at the ends of the bracket, their neighbours
+    # and in between
+    x = np.concatenate([lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                        hi, np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf),
+                        lo + (hi - lo) * np.random.default_rng(5).random(len(f))])
+    u, e = x / 2.0, np.full(len(x), 2.0)
+    keep = _accepted(bracket(np.concatenate([pts] * 7)), u, 1.0, e)
+    assert np.array_equal(keep, u * 1.0 * e < np.tile(f, 7))
+    # an envelope c e at the density itself is not exceeded; one below it is
+    u = np.random.default_rng(6).random(len(f))
+    assert np.array_equal(_accepted(bracket(pts), u, 1.0, f), u * f < f)
+    low = f.copy()
+    low[np.argmax(f)] = np.nextafter(f.max(), 0.0)
+    with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
+        _accepted(bracket(pts), u, 1.0, low)
 
 
 class TestHeterodyne:

@@ -145,18 +145,36 @@ class TestMomentTable:
         assert np.allclose(got[LOW_ORDER], ref[LOW_ORDER], rtol=1e-9, atol=1e-9)
 
     def test_stacked_photon_added_tables_match_gram_tables(self):
-        # one stack of every m = 0..12, padded to 13 amplitudes: each table
-        # is the Gram table of the state's own vector (a stack of one)
+        # one stack per family of every m = 0..12, padded to 13 amplitudes:
+        # each table is the Gram table of the state's own vector (a stack of
+        # one); a number state's vector has one amplitude, so its rows are
+        # those of a stack of one bit for bit
         rng = np.random.default_rng(43)
         states = [PhotonAddedCoherent(complex(a0), m) for m in range(13)
                   for a0 in (0.0, 20.0, -20j, 1e-3,
                              rng.uniform(0.1, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))]
+        states += [DisplacedFock(a0, m) for m in range(13) for a0 in (0.0, -20j, 0.7 - 1.1j)]
         rng.shuffle(states)
-        tables = _core_rows(states)[:, :25].reshape(-1, 5, 5)
-        for s, got in zip(states, tables):
+        rows = _core_rows(states)
+        for s, row in zip(states, rows):
             ref = _gram_table(s._vector)
             assert s._vector.size == s.m + 1
+            got = row[:25].reshape(5, 5)
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), s
+            if isinstance(s, DisplacedFock):
+                assert np.array_equal(row, _core_rows([s])[0]), s
+
+    def test_number_state_tables_are_falling_factorials(self):
+        # the Gram table of e_n: <a^dag^k a^k> = n!/(n-k)! to 3 ulps, and
+        # exact zeros off the diagonal, for n = 0..60 in one stack
+        n = range(61)
+        tables = _core_rows([Fock(k) for k in n])[:, :25].reshape(-1, 5, 5)
+        ref = np.array([[math.perm(k, j) for j in range(5)] for k in n], dtype=float)
+        diag = tables[:, range(5), range(5)]
+        assert not diag.imag.any()
+        assert np.all(np.abs(diag.real - ref) <= 3.0 * np.finfo(float).eps * ref)
+        tables[:, range(5), range(5)] = 0.0
+        assert not tables.any()
 
     @pytest.mark.parametrize("r, phi", [(0.4, 0.0), (0.7, 2.3)])
     def test_gaussian_wick_table_matches_squeezed_vacuum(self, r, phi):
