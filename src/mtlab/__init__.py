@@ -52,6 +52,7 @@ from .sampling import (
 )
 from .estimators import (
     ProcessedMoments,
+    ProcessedScatter,
     het_first_estimator,
     het_second_estimator,
     linear_first_estimator,
@@ -59,4 +60,5 @@ from .estimators import (
     optimal_first_estimator,
     optimal_second_estimator,
     processed_moments,
+    processed_scatter,
 )

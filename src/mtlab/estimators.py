@@ -1,12 +1,26 @@
 """Moment estimators for homodyne and heterodyne data.
 
-The homodyne estimators are plug-in versions of the best linear unbiased
-estimator: the unknown per-phase weights 1/var are replaced by their
-empirical estimates, which costs nothing asymptotically.  Per-phase moment
-averages are normalized by the per-phase count N_k (the only normalization
-that leaves the estimators unbiased).  The heterodyne estimators are the
-plain sample mean and sample second-moment matrix of the phase-space
-scatter.
+The estimators read power sums only.  The homodyne estimators read the
+per-phase count N_k and the means of x, x^2 and x^4 (``ProcessedMoments``,
+from ``processed_moments(dataset)``); they are plug-in versions of the best
+linear unbiased estimator: the unknown per-phase weights 1/var are replaced
+by their empirical estimates, which costs nothing asymptotically.  Per-phase
+moment averages are normalized by N_k (the only normalization that leaves
+the estimators unbiased).  The heterodyne estimators read the count and the
+means of x, p, x^2, xp and p^2 (``ProcessedScatter``, from
+``processed_scatter(dataset)``): the plain sample mean and sample
+second-moment matrix of the phase-space scatter, as in
+``het_second_estimator(processed_scatter(data))``.
+
+A Monte-Carlo trial holds no dataset.  A homodyne trial folds each phase's
+draw into its column of moments as soon as the phase is drawn, with the
+arithmetic of ``processed_moments``; a heterodyne trial folds each block of
+``sampling._TEST_CHUNK`` points into the five sums as it is drawn and drops
+it, and ``processed_scatter`` folds a dataset in the same blocks, so a
+trial's estimates are those of its dataset written out, bit for bit.  A
+trial holds one phase's draw, or one block plus the n-long array of radii of
+a draw that makes a pass over all of its points first (Fock, displaced Fock
+and photon-added states).
 """
 
 from __future__ import annotations
@@ -25,8 +39,10 @@ from .states import StateModel, first_moments, second_moment_matrix
 
 __all__ = [
     "ProcessedMoments",
+    "ProcessedScatter",
     "EstimatorError",
     "processed_moments",
+    "processed_scatter",
     "linear_first_estimator",
     "optimal_first_estimator",
     "optimal_second_estimator",
@@ -69,18 +85,59 @@ class ProcessedMoments:
         return self.m4 - self.m2 ** 2
 
 
-def processed_moments(dataset: HomodyneDataset) -> ProcessedMoments:
-    """Empirical per-phase moments of a homodyne dataset."""
-    counts = dataset.counts
-    if np.any(counts == 0):
-        raise EstimatorError("empty phase bin in homodyne dataset")
-    cols = []
-    for xs in dataset.samples:
+def _fold_phases(phases, draws) -> ProcessedMoments:
+    """The moments of each phase's draw in turn; no draw is kept."""
+    counts, cols = [], []
+    for xs in draws:
+        if len(xs) == 0:
+            raise EstimatorError("empty phase bin in homodyne dataset")
         x2 = xs * xs
+        counts.append(len(xs))
         cols.append((xs.mean(), x2.mean(), (x2 * x2).mean()))
     m = np.array(cols)
-    return ProcessedMoments(np.asarray(dataset.phases, dtype=float), counts,
+    return ProcessedMoments(np.asarray(phases, dtype=float), np.array(counts),
                             m[:, 0], m[:, 1], m[:, 2])
+
+
+def processed_moments(dataset: HomodyneDataset) -> ProcessedMoments:
+    """Empirical per-phase moments of a homodyne dataset."""
+    return _fold_phases(dataset.phases, dataset.samples)
+
+
+@dataclass(frozen=True)
+class ProcessedScatter:
+    """Sample moments of a phase-space scatter: the count and the means of
+    x, p, x^2, xp and p^2."""
+
+    count: int
+    x: float
+    p: float
+    xx: float
+    xp: float
+    pp: float
+
+
+def _fold_blocks(blocks) -> ProcessedScatter:
+    """The sample moments of the (m, 2) blocks of points in turn; no block is
+    kept.  Each block's five sums are pairwise sums, added to the running
+    sums block after block."""
+    count, acc = 0, np.zeros(5)
+    for b in blocks:
+        x, p = b[:, 0], b[:, 1]
+        buf = x * x  # the three products made in turn in one buffer
+        acc += (x.sum(), p.sum(), buf.sum(), np.multiply(x, p, out=buf).sum(),
+                np.multiply(p, p, out=buf).sum())
+        count += len(b)
+    if count == 0:
+        raise EstimatorError("empty heterodyne dataset")
+    return ProcessedScatter(count, *(acc / count).tolist())
+
+
+def processed_scatter(dataset: HeterodyneDataset) -> ProcessedScatter:
+    """Sample moments of a heterodyne dataset, folded in the blocks of a
+    heterodyne draw."""
+    pts = dataset.points
+    return _fold_blocks(pts[sl] for sl in sampling._chunks(len(pts)))
 
 
 def _directions(phases: np.ndarray) -> np.ndarray:
@@ -145,29 +202,15 @@ def optimal_second_estimator(p: ProcessedMoments) -> np.ndarray:
     return np.array([[g2vec[0], off], [off, g2vec[2]]])
 
 
-def het_first_estimator(d: HeterodyneDataset) -> FirstMoments:
+def het_first_estimator(s: ProcessedScatter) -> FirstMoments:
     """Sample mean of the phase-space scatter."""
-    if len(d.points) < 1:
-        raise EstimatorError("empty heterodyne dataset")
-    # the sequential column sums of points.mean(axis=0), bit for bit, at a
-    # fraction of its cost
-    r = np.einsum("ij->j", d.points) / len(d.points)
-    return FirstMoments(r[0], r[1])
+    return FirstMoments(s.x, s.p)
 
 
-def het_second_estimator(d: HeterodyneDataset) -> np.ndarray:
+def het_second_estimator(s: ProcessedScatter) -> np.ndarray:
     """Sample second-moment matrix of the scatter: an estimate of the
     Husimi second moments G2 + I/2, so G2 = it - I/2."""
-    if len(d.points) < 1:
-        raise EstimatorError("empty heterodyne dataset")
-    x = d.points[:, 0]
-    pp = d.points[:, 1]
-    # np.mean(x * x), np.mean(x * pp) and np.mean(pp * pp) bit for bit, the
-    # products made in turn in one buffer
-    buf = np.multiply(x, x)
-    xx = buf.mean()
-    xp = np.multiply(x, pp, out=buf).mean()
-    return np.array([[xx, xp], [xp, np.multiply(pp, pp, out=buf).mean()]])
+    return np.array([[s.xx, s.xp], [s.xp, s.pp]])
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +240,14 @@ class McVerifyResults(tuple):
 
 def _trial_errors(state: StateModel, scheme: str, orders: tuple, n_samples: int,
                   n_theta: int, trial_seed: int, truth: dict) -> list:
-    """One trial: a single draw, then per order N * |estimate - truth|^2, or
-    None where that order's estimator fails."""
+    """One trial: a single draw, folded into its moments as it is drawn, then
+    per order N * |estimate - truth|^2, or None where that order's estimator
+    fails."""
     if scheme == "hom":
-        data = processed_moments(sampling.sample_homodyne(state, n_theta, n_samples, trial_seed))
+        data = _fold_phases(*sampling._phase_draws(state, n_theta, n_samples, trial_seed))
         estimator = {"first": optimal_first_estimator, "second": optimal_second_estimator}
     else:
-        data = sampling.sample_heterodyne(state, n_samples, trial_seed)
+        data = _fold_blocks(sampling._husimi_blocks(state, n_samples, trial_seed))
         estimator = {"first": het_first_estimator, "second": het_second_estimator}
     errors = []
     for order in orders:

@@ -33,21 +33,28 @@ could pass its envelope and must raise) are tested by ``_accepted``, on
 the density itself.
 
 A homodyne draw of n points holds its output and one batch of proposals
-with a byte each for its decisions.  A heterodyne draw of n points holds
-its (n, 2) output and one test chunk of random inputs: every family but the
-cat draws each of its variates (normals, Gamma or noncentral chi-square
-radii, angles, mixture components) in chunks written straight into the
-output, pass after pass; the cat holds a byte per proposal of a batch for
-its mixture component and one test chunk of proposal normals.  A rejection
-batch's uniforms and the cat's component indices are drawn one test chunk
-at a time, so no batch-long temporary is made and freed: freeing one
-raises glibc's dynamic mmap threshold, and later draws then come from a
-heap that is kept, not returned.  The cat's generator skips a batch's
-normals into one reused test-chunk buffer, and a copy of it taken before
-them draws them again, one test chunk at a time, for the chunks that are
-tested.  A chunked call reads the random words of the whole-array call in
-the same order, so the random stream and every drawn value are those of
-whole-array draws.
+with a byte each for its decisions.  A heterodyne draw yields its points in
+blocks of one test chunk of rows (``_husimi_blocks``), in the order of the
+stream, and holds one block and one test chunk of random inputs: every
+family draws each of its variates (normals, Gamma or noncentral chi-square
+radii, angles, mixture components) one test chunk at a time, pass after
+pass.  A pass over all n points before any row is finished (the Fock and
+displaced-Fock radii; the photon-added degrees of freedom, overwritten in
+place by the radii) writes one n-long array; the cat holds a byte per
+proposal of a batch for its mixture component and one test chunk of
+proposal normals, and scans its envelope one test chunk of nodes at a time.
+``sample_homodyne`` keeps each phase's draw, and ``sample_heterodyne``
+writes the blocks into its (n, 2) output, whose column 0 holds the radii;
+a Monte-Carlo trial (:mod:`mtlab.estimators`) folds each phase or block into
+its power sums as it is drawn and drops it.  A rejection batch's uniforms
+and the cat's component indices are drawn one test chunk at a time, so no
+batch-long temporary is made and freed: freeing one raises glibc's dynamic
+mmap threshold, and later draws then come from a heap that is kept, not
+returned.  The cat's generator skips a batch's normals into one reused
+test-chunk buffer, and a copy of it taken before them draws them again, one
+test chunk at a time, for the chunks that are tested.  A chunked call reads
+the random words of the whole-array call in the same order, so the random
+stream and every drawn value are those of whole-array draws.
 """
 
 from __future__ import annotations
@@ -154,26 +161,25 @@ def _chunks(n: int):
     return (slice(lo, min(lo + _TEST_CHUNK, n)) for lo in range(0, n, _TEST_CHUNK))
 
 
-def _accept_into(out, filled, chunks, gen, accept):
-    """Copy the proposals that pass accept(chunk, u) into out[filled:], in order.
+def _accept_chunks(need, chunks, gen, accept):
+    """The proposals that pass accept(chunk, u), chunk by chunk, in order, up
+    to need of them in all.
 
     chunks is a batch, as an iterator of cache-sized chunks of proposals.
     Each chunk's uniforms u are drawn from gen just before it is tested, and
-    testing stops once out is full.  The uniforms are a batch's last draws
-    and nothing is drawn after the batch that fills out, so the stream is
-    that of drawing all of a batch's uniforms at once; the surplus proposals
-    are still drawn, but neither their uniforms nor their density are, and
-    the iterator is not asked for them.
+    testing stops once need proposals have passed.  The uniforms are a
+    batch's last draws and nothing is drawn after the batch that fills the
+    draw, so the stream is that of drawing all of a batch's uniforms at once;
+    the surplus proposals are still drawn, but neither their uniforms nor
+    their density are, and the iterator is not asked for them.
     """
-    n = len(out)
     for chunk in chunks:
         # random() reads the words and takes the values of uniform(0.0, 1.0)
-        take = np.compress(accept(chunk, gen.random(len(chunk))), chunk, axis=0)[: n - filled]
-        out[filled:filled + len(take)] = take
-        filled += len(take)
-        if filled == n:
-            break
-    return filled
+        take = np.compress(accept(chunk, gen.random(len(chunk))), chunk, axis=0)[:need]
+        yield take
+        need -= len(take)
+        if need == 0:
+            return
 
 
 def _exact_bracket(f):
@@ -297,25 +303,25 @@ def _thresholds(cells, c):
             np.concatenate([[np.inf], thi, [np.inf]]))
 
 
-def _accept_by_cells(out, filled, props, gen, accept, cells, c):
-    """``_accept_into`` for a batch array of scalar points, which cells
+def _accept_by_cells(need, props, gen, accept, cells, c):
+    """``_accept_chunks`` for a batch array of scalar points, which cells
     (``_Cells``) decide first, by their ``_thresholds`` for the majorant c env.
 
     A chunk's cells decide most of its points at once, with neither the
     density nor the envelope computed.  The points they leave are tested
-    together by accept (``_accepted``), and the proposals copied into out,
-    only when out might be full: when filled plus the points accepted and
-    left undecided since the last such step reach len(out).  So testing
-    stops after the chunk that fills out, as in ``_accept_into``, and the
-    stream and the draws are the same.
+    together by accept (``_accepted``), and the proposals passed on, only
+    when the draw might be full: when the points accepted and left undecided
+    since the last such step reach need.  So testing stops after the chunk
+    that fills the draw, as in ``_accept_chunks``, and the stream and the
+    draws are the same.
     """
     tlo, thi = _thresholds(cells, c)
     origin, inv = cells.origin, 1.0 / cells.width
-    n, m = len(out), len(props)
+    m = len(props)
     keep = np.empty(m, dtype=bool)
-    # done: props[:done] are copied; bound: filled plus the points accepted
-    # or left undecided since; left: (index, u) of each chunk's undecided points
-    done, bound, left = 0, filled, []
+    # done: props[:done] are passed on; bound: the points accepted or left
+    # undecided since; left: (index, u) of each chunk's undecided points
+    done, bound, left = 0, 0, []
     for sl in _chunks(m):
         pts, u = props[sl], gen.random(sl.stop - sl.start)
         k = ((pts - origin) * inv).astype(np.intp)  # clipped, past the table is a guard cell
@@ -325,60 +331,107 @@ def _accept_by_cells(out, filled, props, gen, accept, cells, c):
         maybe ^= sure  # u < t_lo implies u < t_hi: t_lo <= t_hi wherever t_lo > 0
         i = np.flatnonzero(maybe)
         left.append((i + sl.start, u[i]))
-        if bound < n and sl.stop < m:
+        if bound < need and sl.stop < m:
             continue
         idx = np.concatenate([i for i, _ in left])
         if len(idx):
             keep[idx] = accept(props[idx], np.concatenate([v for _, v in left]))
-        take = np.compress(keep[done:sl.stop], props[done:sl.stop])[: n - filled]
-        out[filled:filled + len(take)] = take
-        filled += len(take)
-        if filled == n:
-            break
-        done, bound, left = sl.stop, filled, []
-    return filled
+        take = np.compress(keep[done:sl.stop], props[done:sl.stop])[:need]
+        yield take
+        need -= len(take)
+        if need == 0:
+            return
+        done, bound, left = sl.stop, 0, []
 
 
 def _rejection(bracket, env, propose, grid, n, gen, cells=None):
-    """n exact draws by rejection under the majorant c * env.
+    """n exact draws by rejection under the majorant c * env, in blocks of
+    _TEST_CHUNK points (``_blocks``).
 
     bracket(pts) gives (lo, hi, rest): bounds lo <= f <= hi on the computed
     density f at the points, and rest(i), f at the points i; a density with
     no cheaper bounds is its own bracket (``_exact_bracket``).
     propose(gen, k) draws a batch of k points from the normalized density
-    env, as an iterator of chunks (``_accept_into``), or as an array of
-    scalar points when cells are given; points are scalars or rows, like
-    those of grid.  The constant c is the largest f/env over the grid points
-    times _SAFETY, and each point is tested by ``_accepted``, unless cells
+    env, as an iterator of chunks (``_accept_chunks``), or as an array of
+    scalar points when cells are given.  grid is an iterable of arrays of
+    scan nodes, scalars or rows like the points.  The constant c is the
+    largest f/env over the nodes times _SAFETY, taken one array at a time,
+    and each point is tested by ``_accepted``, unless cells
     (``_Cells`` of scalar points) are given and decide it first
     (``_accept_by_cells``): the decisions and the stream are the same.
     """
-    c = float(np.max(_density(bracket(grid)) / env(grid))) * _SAFETY
+    c = float(np.max([np.max(_density(bracket(g)) / env(g)) for g in grid])) * _SAFETY
     if not math.isfinite(c) or c <= 0:
         raise SamplingError("rejection envelope scan failed")
 
     def accept(pts, u):
         return _accepted(bracket(pts), u, c, env(pts))
 
-    out = np.empty((n,) + grid.shape[1:])
-    filled = 0
-    while filled < n:
-        k = min(_MAX_BATCH, max(1024, int((n - filled) * c * 1.2)))
-        # no name holds a batch, so it is freed before the next one is drawn
-        if cells is None:
-            filled = _accept_into(out, filled, propose(gen, k), gen, accept)
-        else:
-            filled = _accept_by_cells(out, filled, propose(gen, k), gen, accept, cells, c)
+    def takes():
+        left = n
+        while left:
+            k = min(_MAX_BATCH, max(1024, int(left * c * 1.2)))
+            # no name holds a batch, so it is freed before the next one is drawn
+            for take in (_accept_chunks(left, propose(gen, k), gen, accept) if cells is None
+                         else _accept_by_cells(left, propose(gen, k), gen, accept, cells, c)):
+                left -= len(take)
+                yield take
+
+    return _blocks(takes())
+
+
+def _blocks(takes):
+    """The points of takes, arrays of any length, in blocks of _TEST_CHUNK
+    points, the last one short."""
+    block, filled = None, 0
+    for take in takes:
+        while len(take):
+            if block is None:
+                block, filled = np.empty((_TEST_CHUNK,) + take.shape[1:]), 0
+            m = min(len(take), _TEST_CHUNK - filled)
+            block[filled:filled + m] = take[:m]
+            take, filled = take[m:], filled + m
+            if filled == _TEST_CHUNK:
+                yield block
+                block = None
+    if block is not None:
+        yield block[:filled]
+
+
+def _write_blocks(blocks, out):
+    """Write blocks of _TEST_CHUNK points, the last one short, into out in
+    order; return out."""
+    for sl, block in zip(_chunks(len(out)), blocks):
+        out[sl] = block
     return out
 
 
-def _polar_rows(rows: np.ndarray, ang: np.ndarray) -> None:
-    """Write (r cos(ang), r sin(ang)), r = sqrt(2 s), over rows whose column 0
-    holds s."""
-    r = np.sqrt(rows[:, 0] * 2.0)
+def _polar_rows(s: np.ndarray, ang: np.ndarray) -> np.ndarray:
+    """The rows (r cos(ang), r sin(ang)), r = sqrt(2 s)."""
+    r = np.sqrt(s * 2.0)
+    rows = np.empty((len(ang), 2))
     np.cos(ang, out=rows[:, 0])
     np.sin(ang, out=rows[:, 1])
     rows *= r[:, None]
+    return rows
+
+
+def _phase_draws(state: StateModel, n_theta: int, n_samples: int, seed: int):
+    """The n_theta LO phases, equally spaced in [0, pi), and an iterator of
+    the draw at each phase in turn, on that phase's substream.
+
+    The n_samples events are split as evenly as possible over the phases,
+    with the remainder assigned to the lowest phase indices.
+    """
+    if n_theta < 3:
+        raise SamplingError("n_theta >= 3 is required for moment identifiability")
+    if n_samples < n_theta:
+        raise SamplingError("need at least one sample per phase")
+    phases = np.arange(n_theta) * (math.pi / n_theta)
+    base, rem = divmod(int(n_samples), n_theta)
+    return phases, (state._quadrature_draw(float(th), base + (1 if k < rem else 0),
+                                           substream(seed, TAG_PHASE, k))
+                    for k, th in enumerate(phases))
 
 
 def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
@@ -389,22 +442,31 @@ def sample_homodyne(state: StateModel, n_theta: int, n_samples: int,
     with the remainder assigned to the lowest phase indices; per-phase
     samples are i.i.d. draws from the quadrature density.
     """
-    if n_theta < 3:
-        raise SamplingError("n_theta >= 3 is required for moment identifiability")
-    if n_samples < n_theta:
-        raise SamplingError("need at least one sample per phase")
-    phases = np.arange(n_theta) * (math.pi / n_theta)
-    base, rem = divmod(int(n_samples), n_theta)
-    samples = []
-    for k, th in enumerate(phases):
-        nk = base + (1 if k < rem else 0)
-        gen = substream(seed, TAG_PHASE, k)
-        samples.append(state._quadrature_draw(float(th), nk, gen))
-    return HomodyneDataset(phases, samples)
+    phases, draws = _phase_draws(state, n_theta, n_samples, seed)
+    return HomodyneDataset(phases, list(draws))
+
+
+def _heterodyne_count(n_samples) -> int:
+    if n_samples < 1:
+        raise SamplingError("n_samples >= 1 required")
+    return int(n_samples)
+
+
+def _husimi_blocks(state: StateModel, n_samples: int, seed: int, radii=None):
+    """The points of a heterodyne draw in blocks of _TEST_CHUNK rows, the last
+    one short, on the scheme's substream.
+
+    radii, if given, is an n_samples-long float64 array (a strided view will
+    do) for a pass over all the points before any row is finished; a draw
+    that makes such a pass allocates one otherwise.
+    """
+    return state._husimi_blocks(_heterodyne_count(n_samples), substream(seed, TAG_HET), radii)
 
 
 def sample_heterodyne(state: StateModel, n_samples: int, seed: int) -> HeterodyneDataset:
     """Phase-space points i.i.d. from the Husimi function of the state."""
-    if n_samples < 1:
-        raise SamplingError("n_samples >= 1 required")
-    return HeterodyneDataset(state._husimi_draw(int(n_samples), substream(seed, TAG_HET)))
+    out = np.empty((_heterodyne_count(n_samples), 2))
+    # column 0 holds the radii of a draw that makes a pass over them, and
+    # each block is written over its own radii once they are used
+    return HeterodyneDataset(_write_blocks(_husimi_blocks(state, n_samples, seed, out[:, 0]),
+                                           out))

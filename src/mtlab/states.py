@@ -64,8 +64,8 @@ are exact for Gaussian states
 (covariance transform of G + I/2), Fock and displaced Fock states
 (Gamma-distributed radius) and photon-added states (a finite mixture of
 m + 1 noncentral chi-square radii, weighted by the terms of the
-normalization, with a von Mises phase), each written into its (n, 2)
-output one chunk at a time; even/odd cats use rejection against a
+normalization, with a von Mises phase), each yielding its rows one block
+of a test chunk at a time; even/odd cats use rejection against a
 two-Gaussian mixture.  Both cat densities are (s + t cos w)/d; the cells
 decide most quadrature tests, and the Husimi draw takes the cosine only for
 the points that the bounds from |cos w| <= 1 leave undecided.  No draw or
@@ -103,6 +103,7 @@ from .sampling import (
     _exact_bracket,
     _polar_rows,
     _rejection,
+    _write_blocks,
 )
 from .special import oscillator_eigenfunction_sum
 
@@ -300,8 +301,10 @@ class _StateFamily:
     ``_core_quadrature_pdf(theta, y)``, of the core quadrature Y_theta,
     ``_core_husimi_pdf(x, p)``, ``_core_quadrature_draw(theta, u1, u2, n,
     gen)`` (u1, u2: the core <Y_theta>, <Y_theta^2>) and
-    ``_core_husimi_draw(n, gen)``.  ``_quadrature_draw`` and
-    ``_husimi_draw`` add the shift.
+    ``_core_husimi_blocks(n, gen, radii)``, the points of a heterodyne draw
+    in blocks of ``sampling._TEST_CHUNK`` rows, in the order of the stream
+    (radii: an n-long array for a pass over all n points, or None).
+    ``_quadrature_draw`` and ``_husimi_blocks`` add the shift.
 
     Unless a family overrides it, the quadrature draw is rejection under a
     Gaussian envelope about u1, with a table of proven cell bounds
@@ -328,15 +331,16 @@ class _StateFamily:
 
         cells = _cells(lambda y: self._core_quadrature_taylor(theta, y), env, u1,
                        _CELL_SPAN * sd, _CELL_WIDTH)
-        return _rejection(
+        return _write_blocks(_rejection(
             lambda y: _exact_bracket(self._core_quadrature_pdf(theta, y)), env,
             lambda g, k: g.normal(u1, sd, size=k),
-            np.linspace(u1 - half, u1 + half, _SCAN_NODES), n, gen, cells)
+            [np.linspace(u1 - half, u1 + half, _SCAN_NODES)], n, gen, cells), np.empty(n))
 
-    def _husimi_draw(self, n, gen):
-        core = self._core_husimi_draw(n, gen)
-        core += self._moments.shift[0]
-        return core
+    def _husimi_blocks(self, n, gen, radii=None):
+        shift = self._moments.shift[0]
+        for rows in self._core_husimi_blocks(n, gen, radii):
+            rows += shift
+            yield rows
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +387,11 @@ class Gaussian(_StateFamily):
     def _core_quadrature_draw(self, theta, u1, u2, n, gen):
         return gen.normal(u1, math.sqrt(u2 - u1 * u1), size=n)
 
-    def _core_husimi_draw(self, n, gen):
+    def _core_husimi_blocks(self, n, gen, radii=None):
         # the rows of normal(size=(n, 2)) @ chol.T, one test chunk at a time
         chol = np.linalg.cholesky(het_shift(self.g).as_array())
-        out = np.empty((n, 2))
         for sl in _chunks(n):
-            np.matmul(gen.normal(size=(sl.stop - sl.start, 2)), chol.T, out=out[sl])
-        return out
+            yield gen.normal(size=(sl.stop - sl.start, 2)) @ chol.T
 
 
 class _GaussianStack:
@@ -517,7 +519,7 @@ class EvenOddCoherent(_StateFamily):
     def _core_husimi_pdf(self, x, p):
         return _density(self._core_husimi_bracket(x, p))
 
-    def _core_husimi_draw(self, n, gen):
+    def _core_husimi_blocks(self, n, gen, radii=None):
         ghet = het_shift(covariance(self)).as_array()
         var_env = 2.0 * float(np.max(np.linalg.eigvalsh(ghet)))
         a0 = complex(self.alpha0)
@@ -559,9 +561,13 @@ class EvenOddCoherent(_StateFamily):
 
         half = 6.0 * sd + float(np.hypot(*r0))
         xs = np.linspace(-half, half, _SCAN_NODES_2D)
+
+        # the nodes (xs[i], xs[j]) in C order of (i, j), one test chunk at a time
+        grid = (xs[np.column_stack(np.divmod(np.arange(sl.start, sl.stop), _SCAN_NODES_2D))]
+                for sl in _chunks(_SCAN_NODES_2D ** 2))
         return _rejection(
             lambda pts: self._core_husimi_bracket(pts[:, 0], pts[:, 1]), env, propose,
-            np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2), n, gen)
+            grid, n, gen)
 
 
 #: Cramer's bound on the oscillator eigenfunctions, |psi_j(x)| <= 1.086435 pi^{-1/4}
@@ -667,15 +673,14 @@ class DisplacedFock(_DisplacedCore):
         c[np.arange(len(m)), m] = 1.0
         return c
 
-    def _core_husimi_draw(self, n, gen):
-        # |alpha|^2 ~ Gamma(m + 1) into column 0, then a uniform phase, one
-        # test chunk at a time
-        out = np.empty((n, 2))
+    def _core_husimi_blocks(self, n, gen, radii=None):
+        # s = |alpha|^2 ~ Gamma(m + 1) for all n points, then a uniform phase,
+        # one test chunk at a time
+        s = np.empty(n) if radii is None else radii
         for sl in _chunks(n):
-            out[sl, 0] = gen.gamma(shape=self.m + 1.0, scale=1.0, size=sl.stop - sl.start)
+            s[sl] = gen.gamma(shape=self.m + 1.0, scale=1.0, size=sl.stop - sl.start)
         for sl in _chunks(n):
-            _polar_rows(out[sl], gen.uniform(0.0, 2.0 * math.pi, size=sl.stop - sl.start))
-        return out
+            yield _polar_rows(s[sl], gen.uniform(0.0, 2.0 * math.pi, size=sl.stop - sl.start))
 
 
 class Fock(DisplacedFock):
@@ -731,7 +736,7 @@ class PhotonAddedCoherent(_DisplacedCore):
 
     _vectors = staticmethod(_photon_added_vectors)
 
-    def _husimi_draw(self, n, gen):
+    def _husimi_blocks(self, n, gen, radii=None):
         """Exact draw from Q ~ |alpha|^{2m} exp(-|alpha - alpha0|^2), shift included.
 
         In polar form s = |alpha|^2 is a mixture over k of Gamma(m + k + 1)
@@ -750,20 +755,19 @@ class PhotonAddedCoherent(_DisplacedCore):
         w, _ = _photon_added_mass(np.array([z0]), np.array([m]))
         cdf = np.cumsum(w[0, m::-1])
         cdf /= cdf[-1]
-        # each pass draws all n values one test chunk at a time: the degrees
-        # of freedom 2 (m + 1 + j) from the uniforms into column 1, the radii
-        # s into column 0, then the phases, with the von Mises
+        # each pass draws all n values one test chunk at a time, in one
+        # array: the degrees of freedom 2 (m + 1 + j) from the uniforms, the
+        # radii s over them, then the phases, with the von Mises
         # concentrations 2 sqrt(s z0)
-        out = np.empty((n, 2))
+        s = np.empty(n) if radii is None else radii
         for sl in _chunks(n):
             j = np.searchsorted(cdf, gen.random(sl.stop - sl.start), side="right")
-            out[sl, 1] = (j + (m + 1.0)) * 2.0
+            s[sl] = (j + (m + 1.0)) * 2.0
         for sl in _chunks(n):
-            out[sl, 0] = gen.noncentral_chisquare(out[sl, 1], 2.0 * z0) * 0.5
+            s[sl] = gen.noncentral_chisquare(s[sl], 2.0 * z0) * 0.5
         for sl in _chunks(n):
-            kappa = np.sqrt(out[sl, 0] * z0) * 2.0
-            _polar_rows(out[sl], gen.vonmises(cmath.phase(alpha0), kappa))
-        return out
+            kappa = np.sqrt(s[sl] * z0) * 2.0
+            yield _polar_rows(s[sl], gen.vonmises(cmath.phase(alpha0), kappa))
 
 
 StateModel = Union[Gaussian, Fock, EvenOddCoherent, DisplacedFock, PhotonAddedCoherent]

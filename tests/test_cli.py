@@ -295,10 +295,10 @@ class TestExperiments:
                 return sampler(*args)
             return draw
 
-        monkeypatch.setattr(sampling, "sample_homodyne",
-                            counted("hom", sampling.sample_homodyne))
-        monkeypatch.setattr(sampling, "sample_heterodyne",
-                            counted("het", sampling.sample_heterodyne))
+        # a trial draws through the samplers' own draw routines, folding the
+        # draw as it comes
+        monkeypatch.setattr(sampling, "_phase_draws", counted("hom", sampling._phase_draws))
+        monkeypatch.setattr(sampling, "_husimi_blocks", counted("het", sampling._husimi_blocks))
         cfg = load_config(
             text="[experiment]\nkind = mc-verify\nseed = 2\n"
                  "[state]\nfamily = fock\nn = 1\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from mtlab import (
     CovarianceMatrix,
     DisplacedFock,
+    EvenOddCoherent,
     FirstMoments,
     Fock,
     Gaussian,
+    PhotonAddedCoherent,
     crb_report,
     first_moments,
     het_first_estimator,
@@ -18,13 +21,21 @@ from mtlab import (
     optimal_first_estimator,
     optimal_second_estimator,
     processed_moments,
+    processed_scatter,
     sample_heterodyne,
     sample_homodyne,
     second_moment_matrix,
+    state_from_kv,
 )
 from mtlab import estimators
 from mtlab.estimators import EstimatorError, ProcessedMoments
-from mtlab.sampling import TAG_TRIAL, HeterodyneDataset, HomodyneDataset, derive_key
+from mtlab.sampling import (
+    TAG_TRIAL,
+    _TEST_CHUNK,
+    HeterodyneDataset,
+    HomodyneDataset,
+    derive_key,
+)
 
 from conftest import band
 
@@ -134,19 +145,27 @@ class TestOptimalEstimators:
         assert np.allclose(g2, 1.5 * np.eye(2), atol=1e-10)
 
 
+def scatter(points):
+    return processed_scatter(HeterodyneDataset(np.asarray(points, dtype=float)))
+
+
 class TestHeterodyneEstimators:
     def test_single_point_first(self):
-        est = het_first_estimator(HeterodyneDataset(np.array([[1.0, -1.0]])))
+        est = het_first_estimator(scatter([[1.0, -1.0]]))
         assert est.as_array() == pytest.approx([1.0, -1.0])
 
     def test_single_point_second(self):
-        ghet = het_second_estimator(HeterodyneDataset(np.array([[1.0, 2.0]])))
+        ghet = het_second_estimator(scatter([[1.0, 2.0]]))
         assert np.allclose(ghet, [[1.0, 2.0], [2.0, 4.0]])
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(EstimatorError, match="empty"):
+            scatter(np.empty((0, 2)))
 
     def test_shift_equivalence_is_exact(self, rng):
         # MSE against G2_het equals MSE of the shifted estimate against G2
         pts = rng.normal(size=(400, 2))
-        ghet = het_second_estimator(HeterodyneDataset(pts))
+        ghet = het_second_estimator(scatter(pts))
         g2 = rng.normal(size=(2, 2))
         g2 = g2 + g2.T
         d1 = ghet - (g2 + 0.5 * np.eye(2))
@@ -154,14 +173,32 @@ class TestHeterodyneEstimators:
         assert np.sum(d1 * d1) == np.sum(d2 * d2)
 
     @pytest.mark.parametrize("n", [1, 8_193, 10**6])
-    def test_estimates_are_the_numpy_means_bit_for_bit(self, rng, n):
+    def test_estimates_match_numpy_means(self, rng, n):
+        # Both routes sum the same terms (the products are rounded alike).
+        # A sum whose every term passes through at most d additions is within
+        # gamma_d = d u / (1 - d u) of exact, relative to the sum of |terms|
+        # (u = eps / 2).  numpy's pairwise sum of n terms takes d <= 25 +
+        # ceil(log2 n): at most 15 sequential additions in each of 8
+        # accumulators, 3 to join them, 7 for the remainder and one per
+        # halving past 128 terms; the fold takes the pairwise sum of each
+        # block of _TEST_CHUNK points and adds the ceil(n / _TEST_CHUNK)
+        # block sums in turn.  Each mean adds the rounding of one division.
         pts = rng.normal(size=(n, 2)) * [1.3, 0.7] + [0.4, -2.1]
         x, p = pts[:, 0], pts[:, 1]
-        d = HeterodyneDataset(pts)
-        assert np.array_equal(het_first_estimator(d).as_array(), pts.mean(axis=0))
-        xp = np.mean(x * p)
-        assert np.array_equal(het_second_estimator(d),
-                              [[np.mean(x * x), xp], [xp, np.mean(p * p)]])
+        s = processed_scatter(HeterodyneDataset(pts))
+        est1, est2 = het_first_estimator(s).as_array(), het_second_estimator(s)
+        u = np.finfo(float).eps / 2
+
+        def gamma(d):
+            return d * u / (1.0 - d * u)
+
+        fold = gamma(25 + math.ceil(math.log2(_TEST_CHUNK)) + math.ceil(n / _TEST_CHUNK))
+        numpy = gamma(25 + math.ceil(math.log2(max(n, 2))))
+        for got, terms in ((est1[0], x), (est1[1], p), (est2[0, 0], x * x),
+                           (est2[0, 1], x * p), (est2[1, 0], x * p), (est2[1, 1], p * p)):
+            want = np.mean(terms)
+            tol = (fold + numpy) * np.mean(np.abs(terms)) + u * (abs(got) + abs(want))
+            assert abs(got - want) <= tol, (got, want, tol)
 
 
 class TestMonteCarlo:
@@ -217,8 +254,8 @@ class TestMonteCarlo:
                 p = processed_moments(sample_homodyne(state, n_theta, n, key))
                 est1, est2 = optimal_first_estimator(p).as_array(), optimal_second_estimator(p)
             else:
-                ds = sample_heterodyne(state, n, key)
-                est1, est2 = het_first_estimator(ds).as_array(), het_second_estimator(ds)
+                s = processed_scatter(sample_heterodyne(state, n, key))
+                est1, est2 = het_first_estimator(s).as_array(), het_second_estimator(s)
             d = est1 - r
             errors["first"].append(float(n * (d @ d)))
             d = est2 - (g2 + 0.5 * np.eye(2) if scheme == "het" else g2)
@@ -232,6 +269,37 @@ class TestMonteCarlo:
             assert res.scaled_mse == mean
             assert res.stderr == math.sqrt(var / trials)
             assert res.failures == 0
+
+    @pytest.mark.parametrize("scheme", ["hom", "het"])
+    @pytest.mark.parametrize("state", [
+        SQUEEZED3, DisplacedFock(0.7 + 0.2j, 1), EvenOddCoherent(1.0, "even"),
+        PhotonAddedCoherent(0.8, 2),
+    ], ids=["gaussian", "displaced_fock", "even_cat", "photon_added"])
+    def test_trial_folds_the_moments_of_its_written_out_draw(self, state, scheme,
+                                                             monkeypatch):
+        # a trial holds no dataset, yet its moments are those of the dataset
+        # written out, bit for bit: per-phase columns, or the scatter folded
+        # in the same blocks (several blocks and a short one here)
+        n, n_theta, seed = 2 * _TEST_CHUNK + 123, 6, 9
+        seen = []
+        real = {"hom": optimal_first_estimator, "het": het_first_estimator}[scheme]
+        name = {"hom": "optimal_first_estimator", "het": "het_first_estimator"}[scheme]
+
+        def spy(data):
+            seen.append(data)
+            return real(data)
+
+        monkeypatch.setattr(estimators, name, spy)
+        monte_carlo_mse(state, scheme, ("first",), n, 2, n_theta=n_theta, seed=seed)
+        for t, got in enumerate(seen):
+            key = derive_key(seed, TAG_TRIAL, t)
+            if scheme == "hom":
+                want = processed_moments(sample_homodyne(state, n_theta, n, key))
+                for field in ("phases", "counts", "m1", "m2", "m4"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            else:
+                assert got == processed_scatter(sample_heterodyne(state, n, key))
+        assert len(seen) == 2
 
     def test_failures_are_counted_per_order(self, monkeypatch):
         # a second-moment failure leaves the first-moment result of the same
@@ -273,7 +341,7 @@ class TestMonteCarlo:
                 p = processed_moments(ds)
                 sums["hom1"].append(optimal_first_estimator(p).as_array())
                 sums["hom2"].append(optimal_second_estimator(p).ravel())
-                dh = sample_heterodyne(state, n, seed)
+                dh = processed_scatter(sample_heterodyne(state, n, seed))
                 sums["het1"].append(het_first_estimator(dh).as_array())
                 sums["het2"].append((het_second_estimator(dh) - 0.5 * np.eye(2)).ravel())
             for key, truth in (("hom1", truth_r), ("het1", truth_r),
@@ -306,3 +374,49 @@ class TestMonteCarlo:
             diffs.append(np.sum((plug - blue) ** 2))
             sizes.append(np.sum(plug ** 2))
         assert np.mean(diffs) < 0.01 * np.mean(sizes)
+
+
+# one state per family, those of the Monte-Carlo benchmark workloads
+TRIAL_STATES = {
+    "gaussian": {"family": "gaussian", "mu": "2", "lam": "1.5", "phi": "0.4",
+                 "x0": "0.7", "p0": "-0.3"},
+    "fock": {"family": "fock", "n": "3"},
+    "even_coherent": {"family": "even_coherent", "alpha0": "1.0"},
+    "displaced_fock": {"family": "displaced_fock", "alpha0": "1.0+0.5j", "m": "2"},
+    "photon_added": {"family": "photon_added", "alpha0": "0.8", "m": "2"},
+}
+
+
+# Traced peak of one trial at N = 10^6, both orders, with 1 MiB of slack.
+# A homodyne trial holds one phase's draw (41,667 points, 0.3 MiB) and its
+# rejection batch with a byte per proposal: 1.0 MiB for the Gaussian, 3.0-4.0
+# MiB for the others.  A heterodyne trial holds one block of points and its
+# random inputs: 0.4 MiB for the Gaussian; the cat adds a byte of component
+# index per proposal of a batch (4.9 MiB); the Fock, displaced-Fock and
+# photon-added draws add their n radii (8.1-8.2 MiB).  A trial that held its
+# dataset peaked at 8.3-10.7 MiB (homodyne) and 22.9 MiB (heterodyne).
+@pytest.mark.parametrize("label, scheme, mib", [
+    ("gaussian", "hom", 2.0), ("fock", "hom", 4.5), ("even_coherent", "hom", 4.0),
+    ("displaced_fock", "hom", 4.5), ("photon_added", "hom", 5.0),
+    ("gaussian", "het", 1.5), ("fock", "het", 9.5), ("even_coherent", "het", 6.0),
+    ("displaced_fock", "het", 9.5), ("photon_added", "het", 9.5),
+])
+def test_trial_peak_memory(label, scheme, mib):
+    state = state_from_kv(TRIAL_STATES[label])
+    g2 = second_moment_matrix(state).as_array()
+    truth = {"first": first_moments(state).as_array(),
+             "second": g2 + 0.5 * np.eye(2) if scheme == "het" else g2}
+
+    def trial(n, seed):
+        return estimators._trial_errors(state, scheme, ("first", "second"), n,
+                                        estimators.N_THETA, seed, truth)
+
+    trial(2_400, 1)  # warm-up: the state's cached tables
+    tracemalloc.start()
+    try:
+        errors = trial(10**6, derive_key(2, TAG_TRIAL, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert None not in errors
+    assert peak <= mib * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -35,7 +35,7 @@ from mtlab.sampling import (
     _CELL_SLACK,
     _TEST_CHUNK,
     _accept_by_cells,
-    _accept_into,
+    _accept_chunks,
     _accepted,
     _chunks,
     _exact_bracket,
@@ -173,8 +173,13 @@ class TestHomodyne:
 
 
 def in_chunks(props):
-    """A batch array as the iterator of test chunks that ``_accept_into`` takes."""
+    """A batch array as the iterator of test chunks that ``_accept_chunks`` takes."""
     return (props[sl] for sl in _chunks(len(props)))
+
+
+def drawn(parts):
+    """The points of a draw's blocks, or of a batch's takes, in one array."""
+    return np.concatenate(list(parts))
 
 
 class TestRejection:
@@ -189,9 +194,7 @@ class TestRejection:
             return chunk % 3 == 0
 
         gen, ref = substream(9, 4), substream(9, 4)
-        out = np.full(5, -1.0)
-        assert _accept_into(out, 2, in_chunks(props), gen, accept) == 5
-        assert list(out) == [-1.0, -1.0, 0.0, 3.0, 6.0]
+        assert list(drawn(_accept_chunks(3, in_chunks(props), gen, accept))) == [0.0, 3.0, 6.0]
         assert seen == [0.0]  # later chunks are never tested
         ref.uniform(0.0, 1.0, size=_TEST_CHUNK)  # nor are their uniforms drawn
         assert np.array_equal(gen.random(8), ref.random(8))
@@ -201,9 +204,11 @@ class TestRejection:
         var_env, half = 3.0 * 3.5, 6.0 * math.sqrt(3.5)
         env = lambda x: np.exp(-0.5 * x ** 2 / var_env) / math.sqrt(2 * math.pi * var_env)
         grid = np.linspace(-half, half, 2049)
-        got = _rejection(lambda x: _exact_bracket(pdf(x)), env,
-                         lambda g, k: in_chunks(g.normal(0.0, math.sqrt(var_env), size=k)),
-                         grid, 200_000, substream(9, 1))
+        blocks = list(_rejection(lambda x: _exact_bracket(pdf(x)), env,
+                                 lambda g, k: in_chunks(g.normal(0.0, math.sqrt(var_env), size=k)),
+                                 [grid], 200_000, substream(9, 1)))
+        assert [len(b) for b in blocks] == [sl.stop - sl.start for sl in _chunks(200_000)]
+        got = np.concatenate(blocks)
         # the reference tests every proposal of each batch at once
         c = float(np.max(pdf(grid) / env(grid))) * 1.10
         gen, ref = substream(9, 1), []
@@ -228,10 +233,10 @@ class TestRejection:
         xs = np.linspace(-9.0, 9.0, 257)
         gx, gp = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
         # the cat's bracket decides most points without their cosine
-        got = _rejection(lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
-                         lambda pts: env(pts[:, 0], pts[:, 1]),
-                         lambda g, k: in_chunks(propose(g, k)),
-                         np.column_stack([gx, gp]), 150_000, substream(9, 2))
+        got = drawn(_rejection(lambda pts: state._core_husimi_bracket(pts[:, 0], pts[:, 1]),
+                               lambda pts: env(pts[:, 0], pts[:, 1]),
+                               lambda g, k: in_chunks(propose(g, k)),
+                               in_chunks(np.column_stack([gx, gp])), 150_000, substream(9, 2)))
         c = float(np.max(qpdf(gx, gp) / env(gx, gp))) * 1.10
         gen, ref = substream(9, 2), []
         while len(ref) < 150_000:
@@ -250,26 +255,26 @@ class TestRejection:
             return 0.5 * scipy.stats.norm.pdf(x) + 0.5 * spike
 
         with pytest.raises(SamplingError, match="exceeds the rejection envelope"):
-            _rejection(lambda x: _exact_bracket(pdf(x)), scipy.stats.norm.pdf,
-                       lambda g, k: in_chunks(g.normal(size=k)), np.linspace(-4.0, 4.0, 9), 1000,
-                       substream(9, 3))
+            drawn(_rejection(lambda x: _exact_bracket(pdf(x)), scipy.stats.norm.pdf,
+                             lambda g, k: in_chunks(g.normal(size=k)),
+                             [np.linspace(-4.0, 4.0, 9)], 1000, substream(9, 3)))
 
     def test_accept_by_cells_matches_accept_into(self):
         # the cells decide most points and the rest are tested later, in
-        # groups: the same proposals fill out, testing stops after the same
+        # groups: the same proposals are taken, testing stops after the same
         # chunk, and so the generator is left in the same state
         state, theta = Fock(3), 0.4
         cells, env, c = draw_cells(state, theta)
         accept = lambda y, u: _accepted(_exact_bracket(state._core_quadrature_pdf(theta, y)), u, c,
                                         env(y))
         props = substream(3, 0).normal(0.0, math.sqrt(10.5), size=60_000)
-        for n, filled in [(1, 0), (5_000, 0), (9_000, 4_000), (15_000, 0), (20_000, 0)]:
-            got, ref = np.full(n, np.nan), np.full(n, np.nan)
+        passed = len(drawn(_accept_chunks(len(props), in_chunks(props), substream(3, 1), accept)))
+        for need in (1, 5_000, 15_000, 20_000):  # the last one takes every proposal that passes
             gen, gen_ref = substream(3, 1), substream(3, 1)
-            k = _accept_by_cells(got, filled, props, gen, accept, cells, c)
-            assert k == _accept_into(ref, filled, in_chunks(props), gen_ref, accept)
-            assert k == min(n, filled + np.count_nonzero(ref[filled:] == ref[filled:]))
-            assert np.array_equal(got, ref, equal_nan=True)
+            got = drawn(_accept_by_cells(need, props, gen, accept, cells, c))
+            ref = drawn(_accept_chunks(need, in_chunks(props), gen_ref, accept))
+            assert np.array_equal(got, ref)
+            assert len(got) == min(need, passed)
             assert np.array_equal(gen.random(4), gen_ref.random(4))
 
     def test_too_small_constant_raises_through_the_cells(self, monkeypatch):
@@ -278,7 +283,7 @@ class TestRejection:
         calls = []
 
         def spy(*args):
-            calls.append(len(args[2]))
+            calls.append(len(args[1]))
             return _accept_by_cells(*args)
 
         monkeypatch.setattr(mtlab.sampling, "_accept_by_cells", spy)
@@ -301,9 +306,10 @@ def draw_cells(state, theta):
     seen = {}
 
     def spy(bracket, env, propose, grid, n, gen, cells):
+        grid = np.concatenate(list(grid))
         seen.update(cells=cells, env=env,
                     c=float(np.max(bracket(grid)[2](()) / env(grid))) * 1.10)
-        return np.zeros(n)
+        return [np.zeros(n)]
 
     _, u1, u2, _, _, _ = mtlab.states._core_quadrature(state, theta).tolist()
     real = mtlab.states._rejection
@@ -633,7 +639,7 @@ class TestHeterodyneStream:
 
     @pytest.mark.parametrize("n", STREAM_SIZES)
     def test_fock_husimi(self, n):
-        got = Fock(3)._core_husimi_draw(n, substream(5, n))
+        got = drawn(Fock(3)._core_husimi_blocks(n, substream(5, n)))
         assert np.array_equal(got, whole_fock_husimi(3, n, substream(5, n)))
 
     @pytest.mark.parametrize("state", [PhotonAddedCoherent(0.8, 2),
@@ -642,7 +648,7 @@ class TestHeterodyneStream:
                              ids=["real", "complex", "vacuum"])
     @pytest.mark.parametrize("n", STREAM_SIZES)
     def test_photon_added_husimi(self, state, n):
-        got = state._husimi_draw(n, substream(6, n))
+        got = drawn(state._husimi_blocks(n, substream(6, n)))
         assert np.array_equal(got, whole_photon_added_husimi(state, n, substream(6, n)))
 
     # at n = 10^6 the even cat's first batch is capped at _MAX_BATCH rows,
@@ -665,7 +671,7 @@ class TestHeterodyneStream:
     def test_cat_component_index_drawn_one_chunk_at_a_time(self):
         state = EvenOddCoherent(1.0, "even")
         gen = RecordingGenerator(substream(7, TAG_HET))
-        got = state._core_husimi_draw(100_000, gen)
+        got = drawn(state._core_husimi_blocks(100_000, gen))
         assert len(gen.integer_sizes) > 1
         assert max(gen.integer_sizes) <= _TEST_CHUNK
         assert np.array_equal(got, whole_cat_heterodyne(state, 100_000, substream(7, TAG_HET)))
@@ -719,10 +725,10 @@ class TestHomodyneStream:
     (EvenOddCoherent(1.0, "even"), 32),
 ], ids=["gaussian", "fock3", "displaced_fock", "photon_added", "even_cat"])
 def test_heterodyne_draw_peak_memory(state, mib):
-    # 10^6 draws hold their (n, 2) output (15.3 MiB) and one test chunk of
-    # random inputs (a traced peak of 15.4-15.6 MiB; 1.5 MiB of slack), and,
+    # 10^6 draws hold their (n, 2) output (15.3 MiB), one block of rows and
+    # one test chunk of random inputs (a traced peak of 15.6-15.8 MiB), and,
     # for the cat, a byte of component index per proposal of a batch and
-    # one test chunk of its normals (20.9 MiB).
+    # one test chunk of its normals (20.1 MiB).
     # tracemalloc cannot see a large block freed before the traced peak,
     # such as a whole batch's int64 component index: the resident heap that
     # glibc keeps after it is checked below
@@ -734,6 +740,21 @@ def test_heterodyne_draw_peak_memory(state, mib):
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_cat_heterodyne_small_draw_peak_memory():
+    # the envelope scan over 257^2 nodes takes one test chunk of nodes at a
+    # time, so a 2,000-point draw peaks at 0.8 MiB traced; the scan in one
+    # array pass made 5.0 MiB of temporaries on every draw
+    state = EvenOddCoherent(1.0, "even")
+    sample_heterodyne(state, 100, seed=1)  # warm-up: the state's cached tables
+    tracemalloc.start()
+    try:
+        sample_heterodyne(state, 2_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 # A warm-up and two 10^6 cat draws in a fresh process; prints the resident
